@@ -13,6 +13,7 @@ import time
 sys.path.insert(0, "tests")
 
 from abcalc.bpi import correspondence_check
+from abcalc.lts import ExploreBounds
 from abcalc.syntax import parse_bpi, pretty_bpi
 from abcalc.systems import corpus_path
 
@@ -35,7 +36,7 @@ def main() -> int:
     states = transitions = failures = 0
     t0 = time.perf_counter()
     for name, term in terms:
-        report = correspondence_check(term, max_states=800)
+        report = correspondence_check(term, ExploreBounds(max_states=800))
         states += report.states_checked
         transitions += report.transitions_checked
         if not report.ok:

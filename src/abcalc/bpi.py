@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from . import predicates as pr
 from . import semantics as sem
+from .lts import DEFAULT_BOUNDS, alphabet_fixpoint, reach
 from .terms import (
     AttrEnv,
     Call,
@@ -457,29 +458,17 @@ class CorrespondenceReport:
         return not self.violations
 
 
-def harvest_bpi_universe(p: BpiProcess, max_states: int = 2000, rounds: int = 6):
-    """Fixpoint of the broadcast alphabet: explore, collect output labels,
-    feed them back as inputs, repeat."""
-    universe: set = set()
-    for _ in range(rounds):
-        seen = set()
-        frontier = [canon_bpi(p)]
-        harvested = set(universe)
-        while frontier and len(seen) < max_states:
-            cur = frontier.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            for lab, nxt in bpi_steps(cur, universe):
-                if lab[0] == "out":
-                    harvested.add((lab[1], tuple(lab[2])))
-                nxt = canon_bpi(nxt)
-                if nxt not in seen:
-                    frontier.append(nxt)
-        if harvested == universe:
-            break
-        universe = harvested
-    return tuple(sorted(universe))
+def harvest_bpi_universe(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> tuple:
+    """Fixpoint of the broadcast alphabet: every emitted (chan, values)
+    is fed back as an input until no new one appears."""
+    return alphabet_fixpoint(
+        canon_bpi(p),
+        lambda q: [(lab, canon_bpi(nxt)) for lab, nxt in bpi_steps(q)],
+        lambda q, msg: [canon_bpi(nxt) for nxt in _par_ins(q, *msg)],
+        lambda have, outs: tuple(sorted({*have, *((l[1], l[2]) for l in outs if l != TAU)})),
+        (),
+        bounds.max_states,
+    )
 
 
 def _abc_label(lab) -> sem.Label:
@@ -490,29 +479,21 @@ def _abc_label(lab) -> sem.Label:
     return sem.Label(abc_kind, AttrEnv(), pr.TT, (chan,) + tuple(values))
 
 
-def correspondence_check(p: BpiProcess, max_states: int = 2000) -> CorrespondenceReport:
+def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> CorrespondenceReport:
     """Walk the broadcast transition system and, at every reachable state,
     require a label-preserving bijection between its transitions and the
     transitions of its translation, with matching barbs."""
-    universe = harvest_bpi_universe(p, max_states)
-    report = CorrespondenceReport(universe=universe)
-
-    seen = set()
-    frontier = [canon_bpi(p)]
-    while frontier:
-        if len(seen) >= max_states:
-            report.violations.append(("bound-exceeded", len(seen)))
-            break
-        cur = frontier.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        report.states_checked += 1
-
+    universe = harvest_bpi_universe(p, bounds)
+    successors = lambda q: [(lab, canon_bpi(nxt)) for lab, nxt in bpi_steps(q, universe)]
+    states, transitions = reach(canon_bpi(p), successors, bounds)
+    report = CorrespondenceReport(len(states), len(transitions), universe)
+    steps = [[] for _ in states]
+    for src, lab, dst in transitions:
+        steps[src].append((lab, states[dst]))
+    for cur, bsteps in zip(states, steps):
         defs: dict = {}
         comp = canonical(_encode_comp(cur, defs))
 
-        bsteps = [(lab, canon_bpi(nxt)) for lab, nxt in bpi_steps(cur, universe)]
         asteps = list(sem.system_out_steps(comp, defs))
         for chan, values in universe:
             msg = _abc_label(("in", chan, values))
@@ -542,9 +523,4 @@ def correspondence_check(p: BpiProcess, max_states: int = 2000) -> Correspondenc
         )
         if src_barbs != tgt_barbs:
             report.violations.append(("barb-mismatch", cur, src_barbs, tgt_barbs))
-
-        report.transitions_checked += len(bsteps)
-        for _, nxt in bsteps:
-            if nxt not in seen:
-                frontier.append(nxt)
     return report

@@ -19,7 +19,7 @@ from . import equivalence as eq
 from . import lts as L
 from . import systems
 from .predicates import DomainContext, EMPTY_DOMAINS
-from .semantics import OUT, system_in_step, system_out_steps
+from .semantics import OUT
 from .syntax import (
     ParseError,
     parse_abc,
@@ -42,7 +42,6 @@ class RunConfig:
     universe_mode: str = "auto"  # auto | declared | none
     max_states: int = 100_000
     max_depth: int = 1_000
-    jobs: int = 1
     strict: bool = False
     json_out: str = None  # None, "-" for stdout, or a path
 
@@ -64,12 +63,11 @@ def _config(args) -> RunConfig:
         or int(os.environ.get("ABCALC_MAX_STATES", 100_000)),
         max_depth=getattr(args, "max_depth", None)
         or int(os.environ.get("ABCALC_MAX_DEPTH", 1_000)),
-        jobs=getattr(args, "jobs", 1),
         strict=getattr(args, "strict", False),
         json_out=getattr(args, "json", None),
     )
-    if cfg.max_states <= 0 or cfg.max_depth <= 0 or cfg.jobs <= 0:
-        raise CliError("bounds and --jobs must be positive")
+    if cfg.max_states <= 0 or cfg.max_depth <= 0:
+        raise CliError("bounds must be positive")
     return cfg
 
 
@@ -149,7 +147,7 @@ def cmd_steps(args) -> int:
     cfg = _config(args)
     model = _load_model(args.file)
     if args.file.endswith(".bpi"):
-        universe = bp.harvest_bpi_universe(model, cfg.max_states)
+        universe = bp.harvest_bpi_universe(model, cfg.bounds)
         rows = [
             {"label": _bpi_label_text(lab), "target": pretty_bpi(nxt)}
             for lab, nxt in bp.bpi_steps(model, universe)
@@ -157,14 +155,10 @@ def cmd_steps(args) -> int:
     else:
         comp = canonical(_require_component(model, args.file))
         universe = _universe(model, comp, cfg)
-        steps = list(system_out_steps(comp, model.defs, cfg.strict))
-        for msg in universe.labels:
-            steps.extend((msg, c2) for c2 in system_in_step(comp, msg, model.defs))
         rows = [
-            {"label": pretty_label(lab), "target": pretty_component(canonical(c2))}
-            for lab, c2 in steps
+            {"label": pretty_label(lab), "target": pretty_component(c2)}
+            for lab, c2 in L.abc_successors(model.defs, universe, cfg.strict)(comp)
         ]
-        rows.sort(key=lambda r: (r["label"], r["target"]))
     human = "\n".join(f"{r['label']}  ->  {r['target']}" for r in rows) or "(no steps)"
     _emit(cfg, {"steps": rows}, human)
     return 0
@@ -269,7 +263,7 @@ def cmd_verify_encoding(args) -> int:
     term = _load_model(args.file)
     if not args.file.endswith(".bpi"):
         raise CliError("verify-encoding expects a .bpi file")
-    report = bp.correspondence_check(term, max_states=cfg.max_states)
+    report = bp.correspondence_check(term, cfg.bounds)
     human = (
         f"{'ok' if report.ok else 'VIOLATION'}: {report.states_checked} states, "
         f"{report.transitions_checked} transitions checked, universe {len(report.universe)}"
@@ -315,7 +309,7 @@ def cmd_corpus(args) -> int:
           v2.witness is not None and any("f3" in s["label"] for s in v2.witness))
     for name in ("handshake.bpi", "relay.bpi", "repeater.bpi"):
         term = parse_bpi(systems.corpus_path(name).read_text())
-        rep = bp.correspondence_check(term, max_states=cfg.max_states)
+        rep = bp.correspondence_check(term, cfg.bounds)
         check(f"encoding correspondence: {name}", rep.ok)
     failed = [n for n, ok in results if not ok]
     _emit(cfg, {"results": [{"name": n, "ok": ok} for n, ok in results]}, "")
@@ -338,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit a JSON verdict (to FILE, or stdout)")
         p.add_argument("--max-states", type=int, default=None)
         p.add_argument("--max-depth", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="exploration parallelism (results are identical for any value)")
         p.add_argument("--strict", action="store_true",
                        help="fail on expression evaluation errors instead of pruning")
         if universe:

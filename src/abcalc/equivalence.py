@@ -25,23 +25,11 @@ from .lts import (
     Lts,
     auto_universe,
     explore,
+    label_equiv,
     weak_closure,
 )
 from .predicates import DomainContext, EMPTY_DOMAINS
 from .terms import Component
-
-
-def label_equiv(l1: sem.Label, l2: sem.Label, domains: DomainContext = EMPTY_DOMAINS) -> bool:
-    """Two labels are interchangeable: same kind with equal environment,
-    equal values and equivalent predicates, or both silent outputs."""
-    if l1.kind != l2.kind:
-        return False
-    if l1.kind == sem.OUT:
-        if pr.is_ff(l1.pred, domains) and pr.is_ff(l2.pred, domains):
-            return True
-    if l1.env != l2.env or l1.values != l2.values:
-        return False
-    return pr.equiv(l1.pred, l2.pred, domains)
 
 
 def label_equiv_pred(label: sem.Label, pred, domains: DomainContext = EMPTY_DOMAINS) -> bool:
@@ -76,10 +64,6 @@ def barbs(
         if not any(pr.equiv(lab.pred, have, domains) for have in reps):
             reps.append(lab.pred)
     return reps
-
-
-def weak_barbs(comp, defs=None, domains=EMPTY_DOMAINS, bounds=DEFAULT_BOUNDS):
-    return barbs(comp, defs, domains, weak=True, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ predicate-indexed reductions, and Aldebaran export.
 
 An input universe makes the environment finite: besides the autonomous
 output moves, every state also reacts to each input label of the
-universe.  The default universe is the shared-alphabet closure: explore
-with no inputs, harvest the emitted non-silent output labels as inputs,
-and iterate to a fixpoint.
+universe, by default the closure of the emitted non-silent outputs.
+``reach`` and ``alphabet_fixpoint`` do all exploration, of components
+and of broadcast terms alike.
 """
 
 from __future__ import annotations
@@ -36,6 +36,19 @@ class ExploreBounds:
 DEFAULT_BOUNDS = ExploreBounds()
 
 
+def label_equiv(l1: sem.Label, l2: sem.Label, domains: DomainContext = EMPTY_DOMAINS) -> bool:
+    """Two labels are interchangeable: same kind with equal environment,
+    equal values and equivalent predicates, or both silent outputs."""
+    if l1.kind != l2.kind:
+        return False
+    if l1.kind == sem.OUT:
+        if pr.is_ff(l1.pred, domains) and pr.is_ff(l2.pred, domains):
+            return True
+    if l1.env != l2.env or l1.values != l2.values:
+        return False
+    return pr.equiv(l1.pred, l2.pred, domains)
+
+
 @dataclass(frozen=True)
 class LabelUniverse:
     """Finite set of input labels the environment may inject."""
@@ -51,7 +64,7 @@ class LabelUniverse:
     def merged(self, other: "LabelUniverse", domains: DomainContext = EMPTY_DOMAINS):
         out = list(self.labels)
         for lab in other.labels:
-            if not any(_same_label(lab, have, domains) for have in out):
+            if not any(label_equiv(lab, have, domains) for have in out):
                 out.append(lab)
         return LabelUniverse(_sorted_labels(out))
 
@@ -63,12 +76,6 @@ def _sorted_labels(labels):
     from .syntax import pretty_label
 
     return tuple(sorted(labels, key=pretty_label))
-
-
-def _same_label(l1, l2, domains) -> bool:
-    from .equivalence import label_equiv
-
-    return label_equiv(l1, l2, domains)
 
 
 @dataclass
@@ -87,23 +94,88 @@ class Lts:
             self._tau_cache[label.pred] = pr.is_ff(label.pred, self.domains)
         return self._tau_cache[label.pred]
 
-    def successors(self, state: int):
-        return [(lab, dst) for src, lab, dst in self.transitions if src == state]
 
-    def labels(self):
-        seen = []
-        for _, lab, _ in self.transitions:
-            if lab not in seen:
-                seen.append(lab)
-        return seen
+def reach(initial, successors, bounds: ExploreBounds = DEFAULT_BOUNDS):
+    """Breadth-first walk from a canonical state; ``successors(state)`` gives
+    ``(label, canonical successor)`` pairs in the order states are numbered.
+    Returns the states in discovery order and the ``(source id, label,
+    target id)`` transitions."""
+    states = [initial]
+    index = {initial: 0}
+    depth = [0]
+    transitions = []
+    queue = deque([0])
+    while queue:
+        src = queue.popleft()
+        for lab, succ in successors(states[src]):
+            dst = index.get(succ)
+            if dst is None:
+                if len(states) >= bounds.max_states:
+                    raise BoundExceeded(f"state bound {bounds.max_states} hit", len(queue))
+                if depth[src] + 1 > bounds.max_depth:
+                    raise BoundExceeded(f"depth bound {bounds.max_depth} hit", len(queue))
+                dst = index[succ] = len(states)
+                states.append(succ)
+                depth.append(depth[src] + 1)
+                queue.append(dst)
+            transitions.append((src, lab, dst))
+    return states, transitions
 
 
-def _state_steps(comp: Component, defs, universe: LabelUniverse, strict: bool):
-    steps = list(sem.system_out_steps(comp, defs, strict))
-    for msg in universe.labels:
-        for succ in sem.system_in_step(comp, msg, defs):
-            steps.append((msg, succ))
-    return steps
+def alphabet_fixpoint(initial, out_steps, in_steps, grow, base, max_states: int) -> tuple:
+    """Grow the universe from ``base`` until it holds every label that
+    ``grow(universe, outputs)`` takes from the outputs of the states
+    reachable under it.  Semi-naive: each state's ``out_steps`` run once,
+    ``grow`` sees only the output labels new in a round, a new label's
+    ``in_steps`` run only on the states already seen, and a new state gets
+    the whole universe.  Each state is visited once, so the loop ends;
+    past ``max_states`` states it raises BoundExceeded."""
+    universe, new = tuple(base), ()
+    seen, queue, stepped, met = {initial}, deque([initial]), [], set()
+
+    def visit(succ):
+        if succ not in seen:
+            if len(seen) >= max_states:
+                raise BoundExceeded(f"state bound {max_states} hit", len(queue))
+            seen.add(succ)
+            queue.append(succ)
+
+    while True:
+        for state in stepped:
+            for lab in new:
+                for succ in in_steps(state, lab):
+                    visit(succ)
+        fresh = []
+        while queue:
+            state = queue.popleft()
+            for lab, succ in out_steps(state):
+                if lab not in met:
+                    met.add(lab)
+                    fresh.append(lab)
+                visit(succ)
+            for lab in universe:
+                for succ in in_steps(state, lab):
+                    visit(succ)
+            stepped.append(state)
+        grown = grow(universe, fresh)
+        if len(grown) == len(universe):
+            return grown
+        old = set(universe)
+        new, universe = [lab for lab in grown if lab not in old], grown
+
+
+def abc_successors(defs, universe: LabelUniverse = EMPTY_UNIVERSE, strict: bool = False):
+    """Successor function of component exploration: outputs, then inputs from
+    the universe, with canonical successors sorted by printed label and successor."""
+    from .syntax import pretty_component, pretty_label
+
+    def successors(comp: Component):
+        steps = [(lab, canonical(c)) for lab, c in sem.system_out_steps(comp, defs, strict)]
+        steps += [(msg, canonical(c)) for msg in universe.labels
+                  for c in sem.system_in_step(comp, msg, defs)]
+        return sorted(steps, key=lambda st: (pretty_label(st[0]), pretty_component(st[1])))
+
+    return successors
 
 
 def explore(
@@ -116,35 +188,8 @@ def explore(
 ) -> Lts:
     """Breadth-first exploration with deterministic state numbering:
     discovery order under sorted successor enumeration."""
-    from .syntax import pretty_component, pretty_label
-
-    defs = defs or {}
-    c0 = canonical(comp)
-    states = [c0]
-    index = {c0: 0}
-    depth = {0: 0}
-    transitions = []
-    queue = deque([0])
-    while queue:
-        src = queue.popleft()
-        raw = _state_steps(states[src], defs, universe, strict)
-        raw = [(lab, canonical(succ)) for lab, succ in raw]
-        raw.sort(key=lambda st: (pretty_label(st[0]), pretty_component(st[1])))
-        for lab, succ in raw:
-            if succ not in index:
-                if len(states) >= bounds.max_states:
-                    raise BoundExceeded(
-                        f"state bound {bounds.max_states} hit", frontier=len(queue)
-                    )
-                if depth[src] + 1 > bounds.max_depth:
-                    raise BoundExceeded(
-                        f"depth bound {bounds.max_depth} hit", frontier=len(queue)
-                    )
-                index[succ] = len(states)
-                states.append(succ)
-                depth[index[succ]] = depth[src] + 1
-                queue.append(index[succ])
-            transitions.append((src, lab, index[succ]))
+    successors = abc_successors(defs or {}, universe, strict)
+    states, transitions = reach(canonical(comp), successors, bounds)
     return Lts(states, transitions, 0, domains, universe)
 
 
@@ -154,22 +199,20 @@ def auto_universe(
     bounds: ExploreBounds = DEFAULT_BOUNDS,
     domains: DomainContext = EMPTY_DOMAINS,
     base: LabelUniverse = EMPTY_UNIVERSE,
-    max_rounds: int = 8,
 ) -> LabelUniverse:
     """Shared-alphabet closure: harvest emitted output labels as inputs
     until nothing new appears.  Silent outputs are never harvested."""
-    universe = base
-    for _ in range(max_rounds):
-        lts = explore(comp, defs, universe, bounds, domains)
-        fresh = []
-        for _, lab, _ in lts.transitions:
-            if lab.kind == sem.OUT and not lts.is_tau(lab):
-                fresh.append(lab.as_input())
-        grown = universe.merged(LabelUniverse(_sorted_labels(fresh)), domains)
-        if len(grown.labels) == len(universe.labels):
-            return grown
-        universe = grown
-    return universe
+    defs = defs or {}
+
+    def grow(have, outputs):
+        heard = [lab.as_input() for lab in outputs if not pr.is_ff(lab.pred, domains)]
+        return LabelUniverse(have).merged(LabelUniverse(_sorted_labels(heard)), domains).labels
+
+    return LabelUniverse(alphabet_fixpoint(
+        canonical(comp),
+        lambda c: [(lab, canonical(s)) for lab, s in sem.system_out_steps(c, defs)],
+        lambda c, msg: [canonical(s) for s in sem.system_in_step(c, msg, defs)],
+        grow, base.labels, bounds.max_states))
 
 
 def weak_closure(lts: Lts):

@@ -368,6 +368,9 @@ def _candidate_pool(pred: Predicate) -> tuple:
             order_atoms = True
         if a.op == "in" and _expr_attrs(a.right):
             mem_on_attr = True
+    # membership in a constant set or tuple needs its members as candidates
+    consts += [m for v in consts if isinstance(v, (frozenset, tuple))
+               for m in sorted(v, key=value_key)]
 
     pool = []
     seen = set()

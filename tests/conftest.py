@@ -172,6 +172,18 @@ def random_component(rng: random.Random, depth: int = 2):
     return ParC(random_component(rng, depth - 1), random_component(rng, depth - 1))
 
 
+def chains_abc(depths) -> str:
+    """One component per depth d: emit c_0, receive c_0, emit c_1, ...,
+    emit c_d.  The universe closure learns each label one round after
+    the one before it, so a depth-d chain needs d + 2 rounds."""
+    lines = []
+    for j, d in enumerate(depths):
+        run = "".join(f'("c{j}_{m}")@tt.(x == "c{j}_{m}")(x).' for m in range(d))
+        lines.append(f'comp C{j} {{ iface: []; env: {{}}; run: {run}("c{j}_{d}")@tt.0 }}')
+    lines.append("system: " + " || ".join(f"C{j}" for j in range(len(depths))) + ";")
+    return "\n".join(lines) + "\n"
+
+
 RESTRICTION_POOL = (
     RestrictionFn("ftt", TT),
     RestrictionFn("fff", FF),

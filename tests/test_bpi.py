@@ -27,6 +27,7 @@ from abcalc.bpi import (
     harvest_bpi_universe,
     subst_names,
 )
+from abcalc.lts import ExploreBounds
 from abcalc.syntax import parse_bpi, pretty_bpi
 from abcalc.systems import corpus_path
 from abcalc.terms import Call, Choice, In, Inact, Leaf, Out, ParC, Const, Var
@@ -189,5 +190,5 @@ class TestCorrespondence:
     def test_random_terms(self, rng):
         for _ in range(25):
             p = random_bpi(rng)
-            report = correspondence_check(p, max_states=400)
+            report = correspondence_check(p, ExploreBounds(max_states=400))
             assert report.ok, (pretty_bpi(p), report.violations[:3])

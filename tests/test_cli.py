@@ -8,9 +8,12 @@ import pytest
 from abcalc.cli import main
 from abcalc.systems import corpus_path
 
+from conftest import chains_abc
+
 NETWORK = str(corpus_path("network.abc"))
 ZERO = str(corpus_path("zero.abc"))
 HANDSHAKE = str(corpus_path("handshake.bpi"))
+RELAY = str(corpus_path("relay.bpi"))
 
 
 def run(capsys, *argv):
@@ -76,18 +79,36 @@ class TestExplore:
         rc, out, _ = run(capsys, "explore", NETWORK, "--universe", "none")
         assert rc == 0 and out.startswith("des (0,13,10)")
 
-    def test_output_file_deterministic_across_jobs(self, capsys, tmp_path):
+    def test_output_file_deterministic_across_runs(self, capsys, tmp_path):
         paths = []
-        for i, jobs in enumerate(("1", "4", "1")):
+        for i in range(3):
             p = tmp_path / f"out{i}.aut"
             rc, _, _ = run(capsys, "explore", NETWORK, "--universe", "none",
-                           "--jobs", jobs, "-o", str(p))
+                           "-o", str(p))
             assert rc == 0
             paths.append(p.read_bytes())
         assert paths[0] == paths[1] == paths[2]
 
     def test_bound_exceeded(self, capsys):
         rc, _, err = run(capsys, "explore", NETWORK, "--max-states", "2")
+        assert rc == 2 and "bound" in err
+
+    def test_universe_closure_is_exact(self, capsys, tmp_path):
+        # a depth-10 chain learns its 11 labels over 12 rounds
+        model = tmp_path / "deep.abc"
+        model.write_text(chains_abc([10]))
+        rc, out, _ = run(capsys, "explore", "--universe", "auto", str(model))
+        assert rc == 0 and out.startswith("des (0,253,22)\n")
+        labels = {line.split('"')[1] for line in out.splitlines()[1:]}
+        assert len({lab for lab in labels if "?(" in lab}) == 11
+
+    def test_label_counter_hits_state_bound(self, capsys, tmp_path):
+        model = tmp_path / "counter.abc"
+        model.write_text("def A = (tt)(n).(n + 1)@tt.A;\n"
+                         "comp K { iface: []; env: {}; run: A }\n"
+                         "comp Z { iface: []; env: {}; run: (0)@tt.0 }\n"
+                         "system: K || Z;\n")
+        rc, _, err = run(capsys, "explore", str(model), "--max-states", "50")
         assert rc == 2 and "bound" in err
 
     def test_json(self, capsys):
@@ -126,6 +147,12 @@ class TestCheckBisim:
         assert rc == 1
         assert "not equivalent" in out and "witness:" in out
 
+    def test_set_membership_guard_is_observable(self, capsys, tmp_path):
+        h = tmp_path / "h.abc"
+        h.write_text('comp H { iface: []; env: {}; run: ("hi")@(tier in {1, 2}).0 }\n')
+        rc, out, _ = run(capsys, "check-bisim", "--weak", str(h), ZERO)
+        assert rc == 1 and "not equivalent" in out
+
     def test_json_verdict(self, capsys, closed, tmp_path):
         n_closed, t = closed
         sidecar = tmp_path / "verdict.json"
@@ -161,6 +188,10 @@ class TestVerifyEncoding:
     def test_ok(self, capsys):
         rc, out, _ = run(capsys, "verify-encoding", HANDSHAKE)
         assert rc == 0 and out.startswith("ok")
+
+    def test_bound_exceeded(self, capsys):
+        rc, _, err = run(capsys, "verify-encoding", RELAY, "--max-states", "3")
+        assert rc == 2 and "state bound 3" in err
 
     def test_unbound_recursion(self, capsys, tmp_path):
         bad = tmp_path / "bad.bpi"

@@ -10,7 +10,6 @@ from abcalc.equivalence import (
     barbs,
     label_equiv,
     strong_bisim,
-    weak_barbs,
     weak_bisim,
 )
 from abcalc.lts import ExploreBounds, LabelUniverse
@@ -77,7 +76,7 @@ class TestBarbs:
     def test_weak_barbs_see_through_taus(self):
         c = leaf('()@ff.("v")@(a == 1).0')
         assert barbs(c) == []
-        reps = weak_barbs(c)
+        reps = barbs(c, weak=True)
         assert len(reps) == 1 and pr.equiv(reps[0], parse_predicate("a == 1"))
 
     def test_network_barb(self):

@@ -119,6 +119,13 @@ class TestSolver:
         w = find_witness(p)
         assert w is not None and satisfies(w, p)
 
+    def test_membership_in_constant_collection(self):
+        for members in (frozenset({1, 2}), (1, 2)):
+            p = A("in", "tier", members)
+            w = find_witness(p)
+            assert w is not None and satisfies(w, p)
+            assert not is_sat(And(p, And(A("!=", "tier", 1), A("!=", "tier", 2))))
+
     def test_fresh_name_needed(self):
         p = And(A("!=", "a", "x"), A("!=", "a", "y"))
         assert is_sat(p)
