@@ -12,9 +12,8 @@ import time
 
 sys.path.insert(0, "tests")
 
-from abcalc.bpi import correspondence_check
+from abcalc.bpi import correspondence_check, parse_bpi, pretty_bpi
 from abcalc.lts import ExploreBounds
-from abcalc.syntax import parse_bpi, pretty_bpi
 from abcalc.systems import corpus_path
 
 CORPUS = ["choice.bpi", "handshake.bpi", "mobile.bpi", "relay.bpi",

@@ -1,16 +1,20 @@
-"""Broadcast channel calculus: syntax, CBS-style broadcast transitions,
-the structured-message encoding into attribute-based components, and the
-step-by-step correspondence checker for that encoding.
+"""Broadcast channel calculus: syntax, its parser and printer, CBS-style
+broadcast transitions, the structured-message encoding into
+attribute-based components, and the step-by-step correspondence checker
+for that encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import predicates as pr
 from . import semantics as sem
 from .lts import DEFAULT_BOUNDS, alphabet_fixpoint, reach
+from .syntax import Parser
 from .terms import (
+    FF,
+    TT,
+    Atom,
     AttrEnv,
     Call,
     Choice,
@@ -19,9 +23,12 @@ from .terms import (
     In,
     Inact,
     Leaf,
+    Op,
     Out,
     ParC,
+    Tt,
     Var,
+    _atoms,
     canonical,
 )
 
@@ -96,8 +103,111 @@ class NonInjectiveChannelMap(EncodingError):
     pass
 
 
-class CorrespondenceViolation(Exception):
-    pass
+# ---------------------------------------------------------------------------
+# Concrete syntax (the tokenizer and parser plumbing are those of ``syntax``)
+
+
+class _BpiParser(Parser):
+    def bpi(self):
+        left = self.bpi_seq()
+        while self.at("||"):
+            self.advance()
+            left = BPar(left, self.bpi_seq())
+        return left
+
+    def bpi_seq(self):
+        left = self.bpi_pre()
+        while self.at("+"):
+            self.advance()
+            left = BSum(left, self.bpi_pre())
+        return left
+
+    def bpi_pre(self):
+        if self.eat("nil"):
+            return BNIL
+        if self.eat("tau"):
+            self.expect(".")
+            return BTau(self.bpi_pre())
+        if self.at("("):
+            if self.peek(1).value == "rec":
+                self.advance()
+                self.advance()
+                name = self.ident("recursion name")
+                params = self.bpi_names()
+                self.expect(".")
+                body = self.bpi_seq()
+                self.expect(")")
+                args = self.bpi_names()
+                return BRec(name, params, body, args)
+            self.advance()
+            p = self.bpi()
+            self.expect(")")
+            return p
+        name = self.ident("name")
+        if self.eat("!"):
+            values = self.bpi_names()
+            self.expect(".")
+            return BOut(name, values, self.bpi_pre())
+        if self.at("("):
+            vars_ = self.bpi_names()
+            if self.eat("."):
+                return BIn(name, vars_, self.bpi_pre())
+            return BCall(name, vars_)
+        return BCall(name, ())
+
+    def bpi_names(self):
+        self.expect("(")
+        names = []
+        if not self.at(")"):
+            names.append(self.ident("name"))
+            while self.eat(","):
+                names.append(self.ident("name"))
+        self.expect(")")
+        return tuple(names)
+
+
+def parse_bpi(text: str):
+    p = _BpiParser(text)
+    out = p.bpi()
+    p.done()
+    return out
+
+
+def pretty_bpi(p) -> str:
+    if isinstance(p, BNil):
+        return "nil"
+    if isinstance(p, BTau):
+        return f"tau.{_bpi_pre_text(p.cont)}"
+    if isinstance(p, BIn):
+        return f"{p.chan}({', '.join(p.vars)}).{_bpi_pre_text(p.cont)}"
+    if isinstance(p, BOut):
+        return f"{p.chan}!({', '.join(p.names)}).{_bpi_pre_text(p.cont)}"
+    if isinstance(p, BSum):
+        left = pretty_bpi(p.left) if isinstance(p.left, BSum) else _bpi_pre_text(p.left)
+        return f"{left} + {_bpi_pre_text(p.right)}"
+    if isinstance(p, BRec):
+        body = pretty_bpi(p.body)
+        if isinstance(p.body, BPar):
+            body = f"({body})"
+        return f"(rec {p.name}({', '.join(p.params)}).{body})({', '.join(p.args)})"
+    if isinstance(p, BCall):
+        return f"{p.name}({', '.join(p.args)})"
+    if isinstance(p, BPar):
+        left = pretty_bpi(p.left) if isinstance(p.left, BPar) else _bpi_par_operand(p.left)
+        return f"{left} || {_bpi_par_operand(p.right)}"
+    raise TypeError(f"not a bpi process: {p!r}")
+
+
+def _bpi_pre_text(p) -> str:
+    if isinstance(p, (BSum, BPar)):
+        return f"({pretty_bpi(p)})"
+    return pretty_bpi(p)
+
+
+def _bpi_par_operand(p) -> str:
+    if isinstance(p, BPar):
+        return f"({pretty_bpi(p)})"
+    return pretty_bpi(p)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +379,7 @@ def _seq_outs(g: BpiProcess):
     elif isinstance(g, BRec):
         yield from _seq_outs(_unfold(g))
     elif isinstance(g, BCall):
-        raise UnboundRecursionVariable(g.name)
+        raise UnboundRecursionVariable(f"unbound recursion variable {g.name}")
     else:
         raise TypeError(f"not a sequential bpi term: {g!r}")
 
@@ -289,7 +399,7 @@ def _seq_ins(g: BpiProcess, chan: str, values: tuple):
     if isinstance(g, BRec):
         return _seq_ins(_unfold(g), chan, values)
     if isinstance(g, BCall):
-        raise UnboundRecursionVariable(g.name)
+        raise UnboundRecursionVariable(f"unbound recursion variable {g.name}")
     raise TypeError(f"not a sequential bpi term: {g!r}")
 
 
@@ -350,8 +460,6 @@ def _name_expr(name: str, bound: frozenset):
 
 def _names_in_proc(p) -> set:
     """All string constants and variable names in an encoded process."""
-    from . import terms as t
-
     out = set()
 
     def walk_expr(e):
@@ -359,12 +467,12 @@ def _names_in_proc(p) -> set:
             out.add(e.value)
         elif isinstance(e, Var):
             out.add(e.name)
-        elif isinstance(e, t.Op):
+        elif isinstance(e, Op):
             for a in e.args:
                 walk_expr(a)
 
     def walk_pred(pred):
-        for a in pr._atoms(pred):
+        for a in _atoms(pred):
             walk_expr(a.left)
             walk_expr(a.right)
 
@@ -397,10 +505,10 @@ def encode_proc(g: BpiProcess, bound: frozenset, defs: dict):
     if isinstance(g, BNil):
         return Inact()
     if isinstance(g, BTau):
-        return Out((), pr.FF, encode_proc(g.cont, bound, defs))
+        return Out((), FF, encode_proc(g.cont, bound, defs))
     if isinstance(g, BOut):
         exprs = (_name_expr(g.chan, bound),) + tuple(_name_expr(n, bound) for n in g.names)
-        return Out(exprs, pr.TT, encode_proc(g.cont, bound, defs))
+        return Out(exprs, TT, encode_proc(g.cont, bound, defs))
     if isinstance(g, BIn):
         cont = encode_proc(g.cont, bound | frozenset(g.vars), defs)
         avoid = _names_in_proc(cont) | set(g.vars) | {g.chan}
@@ -408,7 +516,7 @@ def encode_proc(g: BpiProcess, bound: frozenset, defs: dict):
         while f"_y{i}" in avoid:
             i += 1
         y = f"_y{i}"
-        guard = pr.Atom("==", Var(y), _name_expr(g.chan, bound))
+        guard = Atom("==", Var(y), _name_expr(g.chan, bound))
         return In(guard, (y,) + tuple(g.vars), cont)
     if isinstance(g, BSum):
         return Choice(encode_proc(g.left, bound, defs), encode_proc(g.right, bound, defs))
@@ -473,10 +581,10 @@ def harvest_bpi_universe(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> tuple:
 
 def _abc_label(lab) -> sem.Label:
     if lab == TAU:
-        return sem.Label(sem.OUT, AttrEnv(), pr.FF, ())
+        return sem.Label(sem.OUT, AttrEnv(), FF, ())
     kind, chan, values = lab
     abc_kind = sem.OUT if kind == "out" else sem.IN
-    return sem.Label(abc_kind, AttrEnv(), pr.TT, (chan,) + tuple(values))
+    return sem.Label(abc_kind, AttrEnv(), TT, (chan,) + tuple(values))
 
 
 def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> CorrespondenceReport:
@@ -519,7 +627,7 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
         tgt_barbs = frozenset(
             lab.values[0]
             for lab, _ in sem.system_out_steps(comp, defs)
-            if isinstance(lab.pred, pr.Tt) and lab.values
+            if isinstance(lab.pred, Tt) and lab.values
         )
         if src_barbs != tgt_barbs:
             report.violations.append(("barb-mismatch", cur, src_barbs, tgt_barbs))

@@ -2,7 +2,10 @@
 
 Exit codes: 0 for success (or an equivalence verdict of yes), 1 for a
 negative verdict or a correspondence violation, 2 for usage, parse, or
-bound errors.  Diagnostics go to stderr; results go to stdout, as JSON
+bound errors and for ill-formed input (a call to an undefined process
+or with the wrong number of arguments, an unbound recursion variable, a
+term the encoding rejects, or nesting too deep for the recursion limit).
+Diagnostics go to stderr, one line each; results go to stdout, as JSON
 when --json is given.
 """
 
@@ -10,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -18,19 +20,18 @@ from . import bpi as bp
 from . import equivalence as eq
 from . import lts as L
 from . import systems
-from .predicates import DomainContext, EMPTY_DOMAINS
-from .semantics import OUT
+from .predicates import DomainContext
+from .semantics import OUT, UnboundProcessName
 from .syntax import (
+    Model,
     ParseError,
     parse_abc,
-    parse_bpi,
-    pretty_bpi,
     pretty_component,
     pretty_label,
     pretty_model,
     pretty_pred,
 )
-from .terms import canonical
+from .terms import ArityMismatch, canonical
 
 SCHEMA_VERSION = 1
 
@@ -42,7 +43,6 @@ class RunConfig:
     universe_mode: str = "auto"  # auto | declared | none
     max_states: int = 100_000
     max_depth: int = 1_000
-    strict: bool = False
     json_out: str = None  # None, "-" for stdout, or a path
 
     @property
@@ -59,11 +59,8 @@ class CliError(Exception):
 def _config(args) -> RunConfig:
     cfg = RunConfig(
         universe_mode=getattr(args, "universe", "auto"),
-        max_states=getattr(args, "max_states", None)
-        or int(os.environ.get("ABCALC_MAX_STATES", 100_000)),
-        max_depth=getattr(args, "max_depth", None)
-        or int(os.environ.get("ABCALC_MAX_DEPTH", 1_000)),
-        strict=getattr(args, "strict", False),
+        max_states=getattr(args, "max_states", None) or RunConfig.max_states,
+        max_depth=getattr(args, "max_depth", None) or RunConfig.max_depth,
         json_out=getattr(args, "json", None),
     )
     if cfg.max_states <= 0 or cfg.max_depth <= 0:
@@ -78,7 +75,7 @@ def _load_model(path: str):
         raise CliError(f"cannot read {path}: {exc}")
     try:
         if path.endswith(".bpi"):
-            return parse_bpi(text)
+            return bp.parse_bpi(text)
         return parse_abc(text)
     except ParseError as exc:
         raise CliError(f"{path}:{exc}")
@@ -91,7 +88,7 @@ def _require_component(model, path):
 
 
 def _universe(model, comp, cfg: RunConfig):
-    declared = model.universe
+    declared = L.LabelUniverse(model.universe)
     if cfg.universe_mode == "none":
         return L.EMPTY_UNIVERSE
     if cfg.universe_mode == "declared":
@@ -136,7 +133,7 @@ def cmd_parse(args) -> int:
     cfg = _config(args)
     model = _load_model(args.file)
     if args.file.endswith(".bpi"):
-        _emit(cfg, {"term": pretty_bpi(model)}, pretty_bpi(model))
+        _emit(cfg, {"term": bp.pretty_bpi(model)}, bp.pretty_bpi(model))
         return 0
     text = pretty_model(model)
     _emit(cfg, {"model": text}, text.rstrip("\n"))
@@ -149,7 +146,7 @@ def cmd_steps(args) -> int:
     if args.file.endswith(".bpi"):
         universe = bp.harvest_bpi_universe(model, cfg.bounds)
         rows = [
-            {"label": _bpi_label_text(lab), "target": pretty_bpi(nxt)}
+            {"label": _bpi_label_text(lab), "target": bp.pretty_bpi(nxt)}
             for lab, nxt in bp.bpi_steps(model, universe)
         ]
     else:
@@ -157,7 +154,7 @@ def cmd_steps(args) -> int:
         universe = _universe(model, comp, cfg)
         rows = [
             {"label": pretty_label(lab), "target": pretty_component(c2)}
-            for lab, c2 in L.abc_successors(model.defs, universe, cfg.strict)(comp)
+            for lab, c2 in L.abc_successors(model.defs, universe)(comp)
         ]
     human = "\n".join(f"{r['label']}  ->  {r['target']}" for r in rows) or "(no steps)"
     _emit(cfg, {"steps": rows}, human)
@@ -177,7 +174,7 @@ def cmd_explore(args) -> int:
     model = _load_model(args.file)
     comp = _require_component(model, args.file)
     universe = _universe(model, comp, cfg)
-    lts = L.explore(comp, model.defs, universe, cfg.bounds, model.domains, cfg.strict)
+    lts = L.explore(comp, model.defs, universe, cfg.bounds, model.domains)
     text = L.aut_text(lts)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -244,8 +241,6 @@ def cmd_translate(args) -> int:
     if not args.file.endswith(".bpi"):
         raise CliError("translate expects a .bpi file")
     comp, defs = bp.encode(term)
-    from .syntax import Model
-
     model = Model(component=comp, defs=defs)
     text = pretty_model(model)
     if args.output:
@@ -308,7 +303,7 @@ def cmd_corpus(args) -> int:
     check("witness carries the interfering id",
           v2.witness is not None and any("f3" in s["label"] for s in v2.witness))
     for name in ("handshake.bpi", "relay.bpi", "repeater.bpi"):
-        term = parse_bpi(systems.corpus_path(name).read_text())
+        term = bp.parse_bpi(systems.corpus_path(name).read_text())
         rep = bp.correspondence_check(term, cfg.bounds)
         check(f"encoding correspondence: {name}", rep.ok)
     failed = [n for n, ok in results if not ok]
@@ -327,20 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, universe=True):
+    def common(p, universe=True, bounds=True):
         p.add_argument("--json", nargs="?", const="-", default=None, metavar="FILE",
                        help="emit a JSON verdict (to FILE, or stdout)")
-        p.add_argument("--max-states", type=int, default=None)
-        p.add_argument("--max-depth", type=int, default=None)
-        p.add_argument("--strict", action="store_true",
-                       help="fail on expression evaluation errors instead of pruning")
+        if bounds:
+            p.add_argument("--max-states", type=int, default=None)
+            p.add_argument("--max-depth", type=int, default=None)
         if universe:
             p.add_argument("--universe", choices=("auto", "declared", "none"),
                            default="auto")
 
     p = sub.add_parser("parse", help="parse and pretty-print a source file")
     p.add_argument("file")
-    common(p, universe=False)
+    common(p, universe=False, bounds=False)
     p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser("steps", help="one-step successors with labels")
@@ -372,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="translate a broadcast term")
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
-    common(p, universe=False)
+    common(p, universe=False, bounds=False)
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("verify-encoding", help="check the translation step by step")
@@ -398,12 +392,13 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except L.BoundExceeded as exc:
+    except (L.BoundExceeded, UnboundProcessName, ArityMismatch, bp.EncodingError,
+            bp.UnboundRecursionVariable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (bp.EncodingError, bp.UnboundRecursionVariable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except RecursionError:
+        print("error: input nested too deeply for the recursion limit", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

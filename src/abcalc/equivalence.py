@@ -12,7 +12,7 @@ matched by zero or more silent moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import predicates as pr
 from . import semantics as sem
@@ -29,6 +29,7 @@ from .lts import (
     weak_closure,
 )
 from .predicates import DomainContext, EMPTY_DOMAINS
+from .syntax import pretty_label
 from .terms import Component
 
 
@@ -219,8 +220,6 @@ def _extract_witness(s, t, edges, history, n1):
     any would-be answer continues the trace at a strictly earlier
     split round.
     """
-    from .syntax import pretty_label
-
     div = _first_divergence(s, t, history)
     prev = history[div - 1]
     sig_s = {(cls, prev[tgt]) for cls, tgt, _ in edges[s]}

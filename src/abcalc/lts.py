@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from . import predicates as pr
 from . import semantics as sem
 from .predicates import DomainContext, EMPTY_DOMAINS
+from .syntax import pretty_component, pretty_label
 from .terms import Component, canonical
 
 
@@ -56,8 +57,6 @@ class LabelUniverse:
     labels: tuple = ()
 
     def fingerprint(self) -> str:
-        from .syntax import pretty_label
-
         text = "\n".join(sorted(pretty_label(lab) for lab in self.labels))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -73,8 +72,6 @@ EMPTY_UNIVERSE = LabelUniverse()
 
 
 def _sorted_labels(labels):
-    from .syntax import pretty_label
-
     return tuple(sorted(labels, key=pretty_label))
 
 
@@ -164,13 +161,12 @@ def alphabet_fixpoint(initial, out_steps, in_steps, grow, base, max_states: int)
         new, universe = [lab for lab in grown if lab not in old], grown
 
 
-def abc_successors(defs, universe: LabelUniverse = EMPTY_UNIVERSE, strict: bool = False):
+def abc_successors(defs, universe: LabelUniverse = EMPTY_UNIVERSE):
     """Successor function of component exploration: outputs, then inputs from
     the universe, with canonical successors sorted by printed label and successor."""
-    from .syntax import pretty_component, pretty_label
 
     def successors(comp: Component):
-        steps = [(lab, canonical(c)) for lab, c in sem.system_out_steps(comp, defs, strict)]
+        steps = [(lab, canonical(c)) for lab, c in sem.system_out_steps(comp, defs)]
         steps += [(msg, canonical(c)) for msg in universe.labels
                   for c in sem.system_in_step(comp, msg, defs)]
         return sorted(steps, key=lambda st: (pretty_label(st[0]), pretty_component(st[1])))
@@ -184,11 +180,10 @@ def explore(
     universe: LabelUniverse = EMPTY_UNIVERSE,
     bounds: ExploreBounds = DEFAULT_BOUNDS,
     domains: DomainContext = EMPTY_DOMAINS,
-    strict: bool = False,
 ) -> Lts:
     """Breadth-first exploration with deterministic state numbering:
     discovery order under sorted successor enumeration."""
-    successors = abc_successors(defs or {}, universe, strict)
+    successors = abc_successors(defs or {}, universe)
     states, transitions = reach(canonical(comp), successors, bounds)
     return Lts(states, transitions, 0, domains, universe)
 
@@ -262,8 +257,6 @@ def reduction_over(lts: Lts, pred, weak: bool = False):
 
 
 def aut_text(lts: Lts) -> str:
-    from .syntax import pretty_label
-
     lines = [f"des (0,{len(lts.transitions)},{len(lts.states)})"]
     for src, lab, dst in lts.transitions:
         text = "tau" if lts.is_tau(lab) else pretty_label(lab)

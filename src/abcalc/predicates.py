@@ -1,5 +1,6 @@
-"""Predicate language: satisfaction, closure, and a finite-witness solver
-for satisfiability, implication and semantic equivalence.
+"""Predicate semantics: satisfaction, closure, restriction instantiation,
+domains, and a finite-witness solver for satisfiability, implication and
+semantic equivalence.  The predicate tree itself lives in ``terms``.
 
 The solver enumerates candidate environments built from the constants
 occurring in the predicate, declared attribute domains, representative
@@ -15,67 +16,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import (
+from .terms import (  # the tree and subst_pred are re-exported
+    FF,
+    TT,
+    And,
+    Atom,
     Attr,
     AttrEnv,
     Const,
     EvalError,
     Expr,
+    Ff,
     MsgIdx,
+    Not,
     Op,
+    Or,
+    Predicate,
     RestrictionFn,
     SelfAttr,
     SndAttr,
+    Tt,
     UndefinedAttribute,
-    Value,
-    Var,
+    _atoms,
     eval_expr,
-    subst_expr,
+    subst_pred,
     value_key,
     values_equal,
 )
 
 
-@dataclass(frozen=True)
-class Tt:
-    pass
-
-
-@dataclass(frozen=True)
-class Ff:
-    pass
-
-
-@dataclass(frozen=True)
-class Atom:
-    op: str  # '==', '!=', '<', '<=', '>', '>=', 'in'
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Not:
-    pred: "Predicate"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Predicate"
-    right: "Predicate"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Predicate"
-    right: "Predicate"
-
-
-Predicate = object
-
-TT = Tt()
-FF = Ff()
-
-ATOM_OPS = ("==", "!=", "<", "<=", ">", ">=", "in")
 _ORDER_OPS = ("<", "<=", ">", ">=")
 
 
@@ -148,7 +117,7 @@ def satisfies(env: AttrEnv, pred: Predicate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Closure and substitution
+# Closure
 
 
 def _close_expr(e: Expr, env: AttrEnv) -> Expr:
@@ -176,62 +145,6 @@ def close(pred: Predicate, env: AttrEnv) -> Predicate:
     if isinstance(pred, Or):
         return Or(close(pred.left, env), close(pred.right, env))
     raise TypeError(f"not a predicate: {pred!r}")
-
-
-def subst_pred(pred: Predicate, mapping_or_names, values=None) -> Predicate:
-    """Textual simultaneous substitution of variables by values."""
-    if values is not None:
-        names = tuple(mapping_or_names)
-        values = tuple(values)
-        if len(names) != len(values):
-            from .terms import ArityMismatch
-
-            raise ArityMismatch(f"{len(names)} variables vs {len(values)} values")
-        mapping = dict(zip(names, values))
-    else:
-        mapping = mapping_or_names
-    if not mapping:
-        return pred
-    return _map_atoms(pred, lambda e: subst_expr(e, mapping))
-
-
-def _map_atoms(pred: Predicate, f) -> Predicate:
-    if isinstance(pred, (Tt, Ff)):
-        return pred
-    if isinstance(pred, Atom):
-        return Atom(pred.op, f(pred.left), f(pred.right))
-    if isinstance(pred, Not):
-        return Not(_map_atoms(pred.pred, f))
-    if isinstance(pred, And):
-        return And(_map_atoms(pred.left, f), _map_atoms(pred.right, f))
-    if isinstance(pred, Or):
-        return Or(_map_atoms(pred.left, f), _map_atoms(pred.right, f))
-    raise TypeError(f"not a predicate: {pred!r}")
-
-
-def rename_pred_vars(pred: Predicate, ren: dict) -> Predicate:
-    from .terms import _rename_expr
-
-    return _map_atoms(pred, lambda e: _rename_expr(e, ren))
-
-
-def pred_vars(pred: Predicate) -> frozenset:
-    from .terms import expr_vars
-
-    out = frozenset()
-    for a in _atoms(pred):
-        out |= expr_vars(a.left) | expr_vars(a.right)
-    return out
-
-
-def _atoms(pred: Predicate):
-    if isinstance(pred, Atom):
-        yield pred
-    elif isinstance(pred, Not):
-        yield from _atoms(pred.pred)
-    elif isinstance(pred, (And, Or)):
-        yield from _atoms(pred.left)
-        yield from _atoms(pred.right)
 
 
 def pred_attrs(pred: Predicate) -> frozenset:

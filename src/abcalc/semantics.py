@@ -9,6 +9,13 @@ receive constraints cannot discard, which is what keeps dynamic
 operators honest.  At system level a broadcast from one side of a
 parallel composition is delivered eagerly to every sibling, which either
 accepts (possibly in several ways) or stays unchanged.
+
+A step whose expressions fail to evaluate does not exist: for an output
+that is the output itself, for an input the accepting successor (the
+discard still exists exactly when the input guard does not hold).  A
+call whose arguments fail to evaluate has no steps, like 0.  A call to
+an undefined process or with the wrong number of arguments is an error
+of the model and raises.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from dataclasses import dataclass
 
 from . import predicates as pr
 from .terms import (
+    ZERO,
+    ArityMismatch,
     Aware,
     Call,
     Choice,
@@ -34,6 +43,7 @@ from .terms import (
     Upd,
     apply_updates,
     eval_expr,
+    subst_pred,
     substitute,
 )
 
@@ -58,13 +68,14 @@ class UnboundProcessName(Exception):
 
 def _resolve(call: Call, defs, env) -> Process:
     if call.name not in defs:
-        raise UnboundProcessName(call.name)
+        raise UnboundProcessName(f"undefined process {call.name}")
     params, body = defs[call.name]
     if len(params) != len(call.args):
-        from .terms import ArityMismatch
-
-        raise ArityMismatch(f"{call.name} expects {len(params)} arguments")
-    args = tuple(eval_expr(a, env) for a in call.args)
+        raise ArityMismatch(f"{call.name} expects {len(params)} arguments, got {len(call.args)}")
+    try:
+        args = tuple(eval_expr(a, env) for a in call.args)
+    except EvalError:
+        return ZERO
     return substitute(body, params, args)
 
 
@@ -72,16 +83,16 @@ def _resolve(call: Call, defs, env) -> Process:
 # Component level
 
 
-def component_out_steps(leaf: Leaf, defs, strict: bool = False):
+def component_out_steps(leaf: Leaf, defs):
     """All output transitions of a single leaf, as (Label, Leaf) pairs."""
     out = []
-    for values, pred, succ in _proc_outs(leaf.env, leaf.iface, leaf.proc, defs, strict):
+    for values, pred, succ in _proc_outs(leaf.env, leaf.iface, leaf.proc, defs):
         label = Label(OUT, leaf.env.restrict(leaf.iface), pred, values)
         out.append((label, succ))
     return out
 
 
-def _proc_outs(env, iface, proc, defs, strict):
+def _proc_outs(env, iface, proc, defs):
     if isinstance(proc, (Inact, In, Upd)):
         return
     elif isinstance(proc, Out):
@@ -90,23 +101,21 @@ def _proc_outs(env, iface, proc, defs, strict):
             pred = pr.close(proc.pred, env)
             succ = apply_updates(Leaf(env, iface, proc.cont))
         except EvalError:
-            if strict:
-                raise
             return
         yield values, pred, succ
     elif isinstance(proc, Aware):
         if _aware_holds(env, proc.pred):
-            yield from _proc_outs(env, iface, proc.proc, defs, strict)
+            yield from _proc_outs(env, iface, proc.proc, defs)
     elif isinstance(proc, Choice):
-        yield from _proc_outs(env, iface, proc.left, defs, strict)
-        yield from _proc_outs(env, iface, proc.right, defs, strict)
+        yield from _proc_outs(env, iface, proc.left, defs)
+        yield from _proc_outs(env, iface, proc.right, defs)
     elif isinstance(proc, ParP):
-        for values, pred, succ in _proc_outs(env, iface, proc.left, defs, strict):
+        for values, pred, succ in _proc_outs(env, iface, proc.left, defs):
             yield values, pred, Leaf(succ.env, iface, ParP(succ.proc, proc.right))
-        for values, pred, succ in _proc_outs(env, iface, proc.right, defs, strict):
+        for values, pred, succ in _proc_outs(env, iface, proc.right, defs):
             yield values, pred, Leaf(succ.env, iface, ParP(proc.left, succ.proc))
     elif isinstance(proc, Call):
-        yield from _proc_outs(env, iface, _resolve(proc, defs, env), defs, strict)
+        yield from _proc_outs(env, iface, _resolve(proc, defs, env), defs)
     else:
         raise TypeError(f"not a process: {proc!r}")
 
@@ -122,8 +131,8 @@ def component_in_step(leaf: Leaf, msg: Label, defs):
     """Responses of a leaf to an input label.
 
     Returns (accepts, can_discard): the accepting successor leaves, and
-    whether the discard derivation exists.  At least one of the two is
-    always available.
+    whether the discard derivation exists.  Both are empty only when the
+    input guard holds but the accepting step fails to evaluate.
     """
     accepts, can_discard = _proc_ins(leaf.env, leaf.iface, leaf.proc, msg, defs)
     return accepts, can_discard
@@ -138,14 +147,16 @@ def _proc_ins(env, iface, proc, msg, defs):
         if not pr.satisfies(env.restrict(iface), msg.pred):
             return [], True
         try:
-            recv_pred = pr.close(pr.subst_pred(proc.pred, proc.vars, msg.values), env)
+            recv_pred = pr.close(subst_pred(proc.pred, proc.vars, msg.values), env)
         except EvalError:
             return [], True
         if not pr.satisfies(msg.env, recv_pred):
             return [], True
         cont = substitute(proc.cont, proc.vars, msg.values)
-        succ = apply_updates(Leaf(env, iface, cont))
-        return [succ], False
+        try:
+            return [apply_updates(Leaf(env, iface, cont))], False
+        except EvalError:
+            return [], False
     if isinstance(proc, Aware):
         if _aware_holds(env, proc.pred):
             return _proc_ins(env, iface, proc.proc, msg, defs)
@@ -169,25 +180,25 @@ def _proc_ins(env, iface, proc, msg, defs):
 # System level
 
 
-def system_out_steps(c: Component, defs, strict: bool = False):
+def system_out_steps(c: Component, defs):
     """All system-level output transitions of a component tree."""
     out = []
     if isinstance(c, Leaf):
-        out.extend(component_out_steps(c, defs, strict))
+        out.extend(component_out_steps(c, defs))
     elif isinstance(c, ParC):
-        for label, l2 in system_out_steps(c.left, defs, strict):
+        for label, l2 in system_out_steps(c.left, defs):
             for r2 in system_in_step(c.right, label.as_input(), defs):
                 out.append((label, ParC(l2, r2)))
-        for label, r2 in system_out_steps(c.right, defs, strict):
+        for label, r2 in system_out_steps(c.right, defs):
             for l2 in system_in_step(c.left, label.as_input(), defs):
                 out.append((label, ParC(l2, r2)))
     elif isinstance(c, ResOut):
-        for label, c2 in system_out_steps(c.comp, defs, strict):
+        for label, c2 in system_out_steps(c.comp, defs):
             extra = pr.instantiate(c.fn, label.env, label.values)
             strengthened = Label(OUT, label.env, pr.And(label.pred, extra), label.values)
             out.append((strengthened, ResOut(c2, c.fn)))
     elif isinstance(c, ResIn):
-        for label, c2 in system_out_steps(c.comp, defs, strict):
+        for label, c2 in system_out_steps(c.comp, defs):
             out.append((label, ResIn(c2, c.fn)))
     else:
         raise TypeError(f"not a component: {c!r}")
@@ -197,8 +208,8 @@ def system_out_steps(c: Component, defs, strict: bool = False):
 def system_in_step(c: Component, msg: Label, defs):
     """All successors after the environment injects an input label.
 
-    Never empty: every component has at least the all-discard successor
-    (itself) whenever no branch is forced to accept.
+    Empty only when some leaf must accept but its accepting step fails to
+    evaluate; otherwise every leaf accepts or discards.
     """
     if isinstance(c, Leaf):
         accepts, can_discard = component_in_step(c, msg, defs)

@@ -1,5 +1,6 @@
-"""Concrete syntax: tokenizer, parsers for the attribute-based language
-and the broadcast calculus, and the pretty-printers that invert them.
+"""Concrete syntax of the attribute-based language: tokenizer, parsers,
+and the pretty-printers that invert them.  The parser plumbing is shared
+with the broadcast calculus, whose grammar lives in ``bpi``.
 
 The grammar is LL with one token of lookahead except for two spots where
 the parser scans ahead to a matching parenthesis: distinguishing output
@@ -12,10 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from . import bpi as bp
-from . import predicates as pr
 from . import semantics as sem
-from .lts import LabelUniverse
 from .predicates import And, Atom, DomainContext, EMPTY_DOMAINS, FF, Ff, Not, Or, TT, Tt
 from .terms import (
     Attr,
@@ -117,11 +115,14 @@ class Model:
     defs: dict = field(default_factory=dict)
     fns: dict = field(default_factory=dict)
     domains: DomainContext = EMPTY_DOMAINS
-    universe: LabelUniverse = field(default_factory=LabelUniverse)
+    universe: tuple = ()  # the labels of the universe block
     components: dict = field(default_factory=dict)
 
 
-class _Parser:
+class Parser:
+    """Token cursor and the grammar of models; ``bpi`` extends it with the
+    grammar of broadcast terms."""
+
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
@@ -562,7 +563,7 @@ class _Parser:
             else:
                 self.fail(f"unexpected {self.peek().value!r} at top level")
         model.domains = DomainContext.of(domains) if domains else EMPTY_DOMAINS
-        model.universe = LabelUniverse(tuple(labels))
+        model.universe = tuple(labels)
         if system is None and len(model.components) == 1:
             system = next(iter(model.components.values()))
         model.component = system
@@ -592,65 +593,6 @@ class _Parser:
         self.expect(";")
         return sem.Label(sem.IN, AttrEnv.of(envmap), p, tuple(values))
 
-    # -- broadcast calculus
-
-    def bpi(self):
-        left = self.bpi_seq()
-        while self.at("||"):
-            self.advance()
-            left = bp.BPar(left, self.bpi_seq())
-        return left
-
-    def bpi_seq(self):
-        left = self.bpi_pre()
-        while self.at("+"):
-            self.advance()
-            left = bp.BSum(left, self.bpi_pre())
-        return left
-
-    def bpi_pre(self):
-        if self.eat("nil"):
-            return bp.BNIL
-        if self.eat("tau"):
-            self.expect(".")
-            return bp.BTau(self.bpi_pre())
-        if self.at("("):
-            if self.peek(1).value == "rec":
-                self.advance()
-                self.advance()
-                name = self.ident("recursion name")
-                params = self.bpi_names()
-                self.expect(".")
-                body = self.bpi_seq()
-                self.expect(")")
-                args = self.bpi_names()
-                return bp.BRec(name, params, body, args)
-            self.advance()
-            p = self.bpi()
-            self.expect(")")
-            return p
-        name = self.ident("name")
-        if self.eat("!"):
-            values = self.bpi_names()
-            self.expect(".")
-            return bp.BOut(name, values, self.bpi_pre())
-        if self.at("("):
-            vars_ = self.bpi_names()
-            if self.eat("."):
-                return bp.BIn(name, vars_, self.bpi_pre())
-            return bp.BCall(name, vars_)
-        return bp.BCall(name, ())
-
-    def bpi_names(self):
-        self.expect("(")
-        names = []
-        if not self.at(")"):
-            names.append(self.ident("name"))
-            while self.eat(","):
-                names.append(self.ident("name"))
-        self.expect(")")
-        return tuple(names)
-
 
 def _unquote(raw: str) -> str:
     body = raw[1:-1]
@@ -666,27 +608,20 @@ def _quote(s: str) -> str:
 
 
 def parse_abc(text: str) -> Model:
-    p = _Parser(text)
+    p = Parser(text)
     return p.model()
 
 
 def parse_process(text: str, bound=frozenset()) -> Process:
-    p = _Parser(text)
+    p = Parser(text)
     out = p.process(frozenset(bound))
     p.done()
     return out
 
 
 def parse_predicate(text: str, bound=frozenset()):
-    p = _Parser(text)
+    p = Parser(text)
     out = p.pred(frozenset(bound))
-    p.done()
-    return out
-
-
-def parse_bpi(text: str):
-    p = _Parser(text)
-    out = p.bpi()
     p.done()
     return out
 
@@ -768,9 +703,7 @@ def _closes_at_end(text: str) -> bool:
 
 
 def pretty_process(p) -> str:
-    from .terms import Inact as _I
-
-    if isinstance(p, _I):
+    if isinstance(p, Inact):
         return "0"
     if isinstance(p, Out):
         exprs = ", ".join(pretty_expr(e) for e in p.exprs)
@@ -847,9 +780,9 @@ def pretty_label(lab: sem.Label) -> str:
     return f"{pretty_env(lab.env)}@{_guard_text(lab.pred)}{mark}({values})"
 
 
-def pretty_universe(universe: LabelUniverse) -> str:
+def pretty_universe(labels) -> str:
     lines = ["universe {"]
-    for lab in universe.labels:
+    for lab in labels:
         values = ", ".join(pretty_value(v) for v in lab.values)
         lines.append(f"  msg {pretty_env(lab.env)} @ {_guard_text(lab.pred)} ({values});")
     lines.append("}")
@@ -867,43 +800,6 @@ def pretty_model(model: Model) -> str:
         lines.append(f"{head} = {pretty_process(body)};")
     if model.component is not None:
         lines.append(f"system: {pretty_component(model.component)};")
-    if model.universe.labels:
+    if model.universe:
         lines.append(pretty_universe(model.universe))
     return "\n".join(lines) + "\n"
-
-
-def pretty_bpi(p) -> str:
-    if isinstance(p, bp.BNil):
-        return "nil"
-    if isinstance(p, bp.BTau):
-        return f"tau.{_bpi_pre_text(p.cont)}"
-    if isinstance(p, bp.BIn):
-        return f"{p.chan}({', '.join(p.vars)}).{_bpi_pre_text(p.cont)}"
-    if isinstance(p, bp.BOut):
-        return f"{p.chan}!({', '.join(p.names)}).{_bpi_pre_text(p.cont)}"
-    if isinstance(p, bp.BSum):
-        left = pretty_bpi(p.left) if isinstance(p.left, bp.BSum) else _bpi_pre_text(p.left)
-        return f"{left} + {_bpi_pre_text(p.right)}"
-    if isinstance(p, bp.BRec):
-        body = pretty_bpi(p.body)
-        if isinstance(p.body, bp.BPar):
-            body = f"({body})"
-        return f"(rec {p.name}({', '.join(p.params)}).{body})({', '.join(p.args)})"
-    if isinstance(p, bp.BCall):
-        return f"{p.name}({', '.join(p.args)})"
-    if isinstance(p, bp.BPar):
-        left = pretty_bpi(p.left) if isinstance(p.left, bp.BPar) else _bpi_par_operand(p.left)
-        return f"{left} || {_bpi_par_operand(p.right)}"
-    raise TypeError(f"not a bpi process: {p!r}")
-
-
-def _bpi_pre_text(p) -> str:
-    if isinstance(p, (bp.BSum, bp.BPar)):
-        return f"({pretty_bpi(p)})"
-    return pretty_bpi(p)
-
-
-def _bpi_par_operand(p) -> str:
-    if isinstance(p, bp.BPar):
-        return f"({pretty_bpi(p)})"
-    return pretty_bpi(p)

@@ -9,9 +9,9 @@ from pathlib import Path
 
 from . import predicates as pr
 from . import semantics as sem
-from .predicates import Atom, DomainContext
+from .predicates import Atom
 from .syntax import Model, parse_abc, parse_predicate, parse_process
-from .terms import Attr, AttrEnv, Const, Leaf, ParC, ResIn, ResOut
+from .terms import Attr, AttrEnv, Const, Leaf, ParC, ResIn
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 

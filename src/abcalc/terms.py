@@ -8,7 +8,7 @@ come for free and terms can be used as LTS states directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 Value = Union[int, bool, str, tuple, frozenset]
@@ -276,6 +276,100 @@ def subst_expr(e: Expr, mapping: dict) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Predicates
+
+
+@dataclass(frozen=True)
+class Tt:
+    pass
+
+
+@dataclass(frozen=True)
+class Ff:
+    pass
+
+
+@dataclass(frozen=True)
+class Atom:
+    op: str  # '==', '!=', '<', '<=', '>', '>=', 'in'
+    left: Expr
+    right: Expr
+
+
+@dataclass(frozen=True)
+class Not:
+    pred: "Predicate"
+
+
+@dataclass(frozen=True)
+class And:
+    left: "Predicate"
+    right: "Predicate"
+
+
+@dataclass(frozen=True)
+class Or:
+    left: "Predicate"
+    right: "Predicate"
+
+
+Predicate = Union[Tt, Ff, Atom, Not, And, Or]
+
+TT = Tt()
+FF = Ff()
+
+
+def _atoms(pred: Predicate):
+    if isinstance(pred, Atom):
+        yield pred
+    elif isinstance(pred, Not):
+        yield from _atoms(pred.pred)
+    elif isinstance(pred, (And, Or)):
+        yield from _atoms(pred.left)
+        yield from _atoms(pred.right)
+
+
+def _map_atoms(pred: Predicate, f) -> Predicate:
+    if isinstance(pred, (Tt, Ff)):
+        return pred
+    if isinstance(pred, Atom):
+        return Atom(pred.op, f(pred.left), f(pred.right))
+    if isinstance(pred, Not):
+        return Not(_map_atoms(pred.pred, f))
+    if isinstance(pred, And):
+        return And(_map_atoms(pred.left, f), _map_atoms(pred.right, f))
+    if isinstance(pred, Or):
+        return Or(_map_atoms(pred.left, f), _map_atoms(pred.right, f))
+    raise TypeError(f"not a predicate: {pred!r}")
+
+
+def subst_pred(pred: Predicate, mapping_or_names, values=None) -> Predicate:
+    """Textual simultaneous substitution of variables by values."""
+    if values is not None:
+        names = tuple(mapping_or_names)
+        values = tuple(values)
+        if len(names) != len(values):
+            raise ArityMismatch(f"{len(names)} variables vs {len(values)} values")
+        mapping = dict(zip(names, values))
+    else:
+        mapping = mapping_or_names
+    if not mapping:
+        return pred
+    return _map_atoms(pred, lambda e: subst_expr(e, mapping))
+
+
+def rename_pred_vars(pred: Predicate, ren: dict) -> Predicate:
+    return _map_atoms(pred, lambda e: _rename_expr(e, ren))
+
+
+def pred_vars(pred: Predicate) -> frozenset:
+    out = frozenset()
+    for a in _atoms(pred):
+        out |= expr_vars(a.left) | expr_vars(a.right)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Processes
 
 
@@ -287,13 +381,13 @@ class Inact:
 @dataclass(frozen=True)
 class Out:
     exprs: tuple  # tuple[Expr]
-    pred: "object"  # Predicate (predicates.py); kept untyped to avoid a cycle
+    pred: Predicate
     cont: "Process"
 
 
 @dataclass(frozen=True)
 class In:
-    pred: "object"
+    pred: Predicate
     vars: tuple  # tuple[str]
     cont: "Process"
 
@@ -309,7 +403,7 @@ class Upd:
 
 @dataclass(frozen=True)
 class Aware:
-    pred: "object"
+    pred: Predicate
     proc: "Process"
 
 
@@ -336,12 +430,6 @@ Process = Union[Inact, Out, In, Upd, Aware, Choice, ParP, Call]
 ZERO = Inact()
 
 
-def _pred_vars(pred) -> frozenset:
-    from . import predicates as _p
-
-    return _p.pred_vars(pred)
-
-
 def free_vars(p: Process, bound: frozenset = frozenset()) -> frozenset:
     if isinstance(p, Inact):
         return frozenset()
@@ -349,10 +437,10 @@ def free_vars(p: Process, bound: frozenset = frozenset()) -> frozenset:
         fv = frozenset()
         for e in p.exprs:
             fv |= expr_vars(e)
-        fv |= _pred_vars(p.pred)
+        fv |= pred_vars(p.pred)
         return (fv - bound) | free_vars(p.cont, bound)
     if isinstance(p, In):
-        fv = _pred_vars(p.pred) - bound - frozenset(p.vars)
+        fv = pred_vars(p.pred) - bound - frozenset(p.vars)
         return fv | free_vars(p.cont, bound | frozenset(p.vars))
     if isinstance(p, Upd):
         fv = frozenset()
@@ -360,7 +448,7 @@ def free_vars(p: Process, bound: frozenset = frozenset()) -> frozenset:
             fv |= expr_vars(e)
         return (fv - bound) | free_vars(p.cont, bound)
     if isinstance(p, Aware):
-        return (_pred_vars(p.pred) - bound) | free_vars(p.proc, bound)
+        return (pred_vars(p.pred) - bound) | free_vars(p.proc, bound)
     if isinstance(p, (Choice, ParP)):
         return free_vars(p.left, bound) | free_vars(p.right, bound)
     if isinstance(p, Call):
@@ -385,8 +473,6 @@ def substitute(p: Process, names, values) -> Process:
 
 
 def _subst(p: Process, mapping: dict) -> Process:
-    from . import predicates as _pr
-
     if not mapping:
         return p
     if isinstance(p, Inact):
@@ -394,19 +480,19 @@ def _subst(p: Process, mapping: dict) -> Process:
     if isinstance(p, Out):
         return Out(
             tuple(subst_expr(e, mapping) for e in p.exprs),
-            _pr.subst_pred(p.pred, mapping),
+            subst_pred(p.pred, mapping),
             _subst(p.cont, mapping),
         )
     if isinstance(p, In):
         inner = {k: v for k, v in mapping.items() if k not in p.vars}
-        return In(_pr.subst_pred(p.pred, inner), p.vars, _subst(p.cont, inner))
+        return In(subst_pred(p.pred, inner), p.vars, _subst(p.cont, inner))
     if isinstance(p, Upd):
         return Upd(
             tuple((a, subst_expr(e, mapping)) for a, e in p.assigns),
             _subst(p.cont, mapping),
         )
     if isinstance(p, Aware):
-        return Aware(_pr.subst_pred(p.pred, mapping), _subst(p.proc, mapping))
+        return Aware(subst_pred(p.pred, mapping), _subst(p.proc, mapping))
     if isinstance(p, Choice):
         return Choice(_subst(p.left, mapping), _subst(p.right, mapping))
     if isinstance(p, ParP):
@@ -426,7 +512,7 @@ class RestrictionFn:
     sender environment and value tuple yields a closed predicate."""
 
     name: str
-    template: "object"  # Predicate
+    template: Predicate
     arity: int = 0
 
 
@@ -502,13 +588,11 @@ def canonical(c: Component) -> Component:
 
 
 def _canon_proc(p: Process, ren: dict, counter: int):
-    from . import predicates as _pr
-
     if isinstance(p, Inact):
         return p, counter
     if isinstance(p, Out):
         exprs = tuple(_rename_expr(e, ren) for e in p.exprs)
-        pred = _pr.rename_pred_vars(p.pred, ren)
+        pred = rename_pred_vars(p.pred, ren)
         cont, counter = _canon_proc(p.cont, ren, counter)
         return Out(exprs, pred, cont), counter
     if isinstance(p, In):
@@ -516,7 +600,7 @@ def _canon_proc(p: Process, ren: dict, counter: int):
         counter += len(p.vars)
         inner = dict(ren)
         inner.update(zip(p.vars, fresh))
-        pred = _pr.rename_pred_vars(p.pred, inner)
+        pred = rename_pred_vars(p.pred, inner)
         cont, counter = _canon_proc(p.cont, inner, counter)
         return In(pred, fresh, cont), counter
     if isinstance(p, Upd):
@@ -524,7 +608,7 @@ def _canon_proc(p: Process, ren: dict, counter: int):
         cont, counter = _canon_proc(p.cont, ren, counter)
         return Upd(assigns, cont), counter
     if isinstance(p, Aware):
-        pred = _pr.rename_pred_vars(p.pred, ren)
+        pred = rename_pred_vars(p.pred, ren)
         proc, counter = _canon_proc(p.proc, ren, counter)
         return Aware(pred, proc), counter
     if isinstance(p, Choice):

@@ -10,12 +10,12 @@ import pytest
 
 from abcalc import predicates as pr
 from abcalc import semantics as sem
-from abcalc.bpi import correspondence_check, encode
+from abcalc.bpi import correspondence_check, encode, parse_bpi, pretty_bpi
 from abcalc.equivalence import barbs, label_equiv, strong_bisim, weak_bisim
 from abcalc.lts import EMPTY_UNIVERSE, ExploreBounds, LabelUniverse, aut_text, auto_universe, explore
 from abcalc.predicates import And, Atom, DomainContext, Not
 from abcalc.semantics import IN, Label, OUT
-from abcalc.syntax import parse_bpi, parse_predicate, parse_process, pretty_bpi, pretty_pred, pretty_process
+from abcalc.syntax import parse_predicate, parse_process, pretty_pred, pretty_process
 from abcalc.systems import choice_or_pair, corpus_path, network, remark51, remark52
 from abcalc.terms import Attr, AttrEnv, Const, Leaf, ParC, ResIn, ResOut
 

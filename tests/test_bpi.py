@@ -25,10 +25,11 @@ from abcalc.bpi import (
     encode,
     free_names,
     harvest_bpi_universe,
+    parse_bpi,
+    pretty_bpi,
     subst_names,
 )
 from abcalc.lts import ExploreBounds
-from abcalc.syntax import parse_bpi, pretty_bpi
 from abcalc.systems import corpus_path
 from abcalc.terms import Call, Choice, In, Inact, Leaf, Out, ParC, Const, Var
 

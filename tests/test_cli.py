@@ -111,6 +111,22 @@ class TestExplore:
         rc, _, err = run(capsys, "explore", str(model), "--max-states", "50")
         assert rc == 2 and "bound" in err
 
+    @pytest.mark.parametrize("text", [
+        # A's guard holds, so A must accept B's broadcast, but accepting
+        # fails to evaluate: the broadcast is blocked
+        "comp A { iface: []; env: {a = 1}; run: (tt)(x).[a := this.nope] (\"y\")@tt.0 }\n"
+        "comp B { iface: []; env: {}; run: (1)@tt.0 }\n"
+        "system: A || B;\n",
+        # a call whose arguments fail to evaluate has no steps
+        "def A(n) = (n)@tt.0;\n"
+        "comp C { iface: []; env: {}; run: A(this.nope) }\n",
+    ], ids=["accept-update", "call-argument"])
+    def test_evaluation_error_prunes_the_step(self, capsys, tmp_path, text):
+        model = tmp_path / "m.abc"
+        model.write_text(text)
+        rc, out, _ = run(capsys, "explore", str(model))
+        assert rc == 0 and out == "des (0,0,1)\n"
+
     def test_json(self, capsys):
         rc, out, _ = run(capsys, "explore", NETWORK, "--universe", "none", "--json")
         payload = json.loads(out)
@@ -197,7 +213,28 @@ class TestVerifyEncoding:
         bad = tmp_path / "bad.bpi"
         bad.write_text("A(v)")
         rc, _, err = run(capsys, "verify-encoding", str(bad))
-        assert rc == 1 and "error" in err
+        assert rc == 2 and "error" in err
+
+
+class TestIllFormedInput:
+    """Exit 2 with a one-line diagnostic, never a traceback."""
+
+    @pytest.mark.parametrize("name, text, command", [
+        ("undefined.abc", "comp C { iface: []; env: {}; run: B }\n", "explore"),
+        ("arity.abc", "def A(n) = (n)@tt.0;\ncomp C { iface: []; env: {}; run: A(1, 2) }\n",
+         "explore"),
+        ("reused.bpi", "(rec A(x).a!(x).A(x))(v) || (rec A(x).b!(x).A(x))(v)\n",
+         "verify-encoding"),
+        ("deep.bpi", "tau." * 400 + "a!(v).nil\n", "verify-encoding"),
+        ("deep.abc", "comp C { iface: []; env: {}; run: " + "()@ff." * 1000 + "0 }\n",
+         "explore"),
+    ], ids=["undefined-process", "call-arity", "encoding-error", "deep-bpi", "deep-abc"])
+    def test_exit_2(self, capsys, tmp_path, name, text, command):
+        model = tmp_path / name
+        model.write_text(text)
+        rc, out, err = run(capsys, command, str(model))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCorpus:

@@ -7,10 +7,10 @@ import pytest
 
 from abcalc import predicates as pr
 from abcalc import semantics as sem
-from abcalc.bpi import bpi_steps, canon_bpi, harvest_bpi_universe
+from abcalc.bpi import bpi_steps, canon_bpi, harvest_bpi_universe, parse_bpi
 from abcalc.lts import EMPTY_UNIVERSE, LabelUniverse, auto_universe
 from abcalc.predicates import EMPTY_DOMAINS
-from abcalc.syntax import parse_abc, parse_bpi, pretty_label
+from abcalc.syntax import parse_abc, pretty_label
 from abcalc.systems import network
 from abcalc.terms import canonical
 

@@ -1,0 +1,68 @@
+"""The module graph of the package: every import sits at module top, the
+imports within the package follow one layer order (so they form no
+cycle), and each module can be the first one imported."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "abcalc"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+# Each module imports only modules before it (the module map of README.md).
+LAYERS = ["terms", "predicates", "semantics", "syntax", "lts", "equivalence", "bpi",
+          "systems", "cli"]
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def _package_imports(name: str) -> set:
+    """Modules of the package that a module imports at top level."""
+    out = set()
+    for node in _tree(name).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import x
+                out.update(alias.name for alias in node.names)
+            else:  # from .x import y
+                out.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("abcalc."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("abcalc."))
+    return out & set(MODULES)
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == MODULES
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    local = []
+    for fn in ast.walk(_tree(name)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local += [f"{name}.py:{node.lineno}" for node in ast.walk(fn)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not local, f"function-local imports at {', '.join(sorted(set(local)))}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_package_imports_are_acyclic(name):
+    """An import of a later layer is the only way a cycle could start."""
+    later = set(LAYERS[LAYERS.index(name):])
+    assert not _package_imports(name) & later
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_cleanly_when_first(name):
+    result = subprocess.run(
+        [sys.executable, "-c", f"import abcalc.{name}"],
+        cwd=PACKAGE.parent, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

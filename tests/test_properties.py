@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from abcalc import predicates as pr
 from abcalc import semantics as sem
-from abcalc.bpi import BIn, BOut, BSum, BTau, encode
+from abcalc.bpi import BIn, BOut, BSum, BTau, encode, parse_bpi, pretty_bpi
 from abcalc.predicates import And, Atom, Not, Or
-from abcalc.syntax import parse_bpi, parse_predicate, pretty_bpi, pretty_pred
+from abcalc.syntax import parse_predicate, pretty_pred
 from abcalc.terms import Attr, AttrEnv, Const
 
 from conftest import ORACLE_DOMAINS, PROBE_MESSAGES, oracle_implies, oracle_is_sat

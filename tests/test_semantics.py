@@ -72,11 +72,9 @@ class TestComponentOut:
         [(lab, _)] = component_out_steps(c, {})
         assert pr.is_ff(lab.pred)
 
-    def test_eval_error_skips_unless_strict(self):
+    def test_eval_error_prunes_output(self):
         c = leaf(Out((Attr("zz"),), TT, ZERO))
         assert component_out_steps(c, {}) == []
-        with pytest.raises(Exception):
-            component_out_steps(c, {}, strict=True)
 
     def test_awareness_gate(self):
         body = Out((Const(1),), TT, ZERO)

@@ -3,15 +3,14 @@ error locations."""
 
 import pytest
 
+from abcalc.bpi import parse_bpi, pretty_bpi
 from abcalc.predicates import And, Atom, FF, Not, Or, TT
 from abcalc.semantics import IN, Label, OUT
 from abcalc.syntax import (
     ParseError,
     parse_abc,
-    parse_bpi,
     parse_predicate,
     parse_process,
-    pretty_bpi,
     pretty_label,
     pretty_model,
     pretty_pred,
@@ -155,7 +154,7 @@ class TestModels:
             'comp C { iface: []; env: {}; run: 0 }\n'
             'universe { msg {a = 1} @ (b == 2) ("v"); }'
         )
-        [lab] = model.universe.labels
+        [lab] = model.universe
         assert lab.kind == IN
         assert lab.env == AttrEnv.of({"a": 1})
         assert lab.values == ("v",)
