@@ -12,7 +12,7 @@ import time
 
 from abcalc import predicates as pr
 from abcalc.equivalence import barbs, weak_bisim
-from abcalc.lts import EMPTY_UNIVERSE, explore, export_aut
+from abcalc.lts import explore, export_aut
 from abcalc.syntax import pretty_label, pretty_pred
 from abcalc.systems import network
 
@@ -26,7 +26,7 @@ def main() -> int:
     defs, domains = net["defs"], net["domains"]
 
     t0 = time.perf_counter()
-    lts = explore(net["N"], defs, EMPTY_UNIVERSE, domains=domains)
+    lts = explore(net["N"], defs, (), domains=domains)
     print(f"network: {len(lts.states)} states, {len(lts.transitions)} transitions "
           f"({time.perf_counter() - t0:.3f}s)")
     for src, lab, dst in lts.transitions:
@@ -46,7 +46,7 @@ def main() -> int:
         v = weak_bisim(c1, c2, defs, domains=domains)
         status = "equivalent" if v.equivalent else "NOT equivalent"
         print(f"{name}: {status} ({time.perf_counter() - t0:.3f}s, "
-              f"universe {len(v.universe.labels)} labels)")
+              f"universe {len(v.universe)} labels)")
         if v.witness:
             for step in v.witness:
                 print(f"    [{step['from']}] {step['label']}")

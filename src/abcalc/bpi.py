@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import semantics as sem
-from .lts import DEFAULT_BOUNDS, alphabet_fixpoint, reach
+from .lts import DEFAULT_BOUNDS, abc_successors, alphabet_fixpoint, reach
 from .syntax import Parser
 from .terms import (
     FF,
@@ -567,12 +567,12 @@ class CorrespondenceReport:
 
 
 def harvest_bpi_universe(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> tuple:
-    """Fixpoint of the broadcast alphabet: every emitted (chan, values)
-    is fed back as an input until no new one appears."""
+    """Fixpoint of the broadcast alphabet, with its closure: every emitted
+    (chan, values) is fed back as an input until no new one appears."""
     return alphabet_fixpoint(
         canon_bpi(p),
         lambda q: [(lab, canon_bpi(nxt)) for lab, nxt in bpi_steps(q)],
-        lambda q, msg: [canon_bpi(nxt) for nxt in _par_ins(q, *msg)],
+        lambda q, msg: [(("in", *msg), canon_bpi(nxt)) for nxt in _par_ins(q, *msg)],
         lambda have, outs: tuple(sorted({*have, *((l[1], l[2]) for l in outs if l != TAU)})),
         (),
         bounds.max_states,
@@ -591,23 +591,20 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
     """Walk the broadcast transition system and, at every reachable state,
     require a label-preserving bijection between its transitions and the
     transitions of its translation, with matching barbs."""
-    universe = harvest_bpi_universe(p, bounds)
-    successors = lambda q: [(lab, canon_bpi(nxt)) for lab, nxt in bpi_steps(q, universe)]
-    states, transitions = reach(canon_bpi(p), successors, bounds)
+    universe, (found, closure) = harvest_bpi_universe(p, bounds)
+    # numbered in ``bpi_steps`` order: tau and outputs as found, then inputs
+    ids, transitions = reach(0, closure.__getitem__, lambda lab: lab[1:] if lab[0] == "in" else (),
+                             lambda i: 0, bounds)
+    states = [found[i] for i in ids]
     report = CorrespondenceReport(len(states), len(transitions), universe)
     steps = [[] for _ in states]
     for src, lab, dst in transitions:
         steps[src].append((lab, states[dst]))
+    messages = [_abc_label(("in", chan, values)) for chan, values in universe]
     for cur, bsteps in zip(states, steps):
         defs: dict = {}
         comp = canonical(_encode_comp(cur, defs))
-
-        asteps = list(sem.system_out_steps(comp, defs))
-        for chan, values in universe:
-            msg = _abc_label(("in", chan, values))
-            for c2 in sem.system_in_step(comp, msg, defs):
-                asteps.append((msg, c2))
-        asteps = [(lab, canonical(c2)) for lab, c2 in asteps]
+        asteps = abc_successors(defs, messages)(comp)
 
         if len(bsteps) != len(asteps):
             report.violations.append(("transition-count", cur, len(bsteps), len(asteps)))
@@ -626,8 +623,8 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
         src_barbs = bpi_barbs(cur)
         tgt_barbs = frozenset(
             lab.values[0]
-            for lab, _ in sem.system_out_steps(comp, defs)
-            if isinstance(lab.pred, Tt) and lab.values
+            for lab, _ in asteps
+            if lab.kind == sem.OUT and isinstance(lab.pred, Tt) and lab.values
         )
         if src_barbs != tgt_barbs:
             report.violations.append(("barb-mismatch", cur, src_barbs, tgt_barbs))

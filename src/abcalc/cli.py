@@ -4,15 +4,17 @@ Exit codes: 0 for success (or an equivalence verdict of yes), 1 for a
 negative verdict or a correspondence violation, 2 for usage, parse, or
 bound errors and for ill-formed input (a call to an undefined process
 or with the wrong number of arguments, an unbound recursion variable, a
-term the encoding rejects, or nesting too deep for the recursion limit).
-Diagnostics go to stderr, one line each; results go to stdout, as JSON
-when --json is given.
+term the encoding rejects, an environment outside a declared domain, or
+nesting too deep for the recursion limit).  Diagnostics go to stderr,
+one line each; results go to stdout, as JSON when --json is given.  A
+reader that closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -25,13 +27,14 @@ from .semantics import OUT, UnboundProcessName
 from .syntax import (
     Model,
     ParseError,
+    check_domains,
     parse_abc,
     pretty_component,
     pretty_label,
     pretty_model,
     pretty_pred,
 )
-from .terms import ArityMismatch, canonical
+from .terms import ArityMismatch, DomainViolation, canonical
 
 SCHEMA_VERSION = 1
 
@@ -59,8 +62,8 @@ class CliError(Exception):
 def _config(args) -> RunConfig:
     cfg = RunConfig(
         universe_mode=getattr(args, "universe", "auto"),
-        max_states=getattr(args, "max_states", None) or RunConfig.max_states,
-        max_depth=getattr(args, "max_depth", None) or RunConfig.max_depth,
+        max_states=getattr(args, "max_states", RunConfig.max_states),
+        max_depth=getattr(args, "max_depth", RunConfig.max_depth),
         json_out=getattr(args, "json", None),
     )
     if cfg.max_states <= 0 or cfg.max_depth <= 0:
@@ -79,6 +82,8 @@ def _load_model(path: str):
         return parse_abc(text)
     except ParseError as exc:
         raise CliError(f"{path}:{exc}")
+    except DomainViolation as exc:
+        raise CliError(f"{path}: {exc}")
 
 
 def _require_component(model, path):
@@ -88,12 +93,12 @@ def _require_component(model, path):
 
 
 def _universe(model, comp, cfg: RunConfig):
-    declared = L.LabelUniverse(model.universe)
+    """The universe, and under ``auto`` the closure that computed it."""
     if cfg.universe_mode == "none":
-        return L.EMPTY_UNIVERSE
+        return (), None
     if cfg.universe_mode == "declared":
-        return declared
-    return L.auto_universe(comp, model.defs, cfg.bounds, model.domains, base=declared)
+        return model.universe, None
+    return L.auto_universe(comp, model.defs, cfg.bounds, model.domains, base=model.universe)
 
 
 def _merge_contexts(m1, m2):
@@ -110,19 +115,28 @@ def _merge_contexts(m1, m2):
     return defs, DomainContext.of({a: set(v) for a, v in d1.items()})
 
 
+def _print(text: str):
+    """Print a result.  A reader that closed stdout has seen enough: the
+    rest goes to the null device, so the flush at exit cannot fail."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(cfg: RunConfig, payload: dict, human: str):
     if cfg.json_out is not None:
         payload = {"schema_version": SCHEMA_VERSION, **payload}
         text = json.dumps(payload, indent=2, sort_keys=True)
         if cfg.json_out == "-":
-            print(text)
+            _print(text)
         else:
             with open(cfg.json_out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
             if human:
-                print(human)
+                _print(human)
     elif human:
-        print(human)
+        _print(human)
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +158,18 @@ def cmd_steps(args) -> int:
     cfg = _config(args)
     model = _load_model(args.file)
     if args.file.endswith(".bpi"):
-        universe = bp.harvest_bpi_universe(model, cfg.bounds)
+        universe, _ = bp.harvest_bpi_universe(model, cfg.bounds)
         rows = [
             {"label": _bpi_label_text(lab), "target": bp.pretty_bpi(nxt)}
             for lab, nxt in bp.bpi_steps(model, universe)
         ]
     else:
         comp = canonical(_require_component(model, args.file))
-        universe = _universe(model, comp, cfg)
-        rows = [
-            {"label": pretty_label(lab), "target": pretty_component(c2)}
-            for lab, c2 in L.abc_successors(model.defs, universe)(comp)
-        ]
+        universe, closure = _universe(model, comp, cfg)
+        steps = (L.abc_successors(model.defs, universe)(comp) if closure is None
+                 else [(lab, closure[0][i]) for lab, i in closure[1][0]])
+        rows = [{"label": label, "target": target} for label, target in
+                sorted((pretty_label(lab), pretty_component(c2)) for lab, c2 in steps)]
     human = "\n".join(f"{r['label']}  ->  {r['target']}" for r in rows) or "(no steps)"
     _emit(cfg, {"steps": rows}, human)
     return 0
@@ -173,8 +187,8 @@ def cmd_explore(args) -> int:
     cfg = _config(args)
     model = _load_model(args.file)
     comp = _require_component(model, args.file)
-    universe = _universe(model, comp, cfg)
-    lts = L.explore(comp, model.defs, universe, cfg.bounds, model.domains)
+    universe, closure = _universe(model, comp, cfg)
+    lts = L.explore(comp, model.defs, universe, cfg.bounds, model.domains, closure)
     text = L.aut_text(lts)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -187,7 +201,7 @@ def cmd_explore(args) -> int:
         {
             "states": len(lts.states),
             "transitions": len(lts.transitions),
-            "universe_fingerprint": universe.fingerprint(),
+            "universe_fingerprint": L.fingerprint(universe),
             "output": args.output,
         },
         human,
@@ -211,17 +225,18 @@ def cmd_check_bisim(args) -> int:
     c1 = _require_component(m1, args.left)
     c2 = _require_component(m2, args.right)
     defs, domains = _merge_contexts(m1, m2)
+    check_domains((c1, c2), domains)
     universe = None
     if cfg.universe_mode != "auto":
-        u1 = _universe(m1, c1, cfg)
-        u2 = _universe(m2, c2, cfg)
-        universe = u1.merged(u2, domains)
+        u1, _ = _universe(m1, c1, cfg)
+        u2, _ = _universe(m2, c2, cfg)
+        universe = L.merge_labels(u1, u2, domains)
     check = eq.strong_bisim if args.strong else eq.weak_bisim
     verdict = check(c1, c2, defs, universe, domains, cfg.bounds)
     lines = [
         ("equivalent" if verdict.equivalent else "not equivalent")
         + (" (inconclusive: bounds hit)" if verdict.inconclusive else ""),
-        f"universe: {len(verdict.universe.labels)} labels, fingerprint {verdict.universe.fingerprint()}",
+        f"universe: {len(verdict.universe)} labels, fingerprint {L.fingerprint(verdict.universe)}",
     ]
     if verdict.witness:
         lines.append("witness:")
@@ -285,10 +300,10 @@ def cmd_corpus(args) -> int:
 
     def check(name, ok):
         results.append((name, bool(ok)))
-        print(f"{'ok  ' if ok else 'FAIL'} {name}")
+        _print(f"{'ok  ' if ok else 'FAIL'} {name}")
 
     net = systems.network()
-    lts = L.explore(net["N"], net["defs"], L.EMPTY_UNIVERSE, cfg.bounds, net["domains"])
+    lts = L.explore(net["N"], net["defs"], (), cfg.bounds, net["domains"])
     pi1 = net["pi1"]
     check("network explores", len(lts.states) == 10)
     check("network first emission is a client barb",
@@ -326,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", nargs="?", const="-", default=None, metavar="FILE",
                        help="emit a JSON verdict (to FILE, or stdout)")
         if bounds:
-            p.add_argument("--max-states", type=int, default=None)
-            p.add_argument("--max-depth", type=int, default=None)
+            p.add_argument("--max-states", type=int, default=RunConfig.max_states)
+            p.add_argument("--max-depth", type=int, default=RunConfig.max_depth)
         if universe:
             p.add_argument("--universe", choices=("auto", "declared", "none"),
                            default="auto")
@@ -393,7 +408,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (L.BoundExceeded, UnboundProcessName, ArityMismatch, bp.EncodingError,
-            bp.UnboundRecursionVariable) as exc:
+            bp.UnboundRecursionVariable, DomainViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

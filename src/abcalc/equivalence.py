@@ -19,13 +19,13 @@ from . import semantics as sem
 from .lts import (
     BoundExceeded,
     DEFAULT_BOUNDS,
-    EMPTY_UNIVERSE,
     ExploreBounds,
-    LabelUniverse,
     Lts,
     auto_universe,
     explore,
+    fingerprint,
     label_equiv,
+    merge_labels,
     weak_closure,
 )
 from .predicates import DomainContext, EMPTY_DOMAINS
@@ -53,7 +53,7 @@ def barbs(
     output predicates enabled at the component; the weak variant looks
     at every state reachable by silent moves."""
     defs = defs or {}
-    lts = explore(comp, defs, EMPTY_UNIVERSE, bounds, domains)
+    lts = explore(comp, defs, (), bounds, domains)
     if weak:
         states = weak_closure(lts)[lts.initial]
     else:
@@ -74,7 +74,7 @@ def barbs(
 @dataclass
 class Verdict:
     equivalent: bool
-    universe: LabelUniverse
+    universe: tuple  # input labels
     witness: list = None  # list of {"label": str, "from": "A"|"B"} steps
     inconclusive: bool = False
     reason: str = ""
@@ -84,8 +84,8 @@ class Verdict:
             "equivalent": self.equivalent,
             "inconclusive": self.inconclusive,
             "reason": self.reason,
-            "universe_fingerprint": self.universe.fingerprint(),
-            "universe_size": len(self.universe.labels),
+            "universe_fingerprint": fingerprint(self.universe),
+            "universe_size": len(self.universe),
             "witness": self.witness,
         }
 
@@ -159,15 +159,17 @@ def weak_bisim(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
 
 def _bisim(c1, c2, defs, universe, domains, bounds, weak) -> Verdict:
     defs = defs or {}
+    k1 = k2 = None
     try:
         if universe is None:
-            u1 = auto_universe(c1, defs, bounds, domains)
-            u2 = auto_universe(c2, defs, bounds, domains)
-            universe = u1.merged(u2, domains)
-        l1 = explore(c1, defs, universe, bounds, domains)
-        l2 = explore(c2, defs, universe, bounds, domains)
+            (u1, k1), (u2, k2) = (auto_universe(c, defs, bounds, domains) for c in (c1, c2))
+            universe = merge_labels(u1, u2, domains)
+            # a side closed under the merged universe is numbered, not stepped again
+            k1, k2 = (k1 if u1 == universe else None), (k2 if u2 == universe else None)
+        l1 = explore(c1, defs, universe, bounds, domains, k1)
+        l2 = explore(c2, defs, universe, bounds, domains, k2)
     except BoundExceeded as exc:
-        return Verdict(False, universe or EMPTY_UNIVERSE,
+        return Verdict(False, universe or (),
                        inconclusive=True, reason=f"inconclusive under bounds: {exc}")
 
     labels = []

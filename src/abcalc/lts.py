@@ -6,7 +6,7 @@ An input universe makes the environment finite: besides the autonomous
 output moves, every state also reacts to each input label of the
 universe, by default the closure of the emitted non-silent outputs.
 ``reach`` and ``alphabet_fixpoint`` do all exploration, of components
-and of broadcast terms alike.
+and of broadcast terms alike; ``reach`` numbers the closure's states.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import predicates as pr
 from . import semantics as sem
@@ -50,29 +51,20 @@ def label_equiv(l1: sem.Label, l2: sem.Label, domains: DomainContext = EMPTY_DOM
     return pr.equiv(l1.pred, l2.pred, domains)
 
 
-@dataclass(frozen=True)
-class LabelUniverse:
-    """Finite set of input labels the environment may inject."""
-
-    labels: tuple = ()
-
-    def fingerprint(self) -> str:
-        text = "\n".join(sorted(pretty_label(lab) for lab in self.labels))
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-    def merged(self, other: "LabelUniverse", domains: DomainContext = EMPTY_DOMAINS):
-        out = list(self.labels)
-        for lab in other.labels:
-            if not any(label_equiv(lab, have, domains) for have in out):
-                out.append(lab)
-        return LabelUniverse(_sorted_labels(out))
+def merge_labels(have, new, domains: DomainContext = EMPTY_DOMAINS) -> tuple:
+    """The labels of ``have`` plus each label of ``new`` that no label
+    already kept matches, sorted by printed form."""
+    out = list(have)
+    for lab in new:
+        if not any(label_equiv(lab, old, domains) for old in out):
+            out.append(lab)
+    return tuple(sorted(out, key=pretty_label))
 
 
-EMPTY_UNIVERSE = LabelUniverse()
-
-
-def _sorted_labels(labels):
-    return tuple(sorted(labels, key=pretty_label))
+def fingerprint(labels) -> str:
+    """Order-independent digest of a universe."""
+    text = "\n".join(sorted(pretty_label(lab) for lab in labels))
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -81,7 +73,6 @@ class Lts:
     transitions: list  # (source id, Label, target id)
     initial: int = 0
     domains: DomainContext = EMPTY_DOMAINS
-    universe: LabelUniverse = EMPTY_UNIVERSE
     _tau_cache: dict = field(default_factory=dict, repr=False)
 
     def is_tau(self, label: sem.Label) -> bool:
@@ -92,19 +83,19 @@ class Lts:
         return self._tau_cache[label.pred]
 
 
-def reach(initial, successors, bounds: ExploreBounds = DEFAULT_BOUNDS):
-    """Breadth-first walk from a canonical state; ``successors(state)`` gives
-    ``(label, canonical successor)`` pairs in the order states are numbered.
+def reach(initial, successors, label_key, state_key, bounds: ExploreBounds = DEFAULT_BOUNDS):
+    """Breadth-first walk from ``initial``; ``successors(state)`` gives
+    ``(label, successor)`` pairs, taken in order of ``(label_key(label),
+    state_key(successor))``, each key computed once per label or state.
     Returns the states in discovery order and the ``(source id, label,
     target id)`` transitions."""
-    states = [initial]
-    index = {initial: 0}
-    depth = [0]
-    transitions = []
+    label_key, state_key = cache(label_key), cache(state_key)
+    states, index, depth, transitions = [initial], {initial: 0}, [0], []
     queue = deque([0])
     while queue:
         src = queue.popleft()
-        for lab, succ in successors(states[src]):
+        steps = successors(states[src])
+        for lab, succ in sorted(steps, key=lambda st: (label_key(st[0]), state_key(st[1]))):
             dst = index.get(succ)
             if dst is None:
                 if len(states) >= bounds.max_states:
@@ -126,66 +117,78 @@ def alphabet_fixpoint(initial, out_steps, in_steps, grow, base, max_states: int)
     ``grow`` sees only the output labels new in a round, a new label's
     ``in_steps`` run only on the states already seen, and a new state gets
     the whole universe.  Each state is visited once, so the loop ends;
-    past ``max_states`` states it raises BoundExceeded."""
+    past ``max_states`` states it raises BoundExceeded.  Returns the
+    universe and the closure ``(states, steps)``: the states in discovery
+    order and each one's ``(label, successor index)`` pairs."""
     universe, new = tuple(base), ()
-    seen, queue, stepped, met = {initial}, deque([initial]), [], set()
+    states, index, steps, queue, met = [initial], {initial: 0}, [[]], deque([0]), set()
 
-    def visit(succ):
-        if succ not in seen:
-            if len(seen) >= max_states:
+    def visit(src, lab, succ):
+        dst = index.get(succ)
+        if dst is None:
+            if len(states) >= max_states:
                 raise BoundExceeded(f"state bound {max_states} hit", len(queue))
-            seen.add(succ)
-            queue.append(succ)
+            dst = index[succ] = len(states)
+            states.append(succ)
+            steps.append([])
+            queue.append(dst)
+        steps[src].append((lab, dst))
 
     while True:
-        for state in stepped:
-            for lab in new:
-                for succ in in_steps(state, lab):
-                    visit(succ)
+        for src in range(len(states)):
+            for msg in new:
+                for lab, succ in in_steps(states[src], msg):
+                    visit(src, lab, succ)
         fresh = []
         while queue:
-            state = queue.popleft()
-            for lab, succ in out_steps(state):
+            src = queue.popleft()
+            for lab, succ in out_steps(states[src]):
                 if lab not in met:
                     met.add(lab)
                     fresh.append(lab)
-                visit(succ)
-            for lab in universe:
-                for succ in in_steps(state, lab):
-                    visit(succ)
-            stepped.append(state)
+                visit(src, lab, succ)
+            for msg in universe:
+                for lab, succ in in_steps(states[src], msg):
+                    visit(src, lab, succ)
         grown = grow(universe, fresh)
         if len(grown) == len(universe):
-            return grown
+            return grown, (states, steps)
         old = set(universe)
         new, universe = [lab for lab in grown if lab not in old], grown
 
 
-def abc_successors(defs, universe: LabelUniverse = EMPTY_UNIVERSE):
-    """Successor function of component exploration: outputs, then inputs from
-    the universe, with canonical successors sorted by printed label and successor."""
+def abc_steps(defs):
+    """A component's output steps and input steps of one message, with canonical successors."""
+    return (lambda comp: [(lab, canonical(c)) for lab, c in sem.system_out_steps(comp, defs)],
+            lambda comp, msg: [(msg, canonical(c)) for c in sem.system_in_step(comp, msg, defs)])
 
-    def successors(comp: Component):
-        steps = [(lab, canonical(c)) for lab, c in sem.system_out_steps(comp, defs)]
-        steps += [(msg, canonical(c)) for msg in universe.labels
-                  for c in sem.system_in_step(comp, msg, defs)]
-        return sorted(steps, key=lambda st: (pretty_label(st[0]), pretty_component(st[1])))
 
-    return successors
+def abc_successors(defs, universe=()):
+    """Successors under a fixed universe: outputs, then inputs of each label of it."""
+    out_steps, in_steps = abc_steps(defs)
+    return lambda comp: out_steps(comp) + [st for msg in universe for st in in_steps(comp, msg)]
 
 
 def explore(
     comp: Component,
     defs=None,
-    universe: LabelUniverse = EMPTY_UNIVERSE,
+    universe=(),
     bounds: ExploreBounds = DEFAULT_BOUNDS,
     domains: DomainContext = EMPTY_DOMAINS,
+    closure=None,
 ) -> Lts:
-    """Breadth-first exploration with deterministic state numbering:
-    discovery order under sorted successor enumeration."""
-    successors = abc_successors(defs or {}, universe)
-    states, transitions = reach(canonical(comp), successors, bounds)
-    return Lts(states, transitions, 0, domains, universe)
+    """Breadth-first exploration with deterministic state numbering: each
+    state's steps sorted by printed label and successor.  Given the closure
+    that computed ``universe``, it numbers the closure's states."""
+    if closure is None:
+        states, transitions = reach(canonical(comp), abc_successors(defs or {}, universe),
+                                    pretty_label, pretty_component, bounds)
+    else:
+        found, steps = closure
+        ids, transitions = reach(0, steps.__getitem__, pretty_label,
+                                 lambda i: pretty_component(found[i]), bounds)
+        states = [found[i] for i in ids]
+    return Lts(states, transitions, 0, domains)
 
 
 def auto_universe(
@@ -193,21 +196,18 @@ def auto_universe(
     defs=None,
     bounds: ExploreBounds = DEFAULT_BOUNDS,
     domains: DomainContext = EMPTY_DOMAINS,
-    base: LabelUniverse = EMPTY_UNIVERSE,
-) -> LabelUniverse:
+    base=(),
+) -> tuple:
     """Shared-alphabet closure: harvest emitted output labels as inputs
-    until nothing new appears.  Silent outputs are never harvested."""
-    defs = defs or {}
+    until nothing new appears.  Silent outputs are never harvested.
+    Returns the universe and the closure that ``explore`` numbers."""
 
     def grow(have, outputs):
         heard = [lab.as_input() for lab in outputs if not pr.is_ff(lab.pred, domains)]
-        return LabelUniverse(have).merged(LabelUniverse(_sorted_labels(heard)), domains).labels
+        return merge_labels(have, sorted(heard, key=pretty_label), domains)
 
-    return LabelUniverse(alphabet_fixpoint(
-        canonical(comp),
-        lambda c: [(lab, canonical(s)) for lab, s in sem.system_out_steps(c, defs)],
-        lambda c, msg: [canonical(s) for s in sem.system_in_step(c, msg, defs)],
-        grow, base.labels, bounds.max_states))
+    return alphabet_fixpoint(canonical(comp), *abc_steps(defs or {}), grow, base,
+                             bounds.max_states)
 
 
 def weak_closure(lts: Lts):

@@ -23,6 +23,7 @@ from .terms import (
     Choice,
     Component,
     Const,
+    DomainViolation,
     In,
     Inact,
     Leaf,
@@ -40,7 +41,9 @@ from .terms import (
     SndAttr,
     Upd,
     Var,
+    leaves,
     value_key,
+    values_equal,
 )
 
 
@@ -117,6 +120,16 @@ class Model:
     domains: DomainContext = EMPTY_DOMAINS
     universe: tuple = ()  # the labels of the universe block
     components: dict = field(default_factory=dict)
+
+
+def check_domains(comps, domains: DomainContext):
+    """Every environment of the components gives each declared attribute
+    a value of its domain; otherwise raise DomainViolation."""
+    for leaf in (leaf for comp in comps for leaf in leaves(comp)):
+        for attr, value in leaf.env.items:
+            dom = domains.get(attr)
+            if dom is not None and not any(values_equal(value, d) for d in dom):
+                raise DomainViolation(f"{attr} = {pretty_value(value)} outside its declared domain")
 
 
 class Parser:
@@ -567,6 +580,7 @@ class Parser:
         if system is None and len(model.components) == 1:
             system = next(iter(model.components.values()))
         model.component = system
+        check_domains([c for c in (system, *model.components.values()) if c], model.domains)
         return model
 
     def universe_entry(self):

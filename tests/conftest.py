@@ -184,6 +184,18 @@ def chains_abc(depths) -> str:
     return "\n".join(lines) + "\n"
 
 
+def emitters_abc(k: int) -> str:
+    """k interleaved emitters, each sending (this.id, i) twice to role b:
+    3^k states."""
+    lines = ['domain role in {"a", "b"};']
+    for i in range(k):
+        out = f'(this.id, {i})@(role == "b")'
+        lines.append(f'comp E{i} {{ iface: [role]; env: {{id = "e{i}", role = "a"}}; '
+                     f"run: {out}.{out}.0 }}")
+    lines.append("system: " + " || ".join(f"E{i}" for i in range(k)) + ";")
+    return "\n".join(lines) + "\n"
+
+
 RESTRICTION_POOL = (
     RestrictionFn("ftt", TT),
     RestrictionFn("fff", FF),
@@ -274,11 +286,11 @@ def random_bpi(rng: random.Random, depth: int = 3):
 def law_universe(c1, c2, defs=None, domains=pr.EMPTY_DOMAINS):
     """Auto universes of both sides plus the fixed probe messages, so that
     input behaviour is actually exercised."""
-    from abcalc.lts import LabelUniverse, auto_universe
+    from abcalc.lts import auto_universe, merge_labels
 
-    u = auto_universe(c1, defs, domains=domains)
-    u = u.merged(auto_universe(c2, defs, domains=domains), domains)
-    return u.merged(LabelUniverse(PROBE_MESSAGES), domains)
+    u1, _ = auto_universe(c1, defs, domains=domains)
+    u2, _ = auto_universe(c2, defs, domains=domains)
+    return merge_labels(merge_labels(u1, u2, domains), PROBE_MESSAGES, domains)
 
 
 @pytest.fixture

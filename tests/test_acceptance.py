@@ -12,7 +12,7 @@ from abcalc import predicates as pr
 from abcalc import semantics as sem
 from abcalc.bpi import correspondence_check, encode, parse_bpi, pretty_bpi
 from abcalc.equivalence import barbs, label_equiv, strong_bisim, weak_bisim
-from abcalc.lts import EMPTY_UNIVERSE, ExploreBounds, LabelUniverse, aut_text, auto_universe, explore
+from abcalc.lts import ExploreBounds, aut_text, auto_universe, explore
 from abcalc.predicates import And, Atom, DomainContext, Not
 from abcalc.semantics import IN, Label, OUT
 from abcalc.syntax import parse_predicate, parse_process, pretty_pred, pretty_process
@@ -94,7 +94,7 @@ def test_criterion_2_narrated_sequence():
     net = network()
     domains = net["domains"]
     pi1 = net["pi1"]
-    lts = explore(net["N"], net["defs"], EMPTY_UNIVERSE, domains=domains)
+    lts = explore(net["N"], net["defs"], (), domains=domains)
 
     def kind(lab):
         if lab.kind != OUT:
@@ -156,12 +156,12 @@ def test_criterion_3_example_verdicts():
     )
 
     r = remark52()
-    u = LabelUniverse((r["message"],))
+    u = (r["message"],)
     checks["plain inputs equivalent"] = weak_bisim(r["plain1"], r["plain2"], universe=u).equivalent
     checks["mixed choice distinguishes"] = not weak_bisim(r["C1"], r["C2"], universe=u).equivalent
 
     r = remark51()
-    u = LabelUniverse((r["message"],))
+    u = (r["message"],)
     checks["baseline equivalent"] = weak_bisim(r["P"], r["Q"], universe=u).equivalent
     checks["prefix breaks it"] = not weak_bisim(r["prefix_P"], r["prefix_Q"], universe=u).equivalent
     checks["interleaving breaks it"] = not weak_bisim(r["par_P"], r["par_Q"], universe=u).equivalent

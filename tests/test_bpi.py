@@ -124,7 +124,7 @@ class TestSteps:
         assert bpi_barbs(parse_bpi("a!(v).nil + b!(w).nil")) == frozenset({"a", "b"})
 
     def test_harvest_universe(self):
-        u = harvest_bpi_universe(load("handshake.bpi"))
+        u, _ = harvest_bpi_universe(load("handshake.bpi"))
         assert ("a", ("x",)) in u and ("b", ("x",)) in u
 
 

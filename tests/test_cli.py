@@ -2,13 +2,16 @@
 and deterministic exports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from abcalc.cli import main
 from abcalc.systems import corpus_path
 
-from conftest import chains_abc
+from conftest import chains_abc, emitters_abc
 
 NETWORK = str(corpus_path("network.abc"))
 ZERO = str(corpus_path("zero.abc"))
@@ -184,6 +187,17 @@ class TestCheckBisim:
                        "--max-states", "3")
         assert rc == 2
 
+    def test_inconclusive_reports_merged_universe(self, capsys, closed):
+        # both closures succeed and numbering hits the depth bound
+        n_closed, t = closed
+        _, full, _ = run(capsys, "check-bisim", "--weak", "--json", "-", n_closed, t)
+        rc, out, err = run(capsys, "check-bisim", "--weak", "--json", "-", n_closed, t,
+                           "--max-depth", "1")
+        assert rc == 2 and "depth bound 1 hit" in err
+        want = {k: v for k, v in json.loads(full).items() if k.startswith("universe")}
+        assert want["universe_size"] == 1
+        assert {k: json.loads(out)[k] for k in want} == want
+
 
 class TestTranslate:
     def test_output_parses_back(self, capsys, tmp_path):
@@ -243,6 +257,43 @@ class TestCorpus:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("ok  ") == 8
+
+
+@pytest.mark.parametrize("flag", ["--max-states", "--max-depth"])
+def test_zero_bound_is_refused(capsys, flag):
+    rc, out, err = run(capsys, "explore", NETWORK, flag, "0")
+    assert rc == 2 and out == "" and err == "error: bounds must be positive\n"
+
+
+def test_environment_outside_declared_domain(capsys, tmp_path):
+    # a silent step would deliver S's message to R
+    system = ('comp R { iface: [role]; env: {role = "z"}; run: (tt)(x).("got")@tt.0 }\n'
+              'comp S { iface: []; env: {}; run: ("hi")@(role == "z").0 }\n'
+              "system: R || S;\n")
+    domain = 'domain role in {"a", "b"};\n'
+    model, left, right = tmp_path / "m.abc", tmp_path / "l.abc", tmp_path / "r.abc"
+    model.write_text(domain + system)
+    left.write_text(system)
+    right.write_text(domain + "comp Z { iface: []; env: {}; run: 0 }\n")
+    for argv in (["explore", "--universe", "none", str(model)],
+                 ["check-bisim", "--weak", str(left), str(right)]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and 'role = "z" outside its declared domain' in err
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # the .aut text is larger than a pipe buffer, so the writer meets the
+    # closed pipe
+    model = tmp_path / "emitters.abc"
+    model.write_text(emitters_abc(5))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen([sys.executable, "-m", "abcalc.cli", "explore", str(model)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"des (0,2025,243)")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0 and "Traceback" not in err
 
 
 def test_usage_errors(capsys):

@@ -12,7 +12,7 @@ from abcalc.equivalence import (
     strong_bisim,
     weak_bisim,
 )
-from abcalc.lts import ExploreBounds, LabelUniverse
+from abcalc.lts import ExploreBounds, merge_labels
 from abcalc.predicates import And, Atom, FF, TT
 from abcalc.semantics import IN, Label, OUT
 from abcalc.syntax import parse_predicate, parse_process
@@ -199,7 +199,7 @@ class TestNamedExamples:
 
     def test_remark_51(self):
         r = remark51()
-        u = LabelUniverse((r["message"],))
+        u = (r["message"],)
         assert weak_bisim(r["P"], r["Q"], universe=u).equivalent
         assert not weak_bisim(r["prefix_P"], r["prefix_Q"], universe=u).equivalent
         assert not weak_bisim(r["par_P"], r["par_Q"], universe=u).equivalent
@@ -207,7 +207,7 @@ class TestNamedExamples:
 
     def test_remark_52(self):
         r = remark52()
-        u = LabelUniverse((r["message"],))
+        u = (r["message"],)
         assert weak_bisim(r["plain1"], r["plain2"], universe=u).equivalent
         assert not weak_bisim(r["C1"], r["C2"], universe=u).equivalent
 
@@ -224,8 +224,8 @@ class TestNamedExamples:
         from abcalc.lts import auto_universe
 
         probe = Label(IN, AttrEnv(), TT, ("f3", "w"))
-        u = auto_universe(net["N"], net["defs"], domains=net["domains"])
-        u = u.merged(LabelUniverse((probe,)), net["domains"])
+        u, _ = auto_universe(net["N"], net["defs"], domains=net["domains"])
+        u = merge_labels(u, (probe,), net["domains"])
         v = weak_bisim(net["N"], net["T"], net["defs"], universe=u, domains=net["domains"])
         assert not v.equivalent
 

@@ -1,0 +1,288 @@
+"""Exploration against the pipeline it replaced: the universe closure
+without recorded steps, then a breadth-first walk in sorted order that
+steps every state again and prints every successor as its sort key.  The
+engine numbers the closure's states instead, so the two must agree on
+the .aut text, the universe and, when a bound is hit, the message with
+its frontier size."""
+
+import pytest
+
+from abcalc import bpi as bp
+from abcalc import lts as L
+from abcalc import predicates as pr
+from abcalc import semantics as sem
+from abcalc.equivalence import strong_bisim, weak_bisim
+from abcalc.lts import (
+    BoundExceeded,
+    DEFAULT_BOUNDS,
+    ExploreBounds,
+    Lts,
+    aut_text,
+    auto_universe,
+    explore,
+    label_equiv,
+    merge_labels,
+)
+from abcalc.predicates import EMPTY_DOMAINS
+from abcalc.syntax import parse_abc, pretty_component, pretty_label
+from abcalc.systems import network
+from abcalc.terms import Tt, canonical
+
+from conftest import chains_abc, emitters_abc, random_bpi, random_component
+
+# ---------------------------------------------------------------------------
+# The replaced pipeline
+
+
+def old_fixpoint(initial, out_steps, in_steps, grow, base, max_states):
+    universe, new = tuple(base), ()
+    seen, queue, stepped, met = {initial}, [initial], [], set()
+
+    def visit(succ):
+        if succ not in seen:
+            if len(seen) >= max_states:
+                raise BoundExceeded(f"state bound {max_states} hit", len(queue))
+            seen.add(succ)
+            queue.append(succ)
+
+    while True:
+        for state in stepped:
+            for lab in new:
+                for succ in in_steps(state, lab):
+                    visit(succ)
+        fresh = []
+        while queue:
+            state = queue.pop(0)
+            for lab, succ in out_steps(state):
+                if lab not in met:
+                    met.add(lab)
+                    fresh.append(lab)
+                visit(succ)
+            for lab in universe:
+                for succ in in_steps(state, lab):
+                    visit(succ)
+            stepped.append(state)
+        grown = grow(universe, fresh)
+        if len(grown) == len(universe):
+            return grown
+        old = set(universe)
+        new, universe = [lab for lab in grown if lab not in old], grown
+
+
+def old_reach(initial, successors, bounds):
+    states, index, depth, transitions, queue = [initial], {initial: 0}, [0], [], [0]
+    while queue:
+        src = queue.pop(0)
+        for lab, succ in successors(states[src]):
+            dst = index.get(succ)
+            if dst is None:
+                if len(states) >= bounds.max_states:
+                    raise BoundExceeded(f"state bound {bounds.max_states} hit", len(queue))
+                if depth[src] + 1 > bounds.max_depth:
+                    raise BoundExceeded(f"depth bound {bounds.max_depth} hit", len(queue))
+                dst = index[succ] = len(states)
+                states.append(succ)
+                depth.append(depth[src] + 1)
+                queue.append(dst)
+            transitions.append((src, lab, dst))
+    return states, transitions
+
+
+def old_merged(have, new, domains):
+    out = list(have)
+    for lab in new:
+        if not any(label_equiv(lab, old, domains) for old in out):
+            out.append(lab)
+    return tuple(sorted(out, key=pretty_label))
+
+
+def old_auto_universe(comp, defs, bounds, domains):
+    def grow(have, outputs):
+        heard = [lab.as_input() for lab in outputs if not pr.is_ff(lab.pred, domains)]
+        return old_merged(have, sorted(heard, key=pretty_label), domains)
+
+    return old_fixpoint(
+        canonical(comp),
+        lambda c: [(lab, canonical(s)) for lab, s in sem.system_out_steps(c, defs)],
+        lambda c, msg: [canonical(s) for s in sem.system_in_step(c, msg, defs)],
+        grow, (), bounds.max_states)
+
+
+def old_successors(defs, universe):
+    def successors(comp):
+        steps = [(lab, canonical(c)) for lab, c in sem.system_out_steps(comp, defs)]
+        steps += [(msg, canonical(c)) for msg in universe
+                  for c in sem.system_in_step(comp, msg, defs)]
+        return sorted(steps, key=lambda st: (pretty_label(st[0]), pretty_component(st[1])))
+
+    return successors
+
+
+def old_explore(comp, defs, mode, bounds, domains):
+    try:
+        universe = old_auto_universe(comp, defs, bounds, domains) if mode == "auto" else ()
+        states, transitions = old_reach(canonical(comp), old_successors(defs, universe), bounds)
+        return aut_text(Lts(states, transitions, 0, domains)), universe
+    except BoundExceeded as exc:
+        return str(exc)
+
+
+def new_explore(comp, defs, mode, bounds, domains):
+    try:
+        universe, closure = (auto_universe(comp, defs, bounds, domains) if mode == "auto"
+                             else ((), None))
+        return aut_text(explore(comp, defs, universe, bounds, domains, closure)), universe
+    except BoundExceeded as exc:
+        return str(exc)
+
+
+def old_correspondence(p, bounds):
+    universe = old_fixpoint(
+        bp.canon_bpi(p),
+        lambda q: [(lab, bp.canon_bpi(nxt)) for lab, nxt in bp.bpi_steps(q)],
+        lambda q, msg: [bp.canon_bpi(nxt) for nxt in bp._par_ins(q, *msg)],
+        lambda have, outs: tuple(sorted({*have, *((l[1], l[2]) for l in outs if l != bp.TAU)})),
+        (), bounds.max_states)
+    states, transitions = old_reach(
+        bp.canon_bpi(p),
+        lambda q: [(lab, bp.canon_bpi(nxt)) for lab, nxt in bp.bpi_steps(q, universe)],
+        bounds)
+    report = bp.CorrespondenceReport(len(states), len(transitions), universe)
+    steps = [[] for _ in states]
+    for src, lab, dst in transitions:
+        steps[src].append((lab, states[dst]))
+    for cur, bsteps in zip(states, steps):
+        defs = {}
+        comp = canonical(bp._encode_comp(cur, defs))
+        asteps = list(sem.system_out_steps(comp, defs))
+        for chan, values in universe:
+            msg = bp._abc_label(("in", chan, values))
+            for c2 in sem.system_in_step(comp, msg, defs):
+                asteps.append((msg, c2))
+        asteps = [(lab, canonical(c2)) for lab, c2 in asteps]
+        if len(bsteps) != len(asteps):
+            report.violations.append(("transition-count", cur, len(bsteps), len(asteps)))
+        remaining = list(asteps)
+        for lab, nxt in bsteps:
+            want = (bp._abc_label(lab), canonical(bp._encode_comp(nxt, dict(defs))))
+            if want in remaining:
+                remaining.remove(want)
+            else:
+                report.violations.append(("unmatched-source-step", cur, lab))
+        for extra in remaining:
+            report.violations.append(("unmatched-target-step", cur, extra[0]))
+        tgt_barbs = frozenset(lab.values[0] for lab, _ in sem.system_out_steps(comp, defs)
+                              if isinstance(lab.pred, Tt) and lab.values)
+        if bp.bpi_barbs(cur) != tgt_barbs:
+            report.violations.append(("barb-mismatch", cur, bp.bpi_barbs(cur), tgt_barbs))
+    return report
+
+
+def correspondence(check, p, bounds):
+    try:
+        return check(p, bounds)
+    except BoundExceeded as exc:
+        return str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Models
+
+SMALL_BOUNDS = [ExploreBounds(s, d) for s in (5, 40) for d in (2, 4)]
+
+LABEL_COUNTER = ("def A = (tt)(n).(n + 1)@tt.A;\n"
+                 "comp K { iface: []; env: {}; run: A }\n"
+                 "comp Z { iface: []; env: {}; run: (0)@tt.0 }\n"
+                 "system: K || Z;\n")
+STATE_COUNTER = "def A(n) = (n)@tt.A(n + 1);\ncomp C { iface: []; env: {}; run: A(0) }\n"
+
+
+def named_models():
+    net = network()
+    for key in ("N", "T", "N_closed", "N_CP2", "T_CP2"):
+        yield f"network-{key}", net[key], net["defs"], net["domains"], True
+    for depths in ((3,), (3, 2), (10,)):
+        model = parse_abc(chains_abc(depths))
+        yield f"chains-{depths}", model.component, model.defs, model.domains, True
+    for name, text in (("label-counter", LABEL_COUNTER), ("state-counter", STATE_COUNTER)):
+        model = parse_abc(text)
+        yield name, model.component, model.defs, model.domains, False
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+
+
+@pytest.mark.parametrize("mode", ["none", "auto"])
+def test_random_components_match_old_pipeline(rng, mode):
+    for _ in range(200):
+        c = random_component(rng)
+        for bounds in SMALL_BOUNDS:
+            assert new_explore(c, {}, mode, bounds, EMPTY_DOMAINS) == \
+                old_explore(c, {}, mode, bounds, EMPTY_DOMAINS)
+
+
+@pytest.mark.parametrize("mode", ["none", "auto"])
+def test_named_models_match_old_pipeline(mode):
+    for name, comp, defs, domains, finite in named_models():
+        bounds = SMALL_BOUNDS + [ExploreBounds(60, 30), ExploreBounds(200, 8)]
+        if finite:
+            bounds.append(DEFAULT_BOUNDS)
+        for b in bounds:
+            got = new_explore(comp, defs, mode, b, domains)
+            assert got == old_explore(comp, defs, mode, b, domains), (name, b)
+
+
+def test_correspondence_matches_old_pipeline(rng):
+    for _ in range(100):
+        p = random_bpi(rng)
+        for bounds in (DEFAULT_BOUNDS, ExploreBounds(5, 2), ExploreBounds(40, 4)):
+            assert correspondence(bp.correspondence_check, p, bounds) == \
+                correspondence(old_correspondence, p, bounds)
+
+
+def test_bisim_numbering_a_closure_matches_fresh_exploration(rng):
+    # the auto verdict numbers each side's closure; the same check under the
+    # merged universe, given explicitly, steps both sides again
+    for _ in range(60):
+        c1, c2 = random_component(rng), random_component(rng)
+        u1, _ = auto_universe(c1)
+        u2, _ = auto_universe(c2)
+        universe = merge_labels(u1, u2)
+        for check in (strong_bisim, weak_bisim):
+            assert check(c1, c2).as_dict() == check(c1, c2, universe=universe).as_dict()
+
+
+# ---------------------------------------------------------------------------
+# Work done per state
+
+
+def test_explore_prints_each_state_once(monkeypatch):
+    model = parse_abc(emitters_abc(5))
+    printed = []
+    monkeypatch.setattr(L, "pretty_component", lambda c: printed.append(c) or pretty_component(c))
+    universe, closure = auto_universe(model.component, model.defs, domains=model.domains)
+    lts = explore(model.component, model.defs, universe, domains=model.domains, closure=closure)
+    assert (len(lts.states), len(lts.transitions)) == (243, 2025)
+    assert len(printed) == 243
+    printed.clear()
+    # without inputs nothing leads back to the initial state: it is never sorted
+    lts = explore(model.component, model.defs, (), domains=model.domains)
+    assert len(printed) == len(set(printed)) == len(lts.states) - 1 == 242
+
+
+def test_auto_explore_steps_each_state_once(monkeypatch):
+    model = parse_abc(emitters_abc(3))
+    outs, ins = [], []
+    real = L.abc_steps
+
+    def counting(defs):
+        out_steps, in_steps = real(defs)
+        return (lambda c: outs.append(c) or out_steps(c),
+                lambda c, msg: ins.append((c, msg)) or in_steps(c, msg))
+
+    monkeypatch.setattr(L, "abc_steps", counting)
+    universe, closure = auto_universe(model.component, model.defs, domains=model.domains)
+    lts = explore(model.component, model.defs, universe, domains=model.domains, closure=closure)
+    assert len(outs) == len(set(outs)) == len(lts.states)
+    assert len(ins) == len(set(ins)) == len(lts.states) * len(universe)

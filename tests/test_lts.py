@@ -7,13 +7,13 @@ from abcalc import predicates as pr
 from abcalc import semantics as sem
 from abcalc.lts import (
     BoundExceeded,
-    EMPTY_UNIVERSE,
     ExploreBounds,
-    LabelUniverse,
     auto_universe,
     aut_text,
     explore,
     export_aut,
+    fingerprint,
+    merge_labels,
     reduction_over,
     weak_closure,
 )
@@ -47,7 +47,7 @@ class TestExplore:
 
     def test_universe_inputs_added(self):
         c = leaf("(x == 1)(x).(\"done\")@tt.0")
-        u = LabelUniverse((Label(IN, AttrEnv(), TT, (1,)),))
+        u = (Label(IN, AttrEnv(), TT, (1,)),)
         lts = explore(c, universe=u)
         kinds = {lab.kind for _, lab, _ in lts.transitions}
         assert IN in kinds
@@ -76,26 +76,26 @@ class TestExplore:
 class TestUniverse:
     def test_auto_universe_harvests_outputs(self):
         net = network()
-        u = auto_universe(net["T"], net["defs"], domains=net["domains"])
-        assert len(u.labels) == 1
-        lab = u.labels[0]
+        u, _ = auto_universe(net["T"], net["defs"], domains=net["domains"])
+        assert len(u) == 1
+        lab = u[0]
         assert lab.kind == IN and lab.values[0] == "p"
 
     def test_auto_universe_skips_silent(self):
         c = leaf("()@ff.()@ff.0")
-        assert auto_universe(c) == EMPTY_UNIVERSE
+        assert auto_universe(c)[0] == ()
 
     def test_merged_dedupes_by_equivalence(self):
         l1 = Label(IN, AttrEnv(), Atom("!=", Attr("a"), Const(10)), (1,))
         l2 = Label(IN, AttrEnv(), pr.Not(Atom("==", Attr("a"), Const(10))), (1,))
-        u = LabelUniverse((l1,)).merged(LabelUniverse((l2,)))
-        assert len(u.labels) == 1
+        u = merge_labels((l1,), (l2,))
+        assert len(u) == 1
 
     def test_fingerprint_stable_and_discriminating(self):
-        u1 = LabelUniverse(PROBE_MESSAGES)
-        u2 = LabelUniverse(tuple(reversed(PROBE_MESSAGES)))
-        assert u1.fingerprint() == u2.fingerprint()
-        assert u1.fingerprint() != EMPTY_UNIVERSE.fingerprint()
+        u1 = PROBE_MESSAGES
+        u2 = tuple(reversed(PROBE_MESSAGES))
+        assert fingerprint(u1) == fingerprint(u2)
+        assert fingerprint(u1) != fingerprint(())
 
 
 class TestWeakClosure:
