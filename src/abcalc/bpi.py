@@ -23,13 +23,13 @@ from .terms import (
     In,
     Inact,
     Leaf,
-    Op,
     Out,
     ParC,
     Tt,
     Var,
-    _atoms,
+    atoms,
     canonical,
+    expr_leaves,
 )
 
 # ---------------------------------------------------------------------------
@@ -157,13 +157,7 @@ class _BpiParser(Parser):
 
     def bpi_names(self):
         self.expect("(")
-        names = []
-        if not self.at(")"):
-            names.append(self.ident("name"))
-            while self.eat(","):
-                names.append(self.ident("name"))
-        self.expect(")")
-        return tuple(names)
+        return tuple(self.comma_list(")", self.ident, "name"))
 
 
 def parse_bpi(text: str):
@@ -462,39 +456,30 @@ def _names_in_proc(p) -> set:
     """All string constants and variable names in an encoded process."""
     out = set()
 
-    def walk_expr(e):
-        if isinstance(e, Const) and isinstance(e.value, str):
-            out.add(e.value)
-        elif isinstance(e, Var):
-            out.add(e.name)
-        elif isinstance(e, Op):
-            for a in e.args:
-                walk_expr(a)
-
-    def walk_pred(pred):
-        for a in _atoms(pred):
-            walk_expr(a.left)
-            walk_expr(a.right)
+    def add(exprs):
+        for e in exprs:
+            for x in expr_leaves(e):
+                if isinstance(x, Const) and isinstance(x.value, str):
+                    out.add(x.value)
+                elif isinstance(x, Var):
+                    out.add(x.name)
 
     def walk(proc):
-        if isinstance(proc, Inact):
-            return
+        if isinstance(proc, (Out, In)):
+            for a in atoms(proc.pred):
+                add((a.left, a.right))
         if isinstance(proc, Out):
-            for e in proc.exprs:
-                walk_expr(e)
-            walk_pred(proc.pred)
+            add(proc.exprs)
             walk(proc.cont)
         elif isinstance(proc, In):
-            walk_pred(proc.pred)
             out.update(proc.vars)
             walk(proc.cont)
-        elif isinstance(proc, (Choice,)):
+        elif isinstance(proc, Choice):
             walk(proc.left)
             walk(proc.right)
         elif isinstance(proc, Call):
-            for e in proc.args:
-                walk_expr(e)
-        else:
+            add(proc.args)
+        elif not isinstance(proc, Inact):
             raise TypeError(f"unexpected node in encoded process: {proc!r}")
 
     walk(p)

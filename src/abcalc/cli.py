@@ -4,10 +4,11 @@ Exit codes: 0 for success (or an equivalence verdict of yes), 1 for a
 negative verdict or a correspondence violation, 2 for usage, parse, or
 bound errors and for ill-formed input (a call to an undefined process
 or with the wrong number of arguments, an unbound recursion variable, a
-term the encoding rejects, an environment outside a declared domain, or
-nesting too deep for the recursion limit).  Diagnostics go to stderr,
-one line each; results go to stdout, as JSON when --json is given.  A
-reader that closes stdout early does not change the exit code.
+term the encoding rejects, an environment outside a declared domain, a
+.bpi term where a component model is expected, or nesting too deep for
+the recursion limit).  Diagnostics go to stderr, one line each; results
+go to stdout, as JSON when --json is given.  A reader that closes stdout
+early does not change the exit code.
 """
 
 from __future__ import annotations
@@ -44,13 +45,8 @@ class RunConfig:
     """Validated command configuration."""
 
     universe_mode: str = "auto"  # auto | declared | none
-    max_states: int = 100_000
-    max_depth: int = 1_000
+    bounds: L.ExploreBounds = L.DEFAULT_BOUNDS
     json_out: str = None  # None, "-" for stdout, or a path
-
-    @property
-    def bounds(self) -> L.ExploreBounds:
-        return L.ExploreBounds(self.max_states, self.max_depth)
 
 
 class CliError(Exception):
@@ -60,15 +56,11 @@ class CliError(Exception):
 
 
 def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        universe_mode=getattr(args, "universe", "auto"),
-        max_states=getattr(args, "max_states", RunConfig.max_states),
-        max_depth=getattr(args, "max_depth", RunConfig.max_depth),
-        json_out=getattr(args, "json", None),
-    )
-    if cfg.max_states <= 0 or cfg.max_depth <= 0:
+    bounds = L.ExploreBounds(getattr(args, "max_states", L.DEFAULT_BOUNDS.max_states),
+                             getattr(args, "max_depth", L.DEFAULT_BOUNDS.max_depth))
+    if bounds.max_states <= 0 or bounds.max_depth <= 0:
         raise CliError("bounds must be positive")
-    return cfg
+    return RunConfig(getattr(args, "universe", "auto"), bounds, getattr(args, "json", None))
 
 
 def _load_model(path: str):
@@ -87,6 +79,8 @@ def _load_model(path: str):
 
 
 def _require_component(model, path):
+    if path.endswith(".bpi"):
+        raise CliError(f"{path}: a .bpi term is not a component model (translate it first)")
     if model.component is None:
         raise CliError(f"{path}: no system component (add a comp block or system:)")
     return model.component
@@ -341,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", nargs="?", const="-", default=None, metavar="FILE",
                        help="emit a JSON verdict (to FILE, or stdout)")
         if bounds:
-            p.add_argument("--max-states", type=int, default=RunConfig.max_states)
-            p.add_argument("--max-depth", type=int, default=RunConfig.max_depth)
+            p.add_argument("--max-states", type=int, default=L.DEFAULT_BOUNDS.max_states)
+            p.add_argument("--max-depth", type=int, default=L.DEFAULT_BOUNDS.max_depth)
         if universe:
             p.add_argument("--universe", choices=("auto", "declared", "none"),
                            default="auto")

@@ -15,6 +15,7 @@ bounded set membership).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .terms import (  # the tree and subst_pred are re-exported
     FF,
@@ -25,11 +26,9 @@ from .terms import (  # the tree and subst_pred are re-exported
     AttrEnv,
     Const,
     EvalError,
-    Expr,
     Ff,
     MsgIdx,
     Not,
-    Op,
     Or,
     Predicate,
     RestrictionFn,
@@ -37,8 +36,11 @@ from .terms import (  # the tree and subst_pred are re-exported
     SndAttr,
     Tt,
     UndefinedAttribute,
-    _atoms,
+    atom_map,
+    atoms,
     eval_expr,
+    expr_leaves,
+    map_atoms,
     subst_pred,
     value_key,
     values_equal,
@@ -117,18 +119,7 @@ def satisfies(env: AttrEnv, pred: Predicate) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Closure
-
-
-def _close_expr(e: Expr, env: AttrEnv) -> Expr:
-    if isinstance(e, SelfAttr):
-        v = env.get(e.name)
-        if v is None:
-            raise UndefinedAttribute(e.name)
-        return Const(v)
-    if isinstance(e, Op):
-        return Op(e.name, tuple(_close_expr(a, env) for a in e.args))
-    return e
+# Closure and restriction instantiation
 
 
 def close(pred: Predicate, env: AttrEnv) -> Predicate:
@@ -136,95 +127,53 @@ def close(pred: Predicate, env: AttrEnv) -> Predicate:
     identifiers are left untouched."""
     if isinstance(pred, (Tt, Ff)):
         return pred
-    if isinstance(pred, Atom):
-        return Atom(pred.op, _close_expr(pred.left, env), _close_expr(pred.right, env))
-    if isinstance(pred, Not):
-        return Not(close(pred.pred, env))
-    if isinstance(pred, And):
-        return And(close(pred.left, env), close(pred.right, env))
-    if isinstance(pred, Or):
-        return Or(close(pred.left, env), close(pred.right, env))
-    raise TypeError(f"not a predicate: {pred!r}")
+
+    def leaf(e):
+        if not isinstance(e, SelfAttr):
+            return e
+        v = env.get(e.name)
+        if v is None:
+            raise UndefinedAttribute(e.name)
+        return Const(v)
+
+    return map_atoms(pred, atom_map(leaf))
 
 
 def pred_attrs(pred: Predicate) -> frozenset:
-    out = set()
-    for a in _atoms(pred):
-        out |= _expr_attrs(a.left) | _expr_attrs(a.right)
-    return frozenset(out)
-
-
-def _expr_attrs(e: Expr) -> set:
-    if isinstance(e, Attr):
-        return {e.name}
-    if isinstance(e, Op):
-        out = set()
-        for a in e.args:
-            out |= _expr_attrs(a)
-        return out
-    return set()
-
-
-def _expr_consts(e: Expr) -> list:
-    if isinstance(e, Const):
-        return [e.value]
-    if isinstance(e, Op):
-        out = []
-        for a in e.args:
-            out.extend(_expr_consts(a))
-        return out
-    return []
-
-
-# ---------------------------------------------------------------------------
-# Restriction-function instantiation
+    return frozenset(x.name for a in atoms(pred) for side in (a.left, a.right)
+                     for x in expr_leaves(side) if isinstance(x, Attr))
 
 
 class _Unresolved(Exception):
     pass
 
 
-def _instantiate_expr(e: Expr, env: AttrEnv, values: tuple) -> Expr:
-    if isinstance(e, MsgIdx):
-        if 0 <= e.index < len(values):
-            return Const(values[e.index])
-        raise _Unresolved()
-    if isinstance(e, SndAttr):
-        v = env.get(e.name)
-        if v is None:
-            raise _Unresolved()
-        return Const(v)
-    if isinstance(e, Op):
-        return Op(e.name, tuple(_instantiate_expr(a, env, values) for a in e.args))
-    return e
-
-
 def instantiate(fn: RestrictionFn, env: AttrEnv, values: tuple) -> Predicate:
     """Evaluate a restriction template against a sender environment and
     value tuple.  Atoms with out-of-range msg indices or undefined sender
     attributes collapse to ff."""
-    return _inst_pred(fn.template, env, values)
 
+    def leaf(e):
+        if isinstance(e, MsgIdx):
+            if 0 <= e.index < len(values):
+                return Const(values[e.index])
+            raise _Unresolved()
+        if isinstance(e, SndAttr):
+            v = env.get(e.name)
+            if v is None:
+                raise _Unresolved()
+            return Const(v)
+        return e
 
-def _inst_pred(pred: Predicate, env: AttrEnv, values: tuple) -> Predicate:
-    if isinstance(pred, (Tt, Ff)):
-        return pred
-    if isinstance(pred, Atom):
+    on_atom = atom_map(leaf)
+
+    def resolve(a: Atom) -> Predicate:
         try:
-            return Atom(
-                pred.op,
-                _instantiate_expr(pred.left, env, values),
-                _instantiate_expr(pred.right, env, values),
-            )
+            return on_atom(a)
         except _Unresolved:
             return FF
-    if isinstance(pred, Not):
-        return Not(_inst_pred(pred.pred, env, values))
-    if isinstance(pred, And):
-        return And(_inst_pred(pred.left, env, values), _inst_pred(pred.right, env, values))
-    if isinstance(pred, Or):
-        return Or(_inst_pred(pred.left, env, values), _inst_pred(pred.right, env, values))
-    raise TypeError(f"not a predicate: {pred!r}")
+
+    return map_atoms(fn.template, resolve)
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +220,20 @@ _sat_cache: dict = {}
 
 
 def _candidate_pool(pred: Predicate) -> tuple:
-    consts = []
-    order_atoms = False
-    mem_on_attr = False
-    for a in _atoms(pred):
-        consts.extend(_expr_consts(a.left))
-        consts.extend(_expr_consts(a.right))
-        if a.op in _ORDER_OPS:
-            order_atoms = True
-        if a.op == "in" and _expr_attrs(a.right):
-            mem_on_attr = True
+    found = atoms(pred)
+    consts = [x.value for a in found for side in (a.left, a.right) for x in expr_leaves(side)
+              if isinstance(x, Const)]
+    order_atoms = any(a.op in _ORDER_OPS for a in found)
+    mem_on_attr = any(a.op == "in" and any(isinstance(x, Attr) for x in expr_leaves(a.right))
+                      for a in found)
     # membership in a constant set or tuple needs its members as candidates
     consts += [m for v in consts if isinstance(v, (frozenset, tuple))
                for m in sorted(v, key=value_key)]
 
-    pool = []
-    seen = set()
+    pool = {}  # value_key -> value, in the order first offered
 
     def add(v):
-        k = value_key(v)
-        if k not in seen:
-            seen.add(k)
-            pool.append(v)
+        pool.setdefault(value_key(v), v)
 
     for v in consts:
         add(v)
@@ -310,33 +251,20 @@ def _candidate_pool(pred: Predicate) -> tuple:
     add(_FRESH)
     if mem_on_attr:
         # membership tests against an attribute need set candidates
-        for v in list(pool):
+        for v in list(pool.values()):
             if not isinstance(v, (tuple, frozenset)):
                 add(frozenset({v}))
         add(frozenset())
-    return tuple(pool)
+    return tuple(pool.values())
 
 
 def _witness_envs(pred: Predicate, domains: DomainContext):
     attrs = sorted(pred_attrs(pred))
     pool = _candidate_pool(pred)
-    per_attr = []
-    for a in attrs:
-        dom = domains.get(a)
-        cands = sorted(dom, key=value_key) if dom is not None else pool
-        per_attr.append((a, tuple(cands)))
-
-    def gen(i, acc):
-        if i == len(per_attr):
-            yield AttrEnv.of(acc)
-            return
-        a, cands = per_attr[i]
-        for v in cands:
-            acc[a] = v
-            yield from gen(i + 1, acc)
-        acc.pop(a, None)
-
-    yield from gen(0, {})
+    per_attr = [pool if dom is None else sorted(dom, key=value_key)
+                for dom in map(domains.get, attrs)]
+    for combo in product(*per_attr):
+        yield AttrEnv.of(dict(zip(attrs, combo)))
 
 
 def is_sat(pred: Predicate, domains: DomainContext = EMPTY_DOMAINS) -> bool:

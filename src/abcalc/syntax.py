@@ -199,6 +199,27 @@ class Parser:
         tok = self.toks[start]
         raise ParseError("unbalanced parenthesis", tok.line, tok.col)
 
+    def comma_list(self, close: str, item, *args) -> list:
+        """``item(*args)`` repeated with commas between, up to and
+        including the token ``close``; empty when ``close`` comes first."""
+        items = []
+        if not self.at(close):
+            items.append(item(*args))
+            while self.eat(","):
+                items.append(item(*args))
+        self.expect(close)
+        return items
+
+    def env_literal(self) -> AttrEnv:
+        """``{a = v, ...}``."""
+        self.expect("{")
+        return AttrEnv.of(dict(self.comma_list("}", self.binding)))
+
+    def binding(self) -> tuple:
+        attr = self.ident("attribute")
+        self.expect("=")
+        return attr, self.value()
+
     # -- literal values
 
     def value(self):
@@ -219,22 +240,10 @@ class Parser:
             self.advance()
             return False
         if self.eat("{"):
-            items = []
-            if not self.at("}"):
-                items.append(self.value())
-                while self.eat(","):
-                    items.append(self.value())
-            self.expect("}")
-            return frozenset(items)
+            return frozenset(self.comma_list("}", self.value))
         if self.eat("tup"):
             self.expect("(")
-            items = []
-            if not self.at(")"):
-                items.append(self.value())
-                while self.eat(","):
-                    items.append(self.value())
-            self.expect(")")
-            return tuple(items)
+            return tuple(self.comma_list(")", self.value))
         self.fail(f"expected a literal value, found {tok.value!r}")
 
     # -- expressions
@@ -255,19 +264,8 @@ class Parser:
 
     def factor(self, bound: frozenset):
         tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return Const(int(tok.value))
-        if tok.value == "-" and self.peek(1).kind == "int":
-            self.advance()
-            return Const(-int(self.advance().value))
-        if tok.kind == "str":
-            self.advance()
-            return Const(_unquote(tok.value))
-        if tok.value in ("true", "false"):
-            self.advance()
-            return Const(tok.value == "true")
-        if tok.value == "{":
+        if (tok.kind in ("int", "str") or tok.value in ("true", "false", "{")
+                or (tok.value == "-" and self.peek(1).kind == "int")):
             return Const(self.value())
         if self.eat("this"):
             self.expect(".")
@@ -286,13 +284,7 @@ class Parser:
         if tok.kind == "id" and tok.value in OPERATORS and tok.value not in "+-*":
             self.advance()
             self.expect("(")
-            args = []
-            if not self.at(")"):
-                args.append(self.expr(bound))
-                while self.eat(","):
-                    args.append(self.expr(bound))
-            self.expect(")")
-            return Op(tok.value, tuple(args))
+            return Op(tok.value, tuple(self.comma_list(")", self.expr, bound)))
         if tok.kind == "id" and tok.value not in _KEYWORDS:
             self.advance()
             return Var(tok.value) if tok.value in bound else Attr(tok.value)
@@ -400,12 +392,7 @@ class Parser:
             after = self.toks[close + 1].value if close + 1 < len(self.toks) else ""
             if after == "@":
                 self.advance()
-                exprs = []
-                if not self.at(")"):
-                    exprs.append(self.expr(bound))
-                    while self.eat(","):
-                        exprs.append(self.expr(bound))
-                self.expect(")")
+                exprs = self.comma_list(")", self.expr, bound)
                 self.expect("@")
                 p = self.guard(bound)
                 self.expect(".")
@@ -418,12 +405,7 @@ class Parser:
                 vclose = self.match_paren(vstart)
                 self.pos = vstart
                 self.expect("(")
-                vars_ = []
-                if not self.at(")"):
-                    vars_.append(self.ident("variable"))
-                    while self.eat(","):
-                        vars_.append(self.ident("variable"))
-                self.expect(")")
+                vars_ = self.comma_list(")", self.ident, "variable")
                 inner = bound | frozenset(vars_)
                 self.pos = guard_open
                 p = self.guard(inner)
@@ -438,13 +420,7 @@ class Parser:
             return p
         if tok.kind == "id" and tok.value not in _KEYWORDS:
             self.advance()
-            args = []
-            if self.eat("("):
-                if not self.at(")"):
-                    args.append(self.expr(bound))
-                    while self.eat(","):
-                        args.append(self.expr(bound))
-                self.expect(")")
+            args = self.comma_list(")", self.expr, bound) if self.eat("(") else ()
             return Call(tok.value, tuple(args))
         self.fail(f"expected a process, found {tok.value!r}")
 
@@ -493,31 +469,17 @@ class Parser:
         self.expect("iface")
         self.expect(":")
         self.expect("[")
-        iface = []
-        if not self.at("]"):
-            iface.append(self.ident("attribute"))
-            while self.eat(","):
-                iface.append(self.ident("attribute"))
-        self.expect("]")
+        iface = self.comma_list("]", self.ident, "attribute")
         self.expect(";")
         self.expect("env")
         self.expect(":")
-        self.expect("{")
-        envmap = {}
-        if not self.at("}"):
-            while True:
-                attr = self.ident("attribute")
-                self.expect("=")
-                envmap[attr] = self.value()
-                if not self.eat(","):
-                    break
-        self.expect("}")
+        env = self.env_literal()
         self.expect(";")
         self.expect("run")
         self.expect(":")
         proc = self.process(frozenset())
         self.expect("}")
-        leaf = Leaf(AttrEnv.of(envmap), frozenset(iface), proc)
+        leaf = Leaf(env, frozenset(iface), proc)
         if name is not None:
             model.components[name] = leaf
         return leaf
@@ -542,13 +504,7 @@ class Parser:
             elif self.at("def"):
                 self.advance()
                 name = self.ident("definition name")
-                params = []
-                if self.eat("("):
-                    if not self.at(")"):
-                        params.append(self.ident("parameter"))
-                        while self.eat(","):
-                            params.append(self.ident("parameter"))
-                    self.expect(")")
+                params = self.comma_list(")", self.ident, "parameter") if self.eat("(") else ()
                 self.expect("=")
                 body = self.process(frozenset(params))
                 self.expect(";")
@@ -585,27 +541,13 @@ class Parser:
 
     def universe_entry(self):
         self.expect("msg")
-        self.expect("{")
-        envmap = {}
-        if not self.at("}"):
-            while True:
-                attr = self.ident("attribute")
-                self.expect("=")
-                envmap[attr] = self.value()
-                if not self.eat(","):
-                    break
-        self.expect("}")
+        env = self.env_literal()
         self.expect("@")
         p = self.guard(frozenset())
         self.expect("(")
-        values = []
-        if not self.at(")"):
-            values.append(self.value())
-            while self.eat(","):
-                values.append(self.value())
-        self.expect(")")
+        values = self.comma_list(")", self.value)
         self.expect(";")
-        return sem.Label(sem.IN, AttrEnv.of(envmap), p, tuple(values))
+        return sem.Label(sem.IN, env, p, tuple(values))
 
 
 def _unquote(raw: str) -> str:

@@ -9,6 +9,7 @@ come for free and terms can be used as LTS states directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Union
 
 Value = Union[int, bool, str, tuple, frozenset]
@@ -255,24 +256,30 @@ def eval_expr(e: Expr, env: AttrEnv, subst=None) -> Value:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def expr_vars(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, Op):
-        out = frozenset()
-        for a in e.args:
-            out |= expr_vars(a)
-        return out
-    return frozenset()
+def map_expr(e: Expr, leaf) -> Expr:
+    """The one rebuild of expressions: ``e`` with each operand that is not
+    an operator application replaced by ``leaf(operand)``.  Returns ``e``
+    itself when nothing changes."""
+    if not isinstance(e, Op):
+        return leaf(e)
+    args = _same(e.args, tuple([map_expr(a, leaf) for a in e.args]))
+    return e if args is e.args else Op(e.name, args)
 
 
-def subst_expr(e: Expr, mapping: dict) -> Expr:
-    """Replace variables by constant values."""
-    if isinstance(e, Var) and e.name in mapping:
-        return Const(mapping[e.name])
+def expr_leaves(e: Expr) -> list:
+    """The one reader of expressions: the operands of ``e`` that are not
+    operator applications, left to right."""
     if isinstance(e, Op):
-        return Op(e.name, tuple(subst_expr(a, mapping) for a in e.args))
-    return e
+        return [x for a in e.args for x in expr_leaves(a)]
+    return [e]
+
+
+def _same(old: tuple, new: tuple) -> tuple:
+    """``old`` when ``new`` holds the same objects, else ``new``."""
+    for a, b in zip(old, new):
+        if a is not b:
+            return new
+    return old
 
 
 # ---------------------------------------------------------------------------
@@ -319,54 +326,67 @@ TT = Tt()
 FF = Ff()
 
 
-def _atoms(pred: Predicate):
+def atoms(pred: Predicate) -> list:
+    """The one reader of predicates: the atoms of ``pred``, left to right."""
     if isinstance(pred, Atom):
-        yield pred
-    elif isinstance(pred, Not):
-        yield from _atoms(pred.pred)
-    elif isinstance(pred, (And, Or)):
-        yield from _atoms(pred.left)
-        yield from _atoms(pred.right)
+        return [pred]
+    if isinstance(pred, Not):
+        return atoms(pred.pred)
+    if isinstance(pred, (And, Or)):
+        return atoms(pred.left) + atoms(pred.right)
+    return []
 
 
-def _map_atoms(pred: Predicate, f) -> Predicate:
+def map_atoms(pred: Predicate, f) -> Predicate:
+    """The one rebuild of predicates: ``pred`` with each atom ``a``
+    replaced by the predicate ``f(a)``.  Returns ``pred`` itself when
+    nothing changes."""
     if isinstance(pred, (Tt, Ff)):
         return pred
     if isinstance(pred, Atom):
-        return Atom(pred.op, f(pred.left), f(pred.right))
+        return f(pred)
     if isinstance(pred, Not):
-        return Not(_map_atoms(pred.pred, f))
-    if isinstance(pred, And):
-        return And(_map_atoms(pred.left, f), _map_atoms(pred.right, f))
-    if isinstance(pred, Or):
-        return Or(_map_atoms(pred.left, f), _map_atoms(pred.right, f))
+        inner = map_atoms(pred.pred, f)
+        return pred if inner is pred.pred else Not(inner)
+    if isinstance(pred, (And, Or)):
+        left, right = map_atoms(pred.left, f), map_atoms(pred.right, f)
+        return pred if left is pred.left and right is pred.right else type(pred)(left, right)
     raise TypeError(f"not a predicate: {pred!r}")
+
+
+def atom_map(leaf):
+    """The atom map for ``map_atoms`` that rebuilds both sides of an atom
+    with ``map_expr(side, leaf)``."""
+
+    def rebuild(a: Atom) -> Atom:
+        left, right = map_expr(a.left, leaf), map_expr(a.right, leaf)
+        return a if left is a.left and right is a.right else Atom(a.op, left, right)
+
+    return rebuild
 
 
 def subst_pred(pred: Predicate, mapping_or_names, values=None) -> Predicate:
     """Textual simultaneous substitution of variables by values."""
-    if values is not None:
-        names = tuple(mapping_or_names)
-        values = tuple(values)
-        if len(names) != len(values):
-            raise ArityMismatch(f"{len(names)} variables vs {len(values)} values")
-        mapping = dict(zip(names, values))
-    else:
-        mapping = mapping_or_names
-    if not mapping:
-        return pred
-    return _map_atoms(pred, lambda e: subst_expr(e, mapping))
+    if values is None:
+        mapping_or_names, values = mapping_or_names.keys(), mapping_or_names.values()
+    _, _, rewrite = _scope(_consts(mapping_or_names, values))
+    return rewrite(pred)
 
 
-def rename_pred_vars(pred: Predicate, ren: dict) -> Predicate:
-    return _map_atoms(pred, lambda e: _rename_expr(e, ren))
+def _consts(names, values) -> dict:
+    """Each name mapped to the constant of its value."""
+    names, values = tuple(names), tuple(values)
+    if len(names) != len(values):
+        raise ArityMismatch(f"{len(names)} variables vs {len(values)} values")
+    return {name: Const(v) for name, v in zip(names, values)}
+
+
+def _vars(exprs) -> frozenset:
+    return frozenset(x.name for e in exprs for x in expr_leaves(e) if isinstance(x, Var))
 
 
 def pred_vars(pred: Predicate) -> frozenset:
-    out = frozenset()
-    for a in _atoms(pred):
-        out |= expr_vars(a.left) | expr_vars(a.right)
-    return out
+    return _vars(side for a in atoms(pred) for side in (a.left, a.right))
 
 
 # ---------------------------------------------------------------------------
@@ -434,28 +454,20 @@ def free_vars(p: Process, bound: frozenset = frozenset()) -> frozenset:
     if isinstance(p, Inact):
         return frozenset()
     if isinstance(p, Out):
-        fv = frozenset()
-        for e in p.exprs:
-            fv |= expr_vars(e)
-        fv |= pred_vars(p.pred)
+        fv = _vars(p.exprs) | pred_vars(p.pred)
         return (fv - bound) | free_vars(p.cont, bound)
     if isinstance(p, In):
         fv = pred_vars(p.pred) - bound - frozenset(p.vars)
         return fv | free_vars(p.cont, bound | frozenset(p.vars))
     if isinstance(p, Upd):
-        fv = frozenset()
-        for _, e in p.assigns:
-            fv |= expr_vars(e)
+        fv = _vars(e for _, e in p.assigns)
         return (fv - bound) | free_vars(p.cont, bound)
     if isinstance(p, Aware):
         return (pred_vars(p.pred) - bound) | free_vars(p.proc, bound)
     if isinstance(p, (Choice, ParP)):
         return free_vars(p.left, bound) | free_vars(p.right, bound)
     if isinstance(p, Call):
-        fv = frozenset()
-        for e in p.args:
-            fv |= expr_vars(e)
-        return fv - bound
+        return _vars(p.args) - bound
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -465,40 +477,72 @@ def substitute(p: Process, names, values) -> Process:
     Input binders shadow; since only closed values are substituted in, no
     renaming is ever required.
     """
-    names = tuple(names)
-    values = tuple(values)
-    if len(names) != len(values):
-        raise ArityMismatch(f"{len(names)} variables vs {len(values)} values")
-    return _subst(p, dict(zip(names, values)))
+    scope = _scope(_consts(names, values))
+    return p if scope is _NO_SCOPE else _rewrite(p, scope, None)
 
 
-def _subst(p: Process, mapping: dict) -> Process:
+def _unchanged(x):
+    return x
+
+
+_NO_SCOPE = ({}, _unchanged, _unchanged)
+
+
+def _scope(mapping: dict) -> tuple:
+    """``mapping`` with the rewrites of expression tuples and predicates
+    that replace each variable it names by the expression it maps to."""
     if not mapping:
-        return p
+        return _NO_SCOPE
+
+    def leaf(e):
+        return mapping.get(e.name, e) if isinstance(e, Var) else e
+
+    on_atom = atom_map(leaf)
+    return (mapping, lambda es: _same(es, tuple([map_expr(e, leaf) for e in es])),
+            lambda pred: map_atoms(pred, on_atom))
+
+
+def _rewrite(p: Process, scope: tuple, fresh) -> Process:
+    """The one scoped walk over processes, shared by substitution and
+    canonical forms: each free variable named in the mapping of ``scope``
+    becomes the expression it maps to, and input binders shadow the
+    mapping.  Given ``fresh``, an iterator of names, each input binder is
+    renamed to the next of them in pre-order; otherwise binders keep their
+    names.  Returns ``p`` itself when nothing changes."""
     if isinstance(p, Inact):
         return p
+    mapping, exprs, pred = scope
     if isinstance(p, Out):
-        return Out(
-            tuple(subst_expr(e, mapping) for e in p.exprs),
-            subst_pred(p.pred, mapping),
-            _subst(p.cont, mapping),
-        )
+        es, g, cont = exprs(p.exprs), pred(p.pred), _rewrite(p.cont, scope, fresh)
+        return p if es is p.exprs and g is p.pred and cont is p.cont else Out(es, g, cont)
     if isinstance(p, In):
-        inner = {k: v for k, v in mapping.items() if k not in p.vars}
-        return In(subst_pred(p.pred, inner), p.vars, _subst(p.cont, inner))
+        names = p.vars if fresh is None else tuple([next(fresh) for _ in p.vars])
+        if names == p.vars:
+            names = p.vars
+        if names is not p.vars or not mapping.keys().isdisjoint(p.vars):
+            inner = {k: e for k, e in mapping.items() if k not in p.vars}
+            for v, n in zip(p.vars, names):  # of repeated binders, the last one wins
+                if v != n:
+                    inner[v] = Var(n)
+                else:
+                    inner.pop(v, None)
+            _, _, pred = scope = _scope(inner)
+        g, cont = pred(p.pred), _rewrite(p.cont, scope, fresh)
+        return p if names is p.vars and g is p.pred and cont is p.cont else In(g, names, cont)
+    if isinstance(p, (Choice, ParP)):
+        left, right = _rewrite(p.left, scope, fresh), _rewrite(p.right, scope, fresh)
+        return p if left is p.left and right is p.right else type(p)(left, right)
     if isinstance(p, Upd):
-        return Upd(
-            tuple((a, subst_expr(e, mapping)) for a, e in p.assigns),
-            _subst(p.cont, mapping),
-        )
+        old = tuple([e for _, e in p.assigns])
+        new, cont = exprs(old), _rewrite(p.cont, scope, fresh)
+        assigns = p.assigns if new is old else tuple(zip([a for a, _ in p.assigns], new))
+        return p if assigns is p.assigns and cont is p.cont else Upd(assigns, cont)
     if isinstance(p, Aware):
-        return Aware(subst_pred(p.pred, mapping), _subst(p.proc, mapping))
-    if isinstance(p, Choice):
-        return Choice(_subst(p.left, mapping), _subst(p.right, mapping))
-    if isinstance(p, ParP):
-        return ParP(_subst(p.left, mapping), _subst(p.right, mapping))
+        g, proc = pred(p.pred), _rewrite(p.proc, scope, fresh)
+        return p if g is p.pred and proc is p.proc else Aware(g, proc)
     if isinstance(p, Call):
-        return Call(p.name, tuple(subst_expr(e, mapping) for e in p.args))
+        args = exprs(p.args)
+        return p if args is p.args else Call(p.name, args)
     raise TypeError(f"not a process: {p!r}")
 
 
@@ -575,58 +619,15 @@ def apply_updates(leaf: Leaf, domains=None) -> Leaf:
 
 
 def canonical(c: Component) -> Component:
+    """``c`` with the input binders of each leaf renamed x0, x1, ... in
+    pre-order."""
     if isinstance(c, Leaf):
-        proc, _ = _canon_proc(c.proc, {}, 0)
-        return Leaf(c.env, c.iface, proc)
+        proc = _rewrite(c.proc, _NO_SCOPE, map("x{}".format, count()))
+        return c if proc is c.proc else Leaf(c.env, c.iface, proc)
     if isinstance(c, ParC):
-        return ParC(canonical(c.left), canonical(c.right))
-    if isinstance(c, ResOut):
-        return ResOut(canonical(c.comp), c.fn)
-    if isinstance(c, ResIn):
-        return ResIn(canonical(c.comp), c.fn)
+        left, right = canonical(c.left), canonical(c.right)
+        return c if left is c.left and right is c.right else ParC(left, right)
+    if isinstance(c, (ResOut, ResIn)):
+        comp = canonical(c.comp)
+        return c if comp is c.comp else type(c)(comp, c.fn)
     raise TypeError(f"not a component: {c!r}")
-
-
-def _canon_proc(p: Process, ren: dict, counter: int):
-    if isinstance(p, Inact):
-        return p, counter
-    if isinstance(p, Out):
-        exprs = tuple(_rename_expr(e, ren) for e in p.exprs)
-        pred = rename_pred_vars(p.pred, ren)
-        cont, counter = _canon_proc(p.cont, ren, counter)
-        return Out(exprs, pred, cont), counter
-    if isinstance(p, In):
-        fresh = tuple(f"x{counter + i}" for i in range(len(p.vars)))
-        counter += len(p.vars)
-        inner = dict(ren)
-        inner.update(zip(p.vars, fresh))
-        pred = rename_pred_vars(p.pred, inner)
-        cont, counter = _canon_proc(p.cont, inner, counter)
-        return In(pred, fresh, cont), counter
-    if isinstance(p, Upd):
-        assigns = tuple((a, _rename_expr(e, ren)) for a, e in p.assigns)
-        cont, counter = _canon_proc(p.cont, ren, counter)
-        return Upd(assigns, cont), counter
-    if isinstance(p, Aware):
-        pred = rename_pred_vars(p.pred, ren)
-        proc, counter = _canon_proc(p.proc, ren, counter)
-        return Aware(pred, proc), counter
-    if isinstance(p, Choice):
-        left, counter = _canon_proc(p.left, ren, counter)
-        right, counter = _canon_proc(p.right, ren, counter)
-        return Choice(left, right), counter
-    if isinstance(p, ParP):
-        left, counter = _canon_proc(p.left, ren, counter)
-        right, counter = _canon_proc(p.right, ren, counter)
-        return ParP(left, right), counter
-    if isinstance(p, Call):
-        return Call(p.name, tuple(_rename_expr(e, ren) for e in p.args)), counter
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _rename_expr(e: Expr, ren: dict) -> Expr:
-    if isinstance(e, Var) and e.name in ren:
-        return Var(ren[e.name])
-    if isinstance(e, Op):
-        return Op(e.name, tuple(_rename_expr(a, ren) for a in e.args))
-    return e

@@ -242,11 +242,18 @@ class TestIllFormedInput:
         ("deep.bpi", "tau." * 400 + "a!(v).nil\n", "verify-encoding"),
         ("deep.abc", "comp C { iface: []; env: {}; run: " + "()@ff." * 1000 + "0 }\n",
          "explore"),
-    ], ids=["undefined-process", "call-arity", "encoding-error", "deep-bpi", "deep-abc"])
+        # a .bpi term where a component model is expected; "{}" marks the file
+        ("choice.bpi", "a!(v).nil + tau.nil\n", "explore"),
+        ("choice.bpi", "a!(v).nil + tau.nil\n", ("barbs", "--weak", "{}")),
+        ("choice.bpi", "a!(v).nil + tau.nil\n", ("check-bisim", "--weak", "{}", NETWORK)),
+        ("choice.bpi", "a!(v).nil + tau.nil\n", ("check-bisim", "--strong", NETWORK, "{}")),
+    ], ids=["undefined-process", "call-arity", "encoding-error", "deep-bpi", "deep-abc",
+            "bpi-explore", "bpi-barbs", "bpi-bisim-left", "bpi-bisim-right"])
     def test_exit_2(self, capsys, tmp_path, name, text, command):
         model = tmp_path / name
         model.write_text(text)
-        rc, out, err = run(capsys, command, str(model))
+        argv = (command, "{}") if isinstance(command, str) else command
+        rc, out, err = run(capsys, *(str(model) if a == "{}" else a for a in argv))
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 

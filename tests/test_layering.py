@@ -1,6 +1,7 @@
 """The module graph of the package: every import sits at module top, the
 imports within the package follow one layer order (so they form no
-cycle), and each module can be the first one imported."""
+cycle), and each module can be the first one imported.  Also: each tree
+shape of expressions and predicates is walked in one place."""
 
 import ast
 import subprocess
@@ -66,3 +67,57 @@ def test_imports_cleanly_when_first(name):
         cwd=PACKAGE.parent, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+# The only functions that recurse through an expression tree (``Op``) or a
+# predicate tree (``Not``, ``And``, ``Or``): the rebuild and the reader of
+# each shape in ``terms``, evaluation, satisfaction and the printers.
+# Everything else reads and rebuilds terms through the ``terms`` helpers.
+TREE_WALKS = {
+    "terms.eval_expr", "terms.map_expr", "terms.expr_leaves", "terms.atoms",
+    "terms.map_atoms", "predicates.satisfies", "syntax.pretty_expr", "syntax.pretty_pred",
+}
+TREE_NODES = {"Op", "Not", "And", "Or"}
+
+
+def _tests_tree_node(fn) -> bool:
+    """fn holds an ``isinstance`` test against an expression or predicate
+    node type."""
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            types = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if types & TREE_NODES:
+                return True
+    return False
+
+
+def _calls_itself(fn) -> bool:
+    return any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == fn.name
+               for node in ast.walk(fn))
+
+
+def _tree_walks(name: str) -> set:
+    """The top-level functions and methods of a module that hold a function
+    recursing through expression or predicate nodes."""
+    out = set()
+    tops = [(f"{name}.{node.name}", node) for node in _tree(name).body
+            if isinstance(node, ast.FunctionDef)]
+    tops += [(f"{name}.{cls.name}.{node.name}", node) for cls in _tree(name).body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef)]
+    for qual, top in tops:
+        if any(isinstance(fn, ast.FunctionDef) and _tests_tree_node(fn) and _calls_itself(fn)
+               for fn in ast.walk(top)):
+            out.add(qual)
+    return out
+
+
+def test_one_walk_per_tree_shape():
+    found = set().union(*(_tree_walks(name) for name in MODULES))
+    assert not found - TREE_WALKS, (
+        f"walk expressions or predicates with the terms helpers instead: "
+        f"{', '.join(sorted(found - TREE_WALKS))}")
+    assert not TREE_WALKS - found, f"no longer walks: {', '.join(sorted(TREE_WALKS - found))}"
