@@ -6,7 +6,7 @@ for that encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
 
 from . import semantics as sem
 from .lts import DEFAULT_BOUNDS, abc_successors, alphabet_fixpoint, reach
@@ -23,8 +23,10 @@ from .terms import (
     In,
     Inact,
     Leaf,
+    Node,
     Out,
     ParC,
+    Record,
     Tt,
     Var,
     atoms,
@@ -36,52 +38,44 @@ from .terms import (
 # Syntax
 
 
-@dataclass(frozen=True)
-class BNil:
+class BNil(Node):
     pass
 
 
-@dataclass(frozen=True)
-class BTau:
+class BTau(Node):
     cont: "BpiProcess"
 
 
-@dataclass(frozen=True)
-class BIn:
+class BIn(Node):
     chan: str
     vars: tuple
     cont: "BpiProcess"
 
 
-@dataclass(frozen=True)
-class BOut:
+class BOut(Node):
     chan: str
     names: tuple
     cont: "BpiProcess"
 
 
-@dataclass(frozen=True)
-class BSum:
+class BSum(Node):
     left: "BpiProcess"
     right: "BpiProcess"
 
 
-@dataclass(frozen=True)
-class BRec:
+class BRec(Node):
     name: str
     params: tuple
     body: "BpiProcess"
     args: tuple
 
 
-@dataclass(frozen=True)
-class BCall:
+class BCall(Node):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class BPar:
+class BPar(Node):
     left: "BpiProcess"
     right: "BpiProcess"
 
@@ -133,7 +127,8 @@ class _BpiParser(Parser):
                 self.advance()
                 self.advance()
                 name = self.ident("recursion name")
-                params = self.bpi_names()
+                tok = self.peek()
+                params = self.distinct(self.bpi_names(), "parameter", tok)
                 self.expect(".")
                 body = self.bpi_seq()
                 self.expect(")")
@@ -149,9 +144,10 @@ class _BpiParser(Parser):
             self.expect(".")
             return BOut(name, values, self.bpi_pre())
         if self.at("("):
+            tok = self.peek()
             vars_ = self.bpi_names()
             if self.eat("."):
-                return BIn(name, vars_, self.bpi_pre())
+                return BIn(name, self.distinct(vars_, "variable", tok), self.bpi_pre())
             return BCall(name, vars_)
         return BCall(name, ())
 
@@ -539,12 +535,12 @@ def _encode_comp(p: BpiProcess, defs: dict) -> Component:
 # Correspondence harness
 
 
-@dataclass
-class CorrespondenceReport:
-    states_checked: int = 0
-    transitions_checked: int = 0
-    universe: tuple = ()
-    violations: list = field(default_factory=list)
+class CorrespondenceReport(Record):
+    def __init__(self, states_checked=0, transitions_checked=0, universe=(), violations=None):
+        self.states_checked = states_checked
+        self.transitions_checked = transitions_checked
+        self.universe = universe
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -584,26 +580,52 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
     report = CorrespondenceReport(len(states), len(transitions), universe)
     steps = [[] for _ in states]
     for src, lab, dst in transitions:
-        steps[src].append((lab, states[dst]))
+        steps[src].append((lab, dst))
     messages = [_abc_label(("in", chan, values)) for chan, values in universe]
-    for cur, bsteps in zip(states, steps):
-        defs: dict = {}
-        comp = canonical(_encode_comp(cur, defs))
+    encoded = [None] * len(states)
+
+    def encoding(i):
+        """The canonical translation of state ``i`` and its definitions,
+        made once per state."""
+        if encoded[i] is None:
+            defs: dict = {}
+            encoded[i] = canonical(_encode_comp(states[i], defs)), defs
+        return encoded[i]
+
+    def target(i, defs):
+        """The translation of state ``i`` as a successor of a state with
+        ``defs``.  Where ``i`` has no translation, or its definitions
+        disagree with ``defs``, translating it together with ``defs``
+        raises the EncodingError."""
+        try:
+            comp, own = encoding(i)
+            if all(defs.get(name, entry) == entry for name, entry in own.items()):
+                return comp
+        except EncodingError:
+            pass
+        _encode_comp(states[i], dict(defs))
+
+    for src, (cur, bsteps) in enumerate(zip(states, steps)):
+        comp, defs = encoding(src)
         asteps = abc_successors(defs, messages)(comp)
 
         if len(bsteps) != len(asteps):
             report.violations.append(("transition-count", cur, len(bsteps), len(asteps)))
 
-        # bijective matching per label, targets as multisets
-        remaining = list(asteps)
-        for lab, nxt in bsteps:
-            want = (_abc_label(lab), canonical(_encode_comp(nxt, dict(defs))))
-            if want in remaining:
-                remaining.remove(want)
+        # bijective matching per label, targets as multisets; a source step
+        # takes the first unmatched equal target step
+        offered, taken = Counter(asteps), Counter()
+        for lab, dst in bsteps:
+            want = (_abc_label(lab), target(dst, defs))
+            if taken[want] < offered[want]:
+                taken[want] += 1
             else:
                 report.violations.append(("unmatched-source-step", cur, lab))
-        for extra in remaining:
-            report.violations.append(("unmatched-target-step", cur, extra[0]))
+        for extra in asteps:
+            if taken[extra]:
+                taken[extra] -= 1
+            else:
+                report.violations.append(("unmatched-target-step", cur, extra[0]))
 
         src_barbs = bpi_barbs(cur)
         tgt_barbs = frozenset(

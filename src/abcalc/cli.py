@@ -2,11 +2,12 @@
 
 Exit codes: 0 for success (or an equivalence verdict of yes), 1 for a
 negative verdict or a correspondence violation, 2 for usage, parse, or
-bound errors and for ill-formed input (a call to an undefined process
-or with the wrong number of arguments, an unbound recursion variable, a
-term the encoding rejects, an environment outside a declared domain, a
-.bpi term where a component model is expected, or nesting too deep for
-the recursion limit).  Diagnostics go to stderr, one line each; results
+bound errors and for ill-formed input (a name bound twice by one input,
+definition or recursion, a call to an undefined process or with the
+wrong number of arguments, an unbound recursion variable, a term the
+encoding rejects, an environment or an update outside a declared
+domain, a .bpi term where a component model is expected, or nesting too
+deep for the recursion limit).  Diagnostics go to stderr, one line each; results
 go to stdout, as JSON when --json is given.  A reader that closes stdout
 early does not change the exit code.
 """
@@ -17,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import bpi as bp
 from . import equivalence as eq
@@ -35,18 +35,19 @@ from .syntax import (
     pretty_model,
     pretty_pred,
 )
-from .terms import ArityMismatch, DomainViolation, canonical
+from .terms import ArityMismatch, DomainViolation, Record, canonical
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Validated command configuration."""
 
-    universe_mode: str = "auto"  # auto | declared | none
-    bounds: L.ExploreBounds = L.DEFAULT_BOUNDS
-    json_out: str = None  # None, "-" for stdout, or a path
+    def __init__(self, universe_mode: str = "auto", bounds: L.ExploreBounds = L.DEFAULT_BOUNDS,
+                 json_out: str = None):
+        self.universe_mode = universe_mode  # auto | declared | none
+        self.bounds = bounds
+        self.json_out = json_out  # None, "-" for stdout, or a path
 
 
 class CliError(Exception):
@@ -160,7 +161,7 @@ def cmd_steps(args) -> int:
     else:
         comp = canonical(_require_component(model, args.file))
         universe, closure = _universe(model, comp, cfg)
-        steps = (L.abc_successors(model.defs, universe)(comp) if closure is None
+        steps = (L.abc_successors(model.defs, universe, model.domains)(comp) if closure is None
                  else [(lab, closure[0][i]) for lab, i in closure[1][0]])
         rows = [{"label": label, "target": target} for label, target in
                 sorted((pretty_label(lab), pretty_component(c2)) for lab, c2 in steps)]
@@ -402,8 +403,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (L.BoundExceeded, UnboundProcessName, ArityMismatch, bp.EncodingError,
-            bp.UnboundRecursionVariable, DomainViolation) as exc:
+            bp.UnboundRecursionVariable) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DomainViolation as exc:
+        where = "" if exc.leaf is None else f" in {pretty_component(exc.leaf)}"
+        print(f"error: {exc}{where}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)

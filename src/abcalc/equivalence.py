@@ -12,8 +12,6 @@ matched by zero or more silent moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import predicates as pr
 from . import semantics as sem
 from .lts import (
@@ -24,13 +22,14 @@ from .lts import (
     auto_universe,
     explore,
     fingerprint,
+    inverse_closure,
     label_equiv,
     merge_labels,
     weak_closure,
 )
 from .predicates import DomainContext, EMPTY_DOMAINS
 from .syntax import pretty_label
-from .terms import Component
+from .terms import Component, Record
 
 
 def label_equiv_pred(label: sem.Label, pred, domains: DomainContext = EMPTY_DOMAINS) -> bool:
@@ -71,13 +70,14 @@ def barbs(
 # Bisimilarity
 
 
-@dataclass
-class Verdict:
-    equivalent: bool
-    universe: tuple  # input labels
-    witness: list = None  # list of {"label": str, "from": "A"|"B"} steps
-    inconclusive: bool = False
-    reason: str = ""
+class Verdict(Record):
+    def __init__(self, equivalent: bool, universe: tuple, witness: list = None,
+                 inconclusive: bool = False, reason: str = ""):
+        self.equivalent = equivalent
+        self.universe = universe  # input labels
+        self.witness = witness  # list of {"label": str, "from": "A"|"B"} steps
+        self.inconclusive = inconclusive
+        self.reason = reason
 
     def as_dict(self) -> dict:
         return {
@@ -120,6 +120,7 @@ def _strong_edges(lts: Lts, offset: int, class_of):
 
 def _weak_edges(lts: Lts, offset: int, class_of):
     closure = weak_closure(lts)
+    pre = inverse_closure(closure)
     edges = {offset + i: [] for i in range(len(lts.states))}
     for s in range(len(lts.states)):
         for t in closure[s]:
@@ -128,8 +129,7 @@ def _weak_edges(lts: Lts, offset: int, class_of):
         cls = class_of[lab]
         if cls == _TAU:
             continue
-        pre = [s for s in range(len(lts.states)) if src in closure[s]]
-        for s in pre:
+        for s in pre[src]:
             for t in closure[dst]:
                 edges[offset + s].append((cls, offset + t, lab))
     for s in edges:

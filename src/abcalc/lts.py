@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cache
 
 from . import predicates as pr
 from . import semantics as sem
 from .predicates import DomainContext, EMPTY_DOMAINS
 from .syntax import pretty_component, pretty_label
-from .terms import Component, canonical
+from .terms import Component, Node, Record, canonical
 
 
 class BoundExceeded(Exception):
@@ -29,8 +28,7 @@ class BoundExceeded(Exception):
         self.frontier = frontier
 
 
-@dataclass(frozen=True)
-class ExploreBounds:
+class ExploreBounds(Node):
     max_states: int = 100_000
     max_depth: int = 1_000
 
@@ -67,13 +65,14 @@ def fingerprint(labels) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-@dataclass
-class Lts:
-    states: list
-    transitions: list  # (source id, Label, target id)
-    initial: int = 0
-    domains: DomainContext = EMPTY_DOMAINS
-    _tau_cache: dict = field(default_factory=dict, repr=False)
+class Lts(Record):
+    def __init__(self, states: list, transitions: list, initial: int = 0,
+                 domains: DomainContext = EMPTY_DOMAINS):
+        self.states = states
+        self.transitions = transitions  # (source id, Label, target id)
+        self.initial = initial
+        self.domains = domains
+        self._tau_cache = {}
 
     def is_tau(self, label: sem.Label) -> bool:
         if label.kind != sem.OUT:
@@ -157,15 +156,17 @@ def alphabet_fixpoint(initial, out_steps, in_steps, grow, base, max_states: int)
         new, universe = [lab for lab in grown if lab not in old], grown
 
 
-def abc_steps(defs):
+def abc_steps(defs, domains: DomainContext = EMPTY_DOMAINS):
     """A component's output steps and input steps of one message, with canonical successors."""
-    return (lambda comp: [(lab, canonical(c)) for lab, c in sem.system_out_steps(comp, defs)],
-            lambda comp, msg: [(msg, canonical(c)) for c in sem.system_in_step(comp, msg, defs)])
+    return (lambda comp: [(lab, canonical(c))
+                          for lab, c in sem.system_out_steps(comp, defs, domains)],
+            lambda comp, msg: [(msg, canonical(c))
+                               for c in sem.system_in_step(comp, msg, defs, domains)])
 
 
-def abc_successors(defs, universe=()):
+def abc_successors(defs, universe=(), domains: DomainContext = EMPTY_DOMAINS):
     """Successors under a fixed universe: outputs, then inputs of each label of it."""
-    out_steps, in_steps = abc_steps(defs)
+    out_steps, in_steps = abc_steps(defs, domains)
     return lambda comp: out_steps(comp) + [st for msg in universe for st in in_steps(comp, msg)]
 
 
@@ -181,7 +182,7 @@ def explore(
     state's steps sorted by printed label and successor.  Given the closure
     that computed ``universe``, it numbers the closure's states."""
     if closure is None:
-        states, transitions = reach(canonical(comp), abc_successors(defs or {}, universe),
+        states, transitions = reach(canonical(comp), abc_successors(defs or {}, universe, domains),
                                     pretty_label, pretty_component, bounds)
     else:
         found, steps = closure
@@ -206,7 +207,7 @@ def auto_universe(
         heard = [lab.as_input() for lab in outputs if not pr.is_ff(lab.pred, domains)]
         return merge_labels(have, sorted(heard, key=pretty_label), domains)
 
-    return alphabet_fixpoint(canonical(comp), *abc_steps(defs or {}), grow, base,
+    return alphabet_fixpoint(canonical(comp), *abc_steps(defs or {}, domains), grow, base,
                              bounds.max_states)
 
 
@@ -231,6 +232,16 @@ def weak_closure(lts: Lts):
     return tuple(closure)
 
 
+def inverse_closure(closure) -> list:
+    """For each state, in increasing order, the states whose weak closure
+    holds it: its predecessors by zero or more silent moves."""
+    pre = [[] for _ in closure]
+    for s, reach_s in enumerate(closure):
+        for t in reach_s:
+            pre[t].append(s)
+    return pre
+
+
 def reduction_over(lts: Lts, pred, weak: bool = False):
     """State pairs connected by an output whose predicate is equivalent
     to the given one; the weak variant closes both sides under silent
@@ -247,10 +258,10 @@ def reduction_over(lts: Lts, pred, weak: bool = False):
     if not weak:
         return base
     closure = weak_closure(lts)
+    pre = inverse_closure(closure)
     out = set()
     for src, dst in base:
-        pre = [s for s in range(len(lts.states)) if src in closure[s]]
-        for s in pre:
+        for s in pre[src]:
             for t in closure[dst]:
                 out.add((s, t))
     return out

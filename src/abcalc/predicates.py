@@ -14,7 +14,6 @@ bounded set membership).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .terms import (  # the tree and subst_pred are re-exported
@@ -28,6 +27,7 @@ from .terms import (  # the tree and subst_pred are re-exported
     EvalError,
     Ff,
     MsgIdx,
+    Node,
     Not,
     Or,
     Predicate,
@@ -180,8 +180,7 @@ def instantiate(fn: RestrictionFn, env: AttrEnv, values: tuple) -> Predicate:
 # Domain contexts
 
 
-@dataclass(frozen=True)
-class DomainContext:
+class DomainContext(Node):
     """Declared finite domains for attributes; absence means the domain of
     the relevant sort is unbounded."""
 

@@ -15,14 +15,14 @@ that is the output itself, for an input the accepting successor (the
 discard still exists exactly when the input guard does not hold).  A
 call whose arguments fail to evaluate has no steps, like 0.  A call to
 an undefined process or with the wrong number of arguments is an error
-of the model and raises.
+of the model and raises, and so does an update that leaves the declared
+domain of its attribute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import predicates as pr
+from .predicates import EMPTY_DOMAINS, DomainContext
 from .terms import (
     ZERO,
     ArityMismatch,
@@ -34,6 +34,7 @@ from .terms import (
     In,
     Inact,
     Leaf,
+    Node,
     Out,
     ParC,
     ParP,
@@ -51,8 +52,7 @@ OUT = "out"
 IN = "in"
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(Node):
     kind: str  # OUT or IN
     env: "object"  # AttrEnv, already restricted to the sender interface
     pred: "object"  # closed Predicate
@@ -83,39 +83,39 @@ def _resolve(call: Call, defs, env) -> Process:
 # Component level
 
 
-def component_out_steps(leaf: Leaf, defs):
+def component_out_steps(leaf: Leaf, defs, domains: DomainContext = EMPTY_DOMAINS):
     """All output transitions of a single leaf, as (Label, Leaf) pairs."""
     out = []
-    for values, pred, succ in _proc_outs(leaf.env, leaf.iface, leaf.proc, defs):
+    for values, pred, succ in _proc_outs(leaf.env, leaf.iface, leaf.proc, defs, domains):
         label = Label(OUT, leaf.env.restrict(leaf.iface), pred, values)
         out.append((label, succ))
     return out
 
 
-def _proc_outs(env, iface, proc, defs):
+def _proc_outs(env, iface, proc, defs, domains):
     if isinstance(proc, (Inact, In, Upd)):
         return
     elif isinstance(proc, Out):
         try:
             values = tuple(eval_expr(e, env) for e in proc.exprs)
             pred = pr.close(proc.pred, env)
-            succ = apply_updates(Leaf(env, iface, proc.cont))
+            succ = apply_updates(Leaf(env, iface, proc.cont), domains)
         except EvalError:
             return
         yield values, pred, succ
     elif isinstance(proc, Aware):
         if _aware_holds(env, proc.pred):
-            yield from _proc_outs(env, iface, proc.proc, defs)
+            yield from _proc_outs(env, iface, proc.proc, defs, domains)
     elif isinstance(proc, Choice):
-        yield from _proc_outs(env, iface, proc.left, defs)
-        yield from _proc_outs(env, iface, proc.right, defs)
+        yield from _proc_outs(env, iface, proc.left, defs, domains)
+        yield from _proc_outs(env, iface, proc.right, defs, domains)
     elif isinstance(proc, ParP):
-        for values, pred, succ in _proc_outs(env, iface, proc.left, defs):
+        for values, pred, succ in _proc_outs(env, iface, proc.left, defs, domains):
             yield values, pred, Leaf(succ.env, iface, ParP(succ.proc, proc.right))
-        for values, pred, succ in _proc_outs(env, iface, proc.right, defs):
+        for values, pred, succ in _proc_outs(env, iface, proc.right, defs, domains):
             yield values, pred, Leaf(succ.env, iface, ParP(proc.left, succ.proc))
     elif isinstance(proc, Call):
-        yield from _proc_outs(env, iface, _resolve(proc, defs, env), defs)
+        yield from _proc_outs(env, iface, _resolve(proc, defs, env), defs, domains)
     else:
         raise TypeError(f"not a process: {proc!r}")
 
@@ -127,18 +127,17 @@ def _aware_holds(env, pred) -> bool:
         return False
 
 
-def component_in_step(leaf: Leaf, msg: Label, defs):
+def component_in_step(leaf: Leaf, msg: Label, defs, domains: DomainContext = EMPTY_DOMAINS):
     """Responses of a leaf to an input label.
 
     Returns (accepts, can_discard): the accepting successor leaves, and
     whether the discard derivation exists.  Both are empty only when the
     input guard holds but the accepting step fails to evaluate.
     """
-    accepts, can_discard = _proc_ins(leaf.env, leaf.iface, leaf.proc, msg, defs)
-    return accepts, can_discard
+    return _proc_ins(leaf.env, leaf.iface, leaf.proc, msg, defs, domains)
 
 
-def _proc_ins(env, iface, proc, msg, defs):
+def _proc_ins(env, iface, proc, msg, defs, domains):
     if isinstance(proc, (Inact, Out, Upd)):
         return [], True
     if isinstance(proc, In):
@@ -154,25 +153,25 @@ def _proc_ins(env, iface, proc, msg, defs):
             return [], True
         cont = substitute(proc.cont, proc.vars, msg.values)
         try:
-            return [apply_updates(Leaf(env, iface, cont))], False
+            return [apply_updates(Leaf(env, iface, cont), domains)], False
         except EvalError:
             return [], False
     if isinstance(proc, Aware):
         if _aware_holds(env, proc.pred):
-            return _proc_ins(env, iface, proc.proc, msg, defs)
+            return _proc_ins(env, iface, proc.proc, msg, defs, domains)
         return [], True
     if isinstance(proc, Choice):
-        al, dl = _proc_ins(env, iface, proc.left, msg, defs)
-        ar, dr = _proc_ins(env, iface, proc.right, msg, defs)
+        al, dl = _proc_ins(env, iface, proc.left, msg, defs, domains)
+        ar, dr = _proc_ins(env, iface, proc.right, msg, defs, domains)
         return al + ar, dl and dr
     if isinstance(proc, ParP):
-        al, dl = _proc_ins(env, iface, proc.left, msg, defs)
-        ar, dr = _proc_ins(env, iface, proc.right, msg, defs)
+        al, dl = _proc_ins(env, iface, proc.left, msg, defs, domains)
+        ar, dr = _proc_ins(env, iface, proc.right, msg, defs, domains)
         accepts = [Leaf(s.env, iface, ParP(s.proc, proc.right)) for s in al]
         accepts += [Leaf(s.env, iface, ParP(proc.left, s.proc)) for s in ar]
         return accepts, dl and dr
     if isinstance(proc, Call):
-        return _proc_ins(env, iface, _resolve(proc, defs, env), msg, defs)
+        return _proc_ins(env, iface, _resolve(proc, defs, env), msg, defs, domains)
     raise TypeError(f"not a process: {proc!r}")
 
 
@@ -180,39 +179,39 @@ def _proc_ins(env, iface, proc, msg, defs):
 # System level
 
 
-def system_out_steps(c: Component, defs):
+def system_out_steps(c: Component, defs, domains: DomainContext = EMPTY_DOMAINS):
     """All system-level output transitions of a component tree."""
     out = []
     if isinstance(c, Leaf):
-        out.extend(component_out_steps(c, defs))
+        out.extend(component_out_steps(c, defs, domains))
     elif isinstance(c, ParC):
-        for label, l2 in system_out_steps(c.left, defs):
-            for r2 in system_in_step(c.right, label.as_input(), defs):
+        for label, l2 in system_out_steps(c.left, defs, domains):
+            for r2 in system_in_step(c.right, label.as_input(), defs, domains):
                 out.append((label, ParC(l2, r2)))
-        for label, r2 in system_out_steps(c.right, defs):
-            for l2 in system_in_step(c.left, label.as_input(), defs):
+        for label, r2 in system_out_steps(c.right, defs, domains):
+            for l2 in system_in_step(c.left, label.as_input(), defs, domains):
                 out.append((label, ParC(l2, r2)))
     elif isinstance(c, ResOut):
-        for label, c2 in system_out_steps(c.comp, defs):
+        for label, c2 in system_out_steps(c.comp, defs, domains):
             extra = pr.instantiate(c.fn, label.env, label.values)
             strengthened = Label(OUT, label.env, pr.And(label.pred, extra), label.values)
             out.append((strengthened, ResOut(c2, c.fn)))
     elif isinstance(c, ResIn):
-        for label, c2 in system_out_steps(c.comp, defs):
+        for label, c2 in system_out_steps(c.comp, defs, domains):
             out.append((label, ResIn(c2, c.fn)))
     else:
         raise TypeError(f"not a component: {c!r}")
     return out
 
 
-def system_in_step(c: Component, msg: Label, defs):
+def system_in_step(c: Component, msg: Label, defs, domains: DomainContext = EMPTY_DOMAINS):
     """All successors after the environment injects an input label.
 
     Empty only when some leaf must accept but its accepting step fails to
     evaluate; otherwise every leaf accepts or discards.
     """
     if isinstance(c, Leaf):
-        accepts, can_discard = component_in_step(c, msg, defs)
+        accepts, can_discard = component_in_step(c, msg, defs, domains)
         succs = list(accepts)
         if can_discard:
             succs.append(c)
@@ -220,13 +219,13 @@ def system_in_step(c: Component, msg: Label, defs):
     if isinstance(c, ParC):
         return [
             ParC(l2, r2)
-            for l2 in system_in_step(c.left, msg, defs)
-            for r2 in system_in_step(c.right, msg, defs)
+            for l2 in system_in_step(c.left, msg, defs, domains)
+            for r2 in system_in_step(c.right, msg, defs, domains)
         ]
     if isinstance(c, ResIn):
         extra = pr.instantiate(c.fn, msg.env, msg.values)
         inner = Label(IN, msg.env, pr.And(msg.pred, extra), msg.values)
-        return [ResIn(c2, c.fn) for c2 in system_in_step(c.comp, inner, defs)]
+        return [ResIn(c2, c.fn) for c2 in system_in_step(c.comp, inner, defs, domains)]
     if isinstance(c, ResOut):
-        return [ResOut(c2, c.fn) for c2 in system_in_step(c.comp, msg, defs)]
+        return [ResOut(c2, c.fn) for c2 in system_in_step(c.comp, msg, defs, domains)]
     raise TypeError(f"not a component: {c!r}")

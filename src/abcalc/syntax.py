@@ -11,7 +11,6 @@ the message variables of an input before re-reading its predicate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import semantics as sem
 from .predicates import And, Atom, DomainContext, EMPTY_DOMAINS, FF, Ff, Not, Or, TT, Tt
@@ -28,12 +27,14 @@ from .terms import (
     Inact,
     Leaf,
     MsgIdx,
+    Node,
     Op,
     OPERATORS,
     Out,
     ParC,
     ParP,
     Process,
+    Record,
     ResIn,
     ResOut,
     RestrictionFn,
@@ -42,7 +43,7 @@ from .terms import (
     Upd,
     Var,
     leaves,
-    value_key,
+    pretty_value,
     values_equal,
 )
 
@@ -58,8 +59,7 @@ class ParseError(Exception):
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Node):
     kind: str  # 'id', 'int', 'str', 'sym', 'eof'
     value: str
     line: int
@@ -110,16 +110,17 @@ _KEYWORDS = {
 }
 
 
-@dataclass
-class Model:
+class Model(Record):
     """A parsed source file: the system component plus its context."""
 
-    component: Component = None
-    defs: dict = field(default_factory=dict)
-    fns: dict = field(default_factory=dict)
-    domains: DomainContext = EMPTY_DOMAINS
-    universe: tuple = ()  # the labels of the universe block
-    components: dict = field(default_factory=dict)
+    def __init__(self, component: Component = None, defs=None, fns=None,
+                 domains: DomainContext = EMPTY_DOMAINS, universe: tuple = (), components=None):
+        self.component = component
+        self.defs = {} if defs is None else defs
+        self.fns = {} if fns is None else fns
+        self.domains = domains
+        self.universe = universe  # the labels of the universe block
+        self.components = {} if components is None else components
 
 
 def check_domains(comps, domains: DomainContext):
@@ -209,6 +210,20 @@ class Parser:
                 items.append(item(*args))
         self.expect(close)
         return items
+
+    def binders(self, what: str) -> tuple:
+        """Distinct names with commas between, up to and including ``)``;
+        a name given twice is a ParseError."""
+        tok = self.peek()
+        return self.distinct(self.comma_list(")", self.ident, what), what, tok)
+
+    @staticmethod
+    def distinct(names, what: str, tok: Token) -> tuple:
+        """``names`` as a tuple; a ParseError at ``tok`` if one repeats."""
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ParseError(f"repeated {what} {name!r}", tok.line, tok.col)
+        return tuple(names)
 
     def env_literal(self) -> AttrEnv:
         """``{a = v, ...}``."""
@@ -405,7 +420,7 @@ class Parser:
                 vclose = self.match_paren(vstart)
                 self.pos = vstart
                 self.expect("(")
-                vars_ = self.comma_list(")", self.ident, "variable")
+                vars_ = self.binders("variable")
                 inner = bound | frozenset(vars_)
                 self.pos = guard_open
                 p = self.guard(inner)
@@ -413,7 +428,7 @@ class Parser:
                     self.fail("malformed input guard")
                 self.pos = vclose + 1
                 self.expect(".")
-                return In(p, tuple(vars_), self.proc_pre(inner))
+                return In(p, vars_, self.proc_pre(inner))
             self.advance()
             p = self.process(bound)
             self.expect(")")
@@ -504,11 +519,11 @@ class Parser:
             elif self.at("def"):
                 self.advance()
                 name = self.ident("definition name")
-                params = self.comma_list(")", self.ident, "parameter") if self.eat("(") else ()
+                params = self.binders("parameter") if self.eat("(") else ()
                 self.expect("=")
                 body = self.process(frozenset(params))
                 self.expect(";")
-                model.defs[name] = (tuple(params), body)
+                model.defs[name] = (params, body)
             elif self.at("fn"):
                 self.advance()
                 name = self.ident("restriction function name")
@@ -555,10 +570,6 @@ def _unquote(raw: str) -> str:
     return body.replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 # ---------------------------------------------------------------------------
 # Public parsing API
 
@@ -584,20 +595,6 @@ def parse_predicate(text: str, bound=frozenset()):
 
 # ---------------------------------------------------------------------------
 # Pretty-printing
-
-
-def pretty_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return _quote(v)
-    if isinstance(v, tuple):
-        return "tup(" + ", ".join(pretty_value(x) for x in v) + ")"
-    if isinstance(v, frozenset):
-        return "{" + ", ".join(pretty_value(x) for x in sorted(v, key=value_key)) + "}"
-    raise TypeError(f"not a value: {v!r}")
 
 
 def pretty_expr(e) -> str:

@@ -2,17 +2,16 @@
 
 Values are plain Python data: int, bool, str (names), tuple and frozenset
 of values.  Everything else (expressions, predicates, processes,
-components) is a frozen dataclass, so structural equality and hashing
-come for free and terms can be used as LTS states directly.
+components) is an immutable ``Node``: its hash is computed once, when it
+is built, and equality is structural, so terms can be used as LTS states
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from typing import Union
 
-Value = Union[int, bool, str, tuple, frozenset]
+Value = int | bool | str | tuple | frozenset
 
 
 class EvalError(Exception):
@@ -32,7 +31,12 @@ class ArityMismatch(EvalError):
 
 
 class DomainViolation(Exception):
-    """An attribute update left its declared finite domain."""
+    """An attribute value outside its declared finite domain; ``leaf`` is
+    the component whose update gave it, if an update did."""
+
+    def __init__(self, message: str, leaf=None):
+        super().__init__(message)
+        self.leaf = leaf
 
 
 def value_key(v: Value):
@@ -66,12 +70,114 @@ def is_value(v) -> bool:
     return True
 
 
+def pretty_value(v) -> str:
+    """A value in the concrete syntax."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return _quote(v)
+    if isinstance(v, tuple):
+        return "tup(" + ", ".join(pretty_value(x) for x in v) + ")"
+    if isinstance(v, frozenset):
+        return "{" + ", ".join(pretty_value(x) for x in sorted(v, key=value_key)) + "}"
+    raise TypeError(f"not a value: {v!r}")
+
+
+def _quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# ---------------------------------------------------------------------------
+# Nodes
+
+
+_NODE_METHODS = """\
+def __init__(self{params}):
+{sets}    _set_hash(self, hash(({key})))
+def __eq__(self, other):
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self._hash == other._hash and ({mine}) == ({theirs})
+"""
+
+
+class _NodeType(type):
+    """Turns the annotated names of a ``Node`` class body into its fields:
+    slots in that order, with the class-level values as defaults of the
+    trailing ones, and one ``__init__`` and ``__eq__`` compiled for them."""
+
+    def __new__(mcls, name, bases, ns):
+        if not bases:
+            return super().__new__(mcls, name, bases, ns)
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = tuple(ns.pop(f) for f in fields if f in ns)
+        ns["__slots__"] = fields
+        cls = super().__new__(mcls, name, bases, ns)
+        first = len(fields) - len(defaults)
+        src = _NODE_METHODS.format(
+            params="".join(f", {f}" if i < first else f", {f}=_defaults[{i - first}]"
+                           for i, f in enumerate(fields)),
+            sets="".join(f"    _set_{f}(self, {f})\n" for f in fields),
+            key="".join(f"{f}, " for f in fields),
+            mine="".join(f"self.{f}, " for f in fields),
+            theirs="".join(f"other.{f}, " for f in fields))
+        # the slots are set through their descriptors: ``Node.__setattr__`` refuses
+        env = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
+        env.update(_set_hash=Node._hash.__set__, _defaults=defaults)
+        exec(src, env)
+        cls.__init__, cls.__eq__ = env["__init__"], env["__eq__"]
+        return cls
+
+
+class Node(metaclass=_NodeType):
+    """An immutable tree node.  A subclass lists its fields as annotated
+    names, and trailing fields may have defaults.  The hash is
+    ``hash(field tuple)``, computed once when the node is built: sets of
+    nodes iterate in hash order and outputs follow that order, so it must
+    stay that value.  Equality checks identity, then the class, the hash
+    and the fields."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Record:
+    """A mutable record: equal to a record of its class with equal
+    attributes, and unhashable."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # Attribute environments
 
 
-@dataclass(frozen=True)
-class AttrEnv:
+class AttrEnv(Node):
     """Finite partial map from attribute identifiers to values.
 
     Lookup of an unmapped identifier yields None (the undefined result),
@@ -114,52 +220,45 @@ def restrict_env(env: AttrEnv, iface: frozenset) -> AttrEnv:
 # Expressions
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Node):
     value: Value
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Attr:
+class Attr(Node):
     """A bare attribute identifier; evaluated in whatever environment the
     enclosing predicate is checked against."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class SelfAttr:
+class SelfAttr(Node):
     """this.a — the executing component's own attribute."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class MsgIdx:
+class MsgIdx(Node):
     """msg[i] inside a restriction-function template."""
 
     index: int
 
 
-@dataclass(frozen=True)
-class SndAttr:
+class SndAttr(Node):
     """snd.a inside a restriction-function template."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(Node):
     name: str
     args: tuple
 
 
-Expr = Union[Const, Var, Attr, SelfAttr, MsgIdx, SndAttr, Op]
+Expr = Const | Var | Attr | SelfAttr | MsgIdx | SndAttr | Op
 
 
 def _op_add(a, b):
@@ -286,41 +385,35 @@ def _same(old: tuple, new: tuple) -> tuple:
 # Predicates
 
 
-@dataclass(frozen=True)
-class Tt:
+class Tt(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Ff:
+class Ff(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Node):
     op: str  # '==', '!=', '<', '<=', '>', '>=', 'in'
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Node):
     pred: "Predicate"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Node):
     left: "Predicate"
     right: "Predicate"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Node):
     left: "Predicate"
     right: "Predicate"
 
 
-Predicate = Union[Tt, Ff, Atom, Not, And, Or]
+Predicate = Tt | Ff | Atom | Not | And | Or
 
 TT = Tt()
 FF = Ff()
@@ -393,27 +486,23 @@ def pred_vars(pred: Predicate) -> frozenset:
 # Processes
 
 
-@dataclass(frozen=True)
-class Inact:
+class Inact(Node):
     """The inactive process 0."""
 
 
-@dataclass(frozen=True)
-class Out:
+class Out(Node):
     exprs: tuple  # tuple[Expr]
     pred: Predicate
     cont: "Process"
 
 
-@dataclass(frozen=True)
-class In:
+class In(Node):
     pred: Predicate
     vars: tuple  # tuple[str]
     cont: "Process"
 
 
-@dataclass(frozen=True)
-class Upd:
+class Upd(Node):
     """A pending sequence of attribute updates; only ever appears directly
     under an action prefix and is consumed atomically with it."""
 
@@ -421,31 +510,27 @@ class Upd:
     cont: "Process"
 
 
-@dataclass(frozen=True)
-class Aware:
+class Aware(Node):
     pred: Predicate
     proc: "Process"
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(Node):
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True)
-class ParP:
+class ParP(Node):
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Node):
     name: str
     args: tuple = ()  # tuple[Expr]
 
 
-Process = Union[Inact, Out, In, Upd, Aware, Choice, ParP, Call]
+Process = Inact | Out | In | Upd | Aware | Choice | ParP | Call
 
 ZERO = Inact()
 
@@ -550,8 +635,7 @@ def _rewrite(p: Process, scope: tuple, fresh) -> Process:
 # Components
 
 
-@dataclass(frozen=True)
-class RestrictionFn:
+class RestrictionFn(Node):
     """A predicate template over msg[i] / snd.a; instantiating it against a
     sender environment and value tuple yields a closed predicate."""
 
@@ -560,32 +644,28 @@ class RestrictionFn:
     arity: int = 0
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Node):
     env: AttrEnv
     iface: frozenset
     proc: Process
 
 
-@dataclass(frozen=True)
-class ParC:
+class ParC(Node):
     left: "Component"
     right: "Component"
 
 
-@dataclass(frozen=True)
-class ResOut:
+class ResOut(Node):
     comp: "Component"
     fn: RestrictionFn
 
 
-@dataclass(frozen=True)
-class ResIn:
+class ResIn(Node):
     comp: "Component"
     fn: RestrictionFn
 
 
-Component = Union[Leaf, ParC, ResOut, ResIn]
+Component = Leaf | ParC | ResOut | ResIn
 
 
 def leaves(c: Component):
@@ -600,7 +680,8 @@ def leaves(c: Component):
 
 def apply_updates(leaf: Leaf, domains=None) -> Leaf:
     """Strip leading update prefixes, folding each assignment into the
-    environment left to right; later updates see earlier results."""
+    environment left to right; later updates see earlier results.  A value
+    outside the attribute's domain in ``domains`` raises DomainViolation."""
     env, proc = leaf.env, leaf.proc
     while isinstance(proc, Upd):
         for attr, e in proc.assigns:
@@ -608,7 +689,8 @@ def apply_updates(leaf: Leaf, domains=None) -> Leaf:
             if domains is not None:
                 dom = domains.get(attr)
                 if dom is not None and not any(values_equal(v, d) for d in dom):
-                    raise DomainViolation(f"{attr} := {v!r} outside declared domain")
+                    raise DomainViolation(
+                        f"{attr} := {pretty_value(v)} outside its declared domain", leaf)
             env = env.set(attr, v)
         proc = proc.cont
     return Leaf(env, leaf.iface, proc)

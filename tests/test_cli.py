@@ -239,6 +239,8 @@ class TestIllFormedInput:
          "explore"),
         ("reused.bpi", "(rec A(x).a!(x).A(x))(v) || (rec A(x).b!(x).A(x))(v)\n",
          "verify-encoding"),
+        # the body of A changes only in the successor, where the input binds x0
+        ("reused.bpi", "c(b).(rec A().x0!(v).A())() || c!(n).nil\n", "verify-encoding"),
         ("deep.bpi", "tau." * 400 + "a!(v).nil\n", "verify-encoding"),
         ("deep.abc", "comp C { iface: []; env: {}; run: " + "()@ff." * 1000 + "0 }\n",
          "explore"),
@@ -247,8 +249,19 @@ class TestIllFormedInput:
         ("choice.bpi", "a!(v).nil + tau.nil\n", ("barbs", "--weak", "{}")),
         ("choice.bpi", "a!(v).nil + tau.nil\n", ("check-bisim", "--weak", "{}", NETWORK)),
         ("choice.bpi", "a!(v).nil + tau.nil\n", ("check-bisim", "--strong", NETWORK, "{}")),
-    ], ids=["undefined-process", "call-arity", "encoding-error", "deep-bpi", "deep-abc",
-            "bpi-explore", "bpi-barbs", "bpi-bisim-left", "bpi-bisim-right"])
+        # a name bound twice by one input, definition or recursion
+        ("dup.abc", "comp R { iface: []; env: {}; run: (tt)(x, x).(x)@tt.0 }\n"
+                    "comp S { iface: []; env: {}; run: (1, 2)@tt.0 }\nsystem: R || S;\n",
+         "explore"),
+        ("dup.abc", "def A(n, n) = (n)@tt.0;\ncomp C { iface: []; env: {}; run: A(1, 2) }\n",
+         "explore"),
+        ("dup.bpi", "a(x, x).b!(x).nil || a!(u, v).nil\n", "verify-encoding"),
+        ("dup.bpi", "(rec A(x, x).a!(x).A(x, x))(u, v)\n", "verify-encoding"),
+    ], ids=["undefined-process", "call-arity", "encoding-error", "encoding-error-successor",
+            "deep-bpi", "deep-abc",
+            "bpi-explore", "bpi-barbs", "bpi-bisim-left", "bpi-bisim-right",
+            "repeated-input-binder", "repeated-def-parameter", "repeated-bpi-binder",
+            "repeated-rec-parameter"])
     def test_exit_2(self, capsys, tmp_path, name, text, command):
         model = tmp_path / name
         model.write_text(text)
@@ -287,6 +300,26 @@ def test_environment_outside_declared_domain(capsys, tmp_path):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and 'role = "z" outside its declared domain' in err
+
+
+def test_update_outside_declared_domain(capsys, tmp_path):
+    # R's update leaves the domain of role; a silent step would then
+    # deliver S's second message to R
+    model = tmp_path / "m.abc"
+    model.write_text(
+        'domain role in {"a", "b"};\n'
+        'comp R { iface: [role]; env: {role = "a"}; '
+        'run: (tt)(x).[role := "z"](tt)(y).("got")@tt.0 }\n'
+        'comp S { iface: []; env: {}; run: ("go")@tt.("hi")@(role == "z").0 }\n'
+        "system: R || S;\n")
+    for argv in (["explore", "--universe", "none", str(model)], ["explore", str(model)],
+                 ["steps", "--universe", "none", str(model)],
+                 ["check-bisim", "--weak", str(model), str(model)]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.count("\n") == 1
+        assert err.startswith('error: role := "z" outside its declared domain in comp {')
+        assert '[role := "z"]' in err
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

@@ -276,8 +276,8 @@ def test_auto_explore_steps_each_state_once(monkeypatch):
     outs, ins = [], []
     real = L.abc_steps
 
-    def counting(defs):
-        out_steps, in_steps = real(defs)
+    def counting(*args):
+        out_steps, in_steps = real(*args)
         return (lambda c: outs.append(c) or out_steps(c),
                 lambda c, msg: ins.append((c, msg)) or in_steps(c, msg))
 

@@ -60,6 +60,18 @@ def test_package_imports_are_acyclic(name):
     assert not _package_imports(name) & later
 
 
+def test_startup_leaves_out_dataclasses():
+    """Importing the command line pays for no dataclass machinery (nor
+    ``inspect``, which ``dataclasses`` imports)."""
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, abcalc.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        cwd=PACKAGE.parent, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_imports_cleanly_when_first(name):
     result = subprocess.run(

@@ -1,20 +1,27 @@
 """Core term structures: values, environments, expressions, substitution,
 update application, and canonicalization."""
 
+import copy
+import pickle
+
 import pytest
 
+from abcalc import bpi as bp
+from abcalc import semantics as sem
 from abcalc.predicates import Atom, TT
 from abcalc.terms import (
     ArityMismatch,
     Attr,
     AttrEnv,
     Aware,
+    Call,
     Choice,
     Const,
     DomainViolation,
     In,
     Inact,
     Leaf,
+    Node,
     Op,
     OperatorDomainError,
     Out,
@@ -36,7 +43,7 @@ from abcalc.terms import (
 )
 from abcalc.predicates import DomainContext
 
-from conftest import random_process
+from conftest import random_bpi, random_component, random_process
 
 
 class TestValues:
@@ -53,6 +60,67 @@ class TestValues:
     def test_is_value(self):
         assert is_value(3) and is_value("n") and is_value(frozenset({1}))
         assert not is_value(object()) and not is_value(None)
+
+
+class TestNode:
+    """Each term class is a ``Node``: a hash computed once, structural
+    equality within a class, the dataclass ``repr``, defaults, no
+    assignment."""
+
+    def test_hash_is_the_hash_of_the_field_tuple(self, rng):
+        leaf = Leaf(AttrEnv.of({"a": 1}), frozenset({"a"}), Out((Const(1),), TT, ZERO))
+        assert hash(leaf) == hash((leaf.env, leaf.iface, leaf.proc))
+        assert hash(leaf.env) == hash(((("a", 1),),))
+        assert hash(ZERO) == hash(()) and hash(Var("x")) == hash(("x",))
+
+        def plain(x):
+            """The tree as nested tuples, hashed by the built-in types alone."""
+            if isinstance(x, Node):
+                return tuple(plain(getattr(x, f)) for f in type(x).__slots__)
+            if isinstance(x, (tuple, frozenset)):
+                return type(x)(map(plain, x))
+            return x
+
+        for _ in range(50):
+            for term in (random_component(rng), random_bpi(rng)):
+                assert hash(term) == hash(plain(term))
+
+    def test_equality_is_structural_within_a_class(self):
+        assert Out((Const(1),), TT, ZERO) == Out((Const(1),), TT, Inact())
+        assert Attr("x") != Var("x") and Attr("x") == Attr("x")
+        assert SelfAttr("x") != Attr("x")
+        assert Const(1) != Const(2) and Call("A") != "A"
+
+    def test_repr(self):
+        assert repr(Call("A", (Const(1),))) == "Call(name='A', args=(Const(value=1),))"
+        assert repr(ZERO) == "Inact()"
+        assert repr(sem.Label("out", AttrEnv(), TT, ("v",))) == (
+            "Label(kind='out', env=AttrEnv(items=()), pred=Tt(), values=('v',))")
+        assert repr(bp.BOut("c", ("v",), bp.BNIL)) == "BOut(chan='c', names=('v',), cont=BNil())"
+
+    def test_defaults(self):
+        assert Call("A") == Call("A", ()) and Call("A").args == ()
+        assert AttrEnv() == AttrEnv(()) and AttrEnv(items=()).items == ()
+        assert DomainContext().items == ()
+
+    def test_assignment_raises(self):
+        node = Var("x")
+        with pytest.raises(AttributeError):
+            node.name = "y"
+        with pytest.raises(AttributeError):
+            del node.name
+        with pytest.raises(AttributeError):
+            node.other = 1
+        assert node.name == "x" and hash(node) == hash(("x",))
+
+    def test_copy_and_pickle(self):
+        leaf = Leaf(AttrEnv.of({"a": 1}), frozenset(), In(TT, ("x",), ZERO))
+        for other in (copy.copy(leaf), copy.deepcopy(leaf), pickle.loads(pickle.dumps(leaf))):
+            assert other == leaf and hash(other) == hash(leaf)
+
+    def test_every_term_class_is_a_node(self):
+        for cls in (Leaf, Out, In, Var, AttrEnv, sem.Label, DomainContext, bp.BRec):
+            assert issubclass(cls, Node)
 
 
 class TestAttrEnv:
