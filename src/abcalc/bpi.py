@@ -7,6 +7,8 @@ for that encoding.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
+from itertools import count
 
 from . import semantics as sem
 from .lts import DEFAULT_BOUNDS, abc_successors, alphabet_fixpoint, reach
@@ -277,44 +279,47 @@ def _avoid_capture(binders: tuple, body: BpiProcess, mapping: dict):
     return new_binders, subst_names(body, ren)
 
 
-def canon_bpi(p: BpiProcess, ren=None, counter: int = 0):
-    """Rename binders positionally so structural equality is alpha-blind."""
-    if ren is None:
-        out, _ = canon_bpi(p, {}, 0)
-        return out
+def canon_bpi(p: BpiProcess) -> BpiProcess:
+    """``p`` with the binders of each parallel operand renamed x0, x1, ...
+    in pre-order, skipping the operand's free names, so that structural
+    equality is alpha-blind.  Each operand is numbered on its own, so a
+    parallel composition of canonical operands is canonical."""
+    if isinstance(p, BPar):
+        left, right = canon_bpi(p.left), canon_bpi(p.right)
+        return p if left is p.left and right is p.right else BPar(left, right)
+    return _canon(p, {}, _fresh_names(free_names(p)))
+
+
+def _fresh_names(avoid):
+    return (n for n in map("x{}".format, count()) if n not in avoid)
+
+
+def _canon(p: BpiProcess, ren: dict, fresh) -> BpiProcess:
+    """``p`` with each free name bound outside it renamed by ``ren``, and
+    its binders renamed to the next names of ``fresh`` in pre-order.  A
+    rec body that uses no name bound outside the rec is numbered on its
+    own, so equal recs canonicalise equally in any context; otherwise it
+    keeps the outer renaming and its binders continue the numbering."""
     look = lambda n: ren.get(n, n)
     if isinstance(p, BNil):
-        return p, counter
+        return p
     if isinstance(p, BTau):
-        cont, counter = canon_bpi(p.cont, ren, counter)
-        return BTau(cont), counter
+        return BTau(_canon(p.cont, ren, fresh))
     if isinstance(p, BIn):
-        fresh = tuple(f"x{counter + i}" for i in range(len(p.vars)))
-        counter += len(p.vars)
-        inner = dict(ren)
-        inner.update(zip(p.vars, fresh))
-        cont, counter = canon_bpi(p.cont, inner, counter)
-        return BIn(look(p.chan), fresh, cont), counter
+        names = tuple([next(fresh) for _ in p.vars])
+        return BIn(look(p.chan), names, _canon(p.cont, {**ren, **dict(zip(p.vars, names))}, fresh))
     if isinstance(p, BOut):
-        cont, counter = canon_bpi(p.cont, ren, counter)
-        return BOut(look(p.chan), tuple(look(n) for n in p.names), cont), counter
-    if isinstance(p, BSum):
-        left, counter = canon_bpi(p.left, ren, counter)
-        right, counter = canon_bpi(p.right, ren, counter)
-        return BSum(left, right), counter
-    if isinstance(p, BPar):
-        left, counter = canon_bpi(p.left, ren, counter)
-        right, counter = canon_bpi(p.right, ren, counter)
-        return BPar(left, right), counter
+        return BOut(look(p.chan), tuple(map(look, p.names)), _canon(p.cont, ren, fresh))
+    if isinstance(p, (BSum, BPar)):
+        return type(p)(_canon(p.left, ren, fresh), _canon(p.right, ren, fresh))
     if isinstance(p, BRec):
-        # rec bodies are closed under their parameters, so they get a
-        # local numbering: identical recs canonicalize identically in
-        # any context
-        fresh = tuple(f"x{i}" for i in range(len(p.params)))
-        body, _ = canon_bpi(p.body, dict(zip(p.params, fresh)), len(p.params))
-        return BRec(p.name, fresh, body, tuple(look(a) for a in p.args)), counter
+        used = free_names(p.body, frozenset(p.params))
+        inner, local = ({}, _fresh_names(used)) if ren.keys().isdisjoint(used) else (ren, fresh)
+        params = tuple([next(local) for _ in p.params])
+        body = _canon(p.body, {**inner, **dict(zip(p.params, params))}, local)
+        return BRec(p.name, params, body, tuple(map(look, p.args)))
     if isinstance(p, BCall):
-        return BCall(p.name, tuple(look(a) for a in p.args)), counter
+        return BCall(p.name, tuple(map(look, p.args)))
     raise TypeError(f"not a bpi process: {p!r}")
 
 
@@ -393,45 +398,53 @@ def _seq_ins(g: BpiProcess, chan: str, values: tuple):
     raise TypeError(f"not a sequential bpi term: {g!r}")
 
 
-def _par_ins(p: BpiProcess, chan: str, values: tuple):
+def _seq_reacts(g: BpiProcess, chan: str, values: tuple) -> list:
+    """The successors of a sequential term on a broadcast chan(values):
+    the accepting ones, then the term itself when it can discard."""
+    accepts, can_discard = _seq_ins(g, chan, values)
+    return accepts + [g] if can_discard else accepts
+
+
+# The local steps that parallel steps compose: a sequential term's tau and
+# output steps, and its successors on a broadcast.
+_SEQ_STEPS = (_seq_outs, _seq_reacts)
+
+
+def _par_ins(p: BpiProcess, chan: str, values: tuple, local=_SEQ_STEPS) -> list:
     if isinstance(p, BPar):
-        return [
-            BPar(l2, r2)
-            for l2 in _par_ins(p.left, chan, values)
-            for r2 in _par_ins(p.right, chan, values)
-        ]
-    accepts, can_discard = _seq_ins(p, chan, values)
-    if can_discard:
-        accepts = accepts + [p]
-    return accepts
+        lefts = _par_ins(p.left, chan, values, local)
+        rights = _par_ins(p.right, chan, values, local) if lefts else []
+        return [BPar(l2, r2) for l2 in lefts for r2 in rights]
+    return list(local[1](p, chan, values))
 
 
-def _par_outs(p: BpiProcess):
+def _par_outs(p: BpiProcess, local=_SEQ_STEPS):
     if not isinstance(p, BPar):
-        yield from _seq_outs(p)
+        yield from local[0](p)
         return
-    for label, l2 in _par_outs(p.left):
+    for label, l2 in _par_outs(p.left, local):
         if label == TAU:
             yield label, BPar(l2, p.right)
         else:
             _, chan, values = label
-            for r2 in _par_ins(p.right, chan, values):
+            for r2 in _par_ins(p.right, chan, values, local):
                 yield label, BPar(l2, r2)
-    for label, r2 in _par_outs(p.right):
+    for label, r2 in _par_outs(p.right, local):
         if label == TAU:
             yield label, BPar(p.left, r2)
         else:
             _, chan, values = label
-            for l2 in _par_ins(p.left, chan, values):
+            for l2 in _par_ins(p.left, chan, values, local):
                 yield label, BPar(l2, r2)
 
 
-def bpi_steps(p: BpiProcess, universe=()):
+def bpi_steps(p: BpiProcess, universe=(), local=_SEQ_STEPS):
     """All transitions of a closed term: autonomous tau/output moves plus,
-    for every (chan, values) in the universe, the broadcast-input moves."""
-    steps = list(_par_outs(p))
+    for every (chan, values) in the universe, the broadcast-input moves;
+    composed from the sequential steps ``local``."""
+    steps = list(_par_outs(p, local))
     for chan, values in universe:
-        for p2 in _par_ins(p, chan, tuple(values)):
+        for p2 in _par_ins(p, chan, tuple(values), local):
             steps.append((("in", chan, tuple(values)), p2))
     return steps
 
@@ -502,6 +515,9 @@ def encode_proc(g: BpiProcess, bound: frozenset, defs: dict):
     if isinstance(g, BSum):
         return Choice(encode_proc(g.left, bound, defs), encode_proc(g.right, bound, defs))
     if isinstance(g, BRec):
+        outer = sorted(free_names(g.body, frozenset(g.params)) & bound)
+        if outer:
+            raise EncodingError(f"recursion {g.name} uses {outer[0]}, a name bound outside it")
         body = encode_proc(g.body, frozenset(g.params), defs)
         entry = (tuple(g.params), body)
         if g.name in defs and defs[g.name] != entry:
@@ -549,11 +565,15 @@ class CorrespondenceReport(Record):
 
 def harvest_bpi_universe(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> tuple:
     """Fixpoint of the broadcast alphabet, with its closure: every emitted
-    (chan, values) is fed back as an input until no new one appears."""
+    (chan, values) is fed back as an input until no new one appears.  The
+    steps of each sequential term, and its answer to each broadcast, are
+    worked out once per call and shared by every state that holds it."""
+    local = (cache(lambda g: tuple([(lab, canon_bpi(nxt)) for lab, nxt in _seq_outs(g)])),
+             cache(lambda g, chan, values: tuple(map(canon_bpi, _seq_reacts(g, chan, values)))))
     return alphabet_fixpoint(
         canon_bpi(p),
-        lambda q: [(lab, canon_bpi(nxt)) for lab, nxt in bpi_steps(q)],
-        lambda q, msg: [(("in", *msg), canon_bpi(nxt)) for nxt in _par_ins(q, *msg)],
+        lambda q: bpi_steps(q, (), local),
+        lambda q, msg: [(("in", *msg), nxt) for nxt in _par_ins(q, *msg, local)],
         lambda have, outs: tuple(sorted({*have, *((l[1], l[2]) for l in outs if l != TAU)})),
         (),
         bounds.max_states,
@@ -581,33 +601,26 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
     steps = [[] for _ in states]
     for src, lab, dst in transitions:
         steps[src].append((lab, dst))
-    messages = [_abc_label(("in", chan, values)) for chan, values in universe]
-    encoded = [None] * len(states)
 
-    def encoding(i):
-        """The canonical translation of state ``i`` and its definitions,
-        made once per state."""
-        if encoded[i] is None:
-            defs: dict = {}
-            encoded[i] = canonical(_encode_comp(states[i], defs)), defs
-        return encoded[i]
+    # one translation for the whole walk: the definitions of every state in
+    # one dict (a recursion name with two bodies raises EncodingError), each
+    # sequential term encoded once into a canonical leaf
+    defs: dict = {}
+    leaf = cache(lambda g: canonical(_encode_comp(g, defs)))
 
-    def target(i, defs):
-        """The translation of state ``i`` as a successor of a state with
-        ``defs``.  Where ``i`` has no translation, or its definitions
-        disagree with ``defs``, translating it together with ``defs``
-        raises the EncodingError."""
-        try:
-            comp, own = encoding(i)
-            if all(defs.get(name, entry) == entry for name, entry in own.items()):
-                return comp
-        except EncodingError:
-            pass
-        _encode_comp(states[i], dict(defs))
+    def encoding(q):
+        return ParC(encoding(q.left), encoding(q.right)) if isinstance(q, BPar) else leaf(q)
 
-    for src, (cur, bsteps) in enumerate(zip(states, steps)):
-        comp, defs = encoding(src)
-        asteps = abc_successors(defs, messages)(comp)
+    try:
+        comps = [encoding(q) for q in states]
+    except EncodingError:
+        _encode_comp(p, {})  # where the term's own translation fails, say it in its names
+        raise
+    successors = abc_successors(defs, [_abc_label(("in", chan, values))
+                                       for chan, values in universe])
+
+    for cur, comp, bsteps in zip(states, comps, steps):
+        asteps = successors(comp)
 
         if len(bsteps) != len(asteps):
             report.violations.append(("transition-count", cur, len(bsteps), len(asteps)))
@@ -616,7 +629,7 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
         # takes the first unmatched equal target step
         offered, taken = Counter(asteps), Counter()
         for lab, dst in bsteps:
-            want = (_abc_label(lab), target(dst, defs))
+            want = (_abc_label(lab), comps[dst])
             if taken[want] < offered[want]:
                 taken[want] += 1
             else:
@@ -627,7 +640,7 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
             else:
                 report.violations.append(("unmatched-target-step", cur, extra[0]))
 
-        src_barbs = bpi_barbs(cur)
+        src_barbs = frozenset(lab[1] for lab, _ in bsteps if lab[0] == "out")
         tgt_barbs = frozenset(
             lab.values[0]
             for lab, _ in asteps

@@ -19,7 +19,7 @@ from . import predicates as pr
 from . import semantics as sem
 from .predicates import DomainContext, EMPTY_DOMAINS
 from .syntax import pretty_component, pretty_label
-from .terms import Component, Node, Record, canonical
+from .terms import Component, Node, Record, canonical, values_equal
 
 
 class BoundExceeded(Exception):
@@ -44,7 +44,7 @@ def label_equiv(l1: sem.Label, l2: sem.Label, domains: DomainContext = EMPTY_DOM
     if l1.kind == sem.OUT:
         if pr.is_ff(l1.pred, domains) and pr.is_ff(l2.pred, domains):
             return True
-    if l1.env != l2.env or l1.values != l2.values:
+    if l1.env != l2.env or not values_equal(l1.values, l2.values):
         return False
     return pr.equiv(l1.pred, l2.pred, domains)
 
@@ -157,11 +157,17 @@ def alphabet_fixpoint(initial, out_steps, in_steps, grow, base, max_states: int)
 
 
 def abc_steps(defs, domains: DomainContext = EMPTY_DOMAINS):
-    """A component's output steps and input steps of one message, with canonical successors."""
-    return (lambda comp: [(lab, canonical(c))
-                          for lab, c in sem.system_out_steps(comp, defs, domains)],
-            lambda comp, msg: [(msg, canonical(c))
-                               for c in sem.system_in_step(comp, msg, defs, domains)])
+    """A component's output steps and input steps of one message, with
+    canonical successors.  The steps of each leaf, and its answer to each
+    message, are worked out once per call of ``abc_steps`` and shared by
+    every state that holds the leaf.  ``canonical`` renames each leaf on
+    its own, so a tree of canonical leaves is canonical."""
+    leaf_outs, leaf_ins = sem.leaf_steps(defs, domains)
+    local = (cache(lambda leaf: tuple([(lab, canonical(s)) for lab, s in leaf_outs(leaf)])),
+             cache(lambda leaf, msg: tuple([canonical(s) for s in leaf_ins(leaf, msg)])))
+    return (lambda comp: sem.system_out_steps(comp, defs, domains, local),
+            lambda comp, msg: [(msg, c) for c in sem.system_in_step(comp, msg, defs, domains,
+                                                                    local)])
 
 
 def abc_successors(defs, universe=(), domains: DomainContext = EMPTY_DOMAINS):
@@ -268,11 +274,14 @@ def reduction_over(lts: Lts, pred, weak: bool = False):
 
 
 def aut_text(lts: Lts) -> str:
+    """The Aldebaran text of an LTS; each distinct label is printed once."""
+
+    @cache
+    def text(lab):
+        return ("tau" if lts.is_tau(lab) else pretty_label(lab)).replace('"', "'")
+
     lines = [f"des (0,{len(lts.transitions)},{len(lts.states)})"]
-    for src, lab, dst in lts.transitions:
-        text = "tau" if lts.is_tau(lab) else pretty_label(lab)
-        text = text.replace('"', "'")
-        lines.append(f'({src},"{text}",{dst})')
+    lines += [f'({src},"{text(lab)}",{dst})' for src, lab, dst in lts.transitions]
     return "\n".join(lines) + "\n"
 
 

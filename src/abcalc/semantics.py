@@ -57,6 +57,7 @@ class Label(Node):
     env: "object"  # AttrEnv, already restricted to the sender interface
     pred: "object"  # closed Predicate
     values: tuple
+    _by_value = ("values",)
 
     def as_input(self) -> "Label":
         return Label(IN, self.env, self.pred, self.values)
@@ -175,57 +176,68 @@ def _proc_ins(env, iface, proc, msg, defs, domains):
     raise TypeError(f"not a process: {proc!r}")
 
 
+def leaf_steps(defs, domains: DomainContext = EMPTY_DOMAINS) -> tuple:
+    """The local steps that system steps compose: a leaf's output steps,
+    and its successors on an input message (accepting ones, then the leaf
+    itself when it can discard)."""
+
+    def ins(leaf, msg):
+        accepts, can_discard = component_in_step(leaf, msg, defs, domains)
+        return accepts + [leaf] if can_discard else accepts
+
+    return (lambda leaf: component_out_steps(leaf, defs, domains)), ins
+
+
 # ---------------------------------------------------------------------------
 # System level
 
 
-def system_out_steps(c: Component, defs, domains: DomainContext = EMPTY_DOMAINS):
-    """All system-level output transitions of a component tree."""
-    out = []
+def system_out_steps(c: Component, defs, domains: DomainContext = EMPTY_DOMAINS, local=None):
+    """All system-level output transitions of a component tree, composed
+    from the leaf steps ``local`` (by default ``leaf_steps(defs, domains)``)."""
+    local = local or leaf_steps(defs, domains)
     if isinstance(c, Leaf):
-        out.extend(component_out_steps(c, defs, domains))
-    elif isinstance(c, ParC):
-        for label, l2 in system_out_steps(c.left, defs, domains):
-            for r2 in system_in_step(c.right, label.as_input(), defs, domains):
+        return list(local[0](c))
+    out = []
+    if isinstance(c, ParC):
+        for label, l2 in system_out_steps(c.left, defs, domains, local):
+            for r2 in system_in_step(c.right, label.as_input(), defs, domains, local):
                 out.append((label, ParC(l2, r2)))
-        for label, r2 in system_out_steps(c.right, defs, domains):
-            for l2 in system_in_step(c.left, label.as_input(), defs, domains):
+        for label, r2 in system_out_steps(c.right, defs, domains, local):
+            for l2 in system_in_step(c.left, label.as_input(), defs, domains, local):
                 out.append((label, ParC(l2, r2)))
     elif isinstance(c, ResOut):
-        for label, c2 in system_out_steps(c.comp, defs, domains):
+        for label, c2 in system_out_steps(c.comp, defs, domains, local):
             extra = pr.instantiate(c.fn, label.env, label.values)
             strengthened = Label(OUT, label.env, pr.And(label.pred, extra), label.values)
             out.append((strengthened, ResOut(c2, c.fn)))
     elif isinstance(c, ResIn):
-        for label, c2 in system_out_steps(c.comp, defs, domains):
+        for label, c2 in system_out_steps(c.comp, defs, domains, local):
             out.append((label, ResIn(c2, c.fn)))
     else:
         raise TypeError(f"not a component: {c!r}")
     return out
 
 
-def system_in_step(c: Component, msg: Label, defs, domains: DomainContext = EMPTY_DOMAINS):
-    """All successors after the environment injects an input label.
+def system_in_step(c: Component, msg: Label, defs, domains: DomainContext = EMPTY_DOMAINS,
+                   local=None):
+    """All successors after the environment injects an input label,
+    composed from the leaf steps ``local`` as in ``system_out_steps``.
 
     Empty only when some leaf must accept but its accepting step fails to
     evaluate; otherwise every leaf accepts or discards.
     """
+    local = local or leaf_steps(defs, domains)
     if isinstance(c, Leaf):
-        accepts, can_discard = component_in_step(c, msg, defs, domains)
-        succs = list(accepts)
-        if can_discard:
-            succs.append(c)
-        return succs
+        return list(local[1](c, msg))
     if isinstance(c, ParC):
-        return [
-            ParC(l2, r2)
-            for l2 in system_in_step(c.left, msg, defs, domains)
-            for r2 in system_in_step(c.right, msg, defs, domains)
-        ]
+        lefts = system_in_step(c.left, msg, defs, domains, local)
+        rights = system_in_step(c.right, msg, defs, domains, local) if lefts else []
+        return [ParC(l2, r2) for l2 in lefts for r2 in rights]
     if isinstance(c, ResIn):
         extra = pr.instantiate(c.fn, msg.env, msg.values)
         inner = Label(IN, msg.env, pr.And(msg.pred, extra), msg.values)
-        return [ResIn(c2, c.fn) for c2 in system_in_step(c.comp, inner, defs, domains)]
+        return [ResIn(c2, c.fn) for c2 in system_in_step(c.comp, inner, defs, domains, local)]
     if isinstance(c, ResOut):
-        return [ResOut(c2, c.fn) for c2 in system_in_step(c.comp, msg, defs, domains)]
+        return [ResOut(c2, c.fn) for c2 in system_in_step(c.comp, msg, defs, domains, local)]
     raise TypeError(f"not a component: {c!r}")

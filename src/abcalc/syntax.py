@@ -102,12 +102,12 @@ def tokenize(text: str):
 
 
 _RELOPS = ("==", "!=", "<", "<=", ">", ">=")
-_KEYWORDS = {
+_KEYWORDS = frozenset({
     "comp", "iface", "env", "run", "def", "fn", "domain", "system",
     "universe", "restrictOut", "restrictIn", "this", "msg", "snd",
     "tt", "ff", "true", "false", "in", "tup", "proj", "insert",
     "remove", "contains", "nil", "tau", "rec",
-}
+})
 
 
 class Model(Record):

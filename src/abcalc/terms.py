@@ -10,6 +10,7 @@ directly.
 from __future__ import annotations
 
 from itertools import count
+from types import MappingProxyType
 
 Value = int | bool | str | tuple | frozenset
 
@@ -59,7 +60,15 @@ def value_key(v: Value):
 
 
 def values_equal(v: Value, w: Value) -> bool:
-    return value_key(v) == value_key(w)
+    """``value_key(v) == value_key(w)``, without building the keys."""
+    cls = v.__class__
+    if cls is not w.__class__:
+        return False
+    if cls is tuple:
+        return len(v) == len(w) and all(map(values_equal, v, w))
+    if cls is frozenset:
+        return value_key(v) == value_key(w)
+    return v == w
 
 
 def is_value(v) -> bool:
@@ -101,14 +110,16 @@ def __eq__(self, other):
         return True
     if other.__class__ is not self.__class__:
         return NotImplemented
-    return self._hash == other._hash and ({mine}) == ({theirs})
+    return self._hash == other._hash and ({mine}) == ({theirs}){typed}
 """
 
 
 class _NodeType(type):
     """Turns the annotated names of a ``Node`` class body into its fields:
     slots in that order, with the class-level values as defaults of the
-    trailing ones, and one ``__init__`` and ``__eq__`` compiled for them."""
+    trailing ones, and one ``__init__`` and ``__eq__`` compiled for them.
+    The fields named in a class's ``_by_value`` hold values and also
+    compare by ``values_equal``, so that ``1`` and ``true`` differ."""
 
     def __new__(mcls, name, bases, ns):
         if not bases:
@@ -124,10 +135,11 @@ class _NodeType(type):
             sets="".join(f"    _set_{f}(self, {f})\n" for f in fields),
             key="".join(f"{f}, " for f in fields),
             mine="".join(f"self.{f}, " for f in fields),
-            theirs="".join(f"other.{f}, " for f in fields))
+            theirs="".join(f"other.{f}, " for f in fields),
+            typed="".join(f" and _same(self.{f}, other.{f})" for f in ns.get("_by_value", ())))
         # the slots are set through their descriptors: ``Node.__setattr__`` refuses
         env = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
-        env.update(_set_hash=Node._hash.__set__, _defaults=defaults)
+        env.update(_set_hash=Node._hash.__set__, _defaults=defaults, _same=values_equal)
         exec(src, env)
         cls.__init__, cls.__eq__ = env["__init__"], env["__eq__"]
         return cls
@@ -185,6 +197,7 @@ class AttrEnv(Node):
     """
 
     items: tuple = ()
+    _by_value = ("items",)
 
     @staticmethod
     def of(mapping) -> "AttrEnv":
@@ -222,6 +235,7 @@ def restrict_env(env: AttrEnv, iface: frozenset) -> AttrEnv:
 
 class Const(Node):
     value: Value
+    _by_value = ("value",)
 
 
 class Var(Node):
@@ -315,7 +329,7 @@ def _op_contains(s, v):
 
 
 # name -> (arity or None for variadic, implementation)
-OPERATORS = {
+OPERATORS = MappingProxyType({
     "+": (2, _op_add),
     "-": (2, _op_sub),
     "*": (2, _op_mul),
@@ -324,7 +338,7 @@ OPERATORS = {
     "insert": (2, _op_insert),
     "remove": (2, _op_remove),
     "contains": (2, _op_contains),
-}
+})
 
 
 def eval_expr(e: Expr, env: AttrEnv, subst=None) -> Value:
@@ -570,7 +584,7 @@ def _unchanged(x):
     return x
 
 
-_NO_SCOPE = ({}, _unchanged, _unchanged)
+_NO_SCOPE = (MappingProxyType({}), _unchanged, _unchanged)
 
 
 def _scope(mapping: dict) -> tuple:

@@ -239,8 +239,8 @@ class TestIllFormedInput:
          "explore"),
         ("reused.bpi", "(rec A(x).a!(x).A(x))(v) || (rec A(x).b!(x).A(x))(v)\n",
          "verify-encoding"),
-        # the body of A changes only in the successor, where the input binds x0
-        ("reused.bpi", "c(b).(rec A().x0!(v).A())() || c!(n).nil\n", "verify-encoding"),
+        # the body of B uses A's parameter, so it would change as A unfolds
+        ("reused.bpi", "(rec A(x).(rec B().x!(v).B())())(a)\n", "verify-encoding"),
         ("deep.bpi", "tau." * 400 + "a!(v).nil\n", "verify-encoding"),
         ("deep.abc", "comp C { iface: []; env: {}; run: " + "()@ff." * 1000 + "0 }\n",
          "explore"),

@@ -1,7 +1,9 @@
 """The module graph of the package: every import sits at module top, the
 imports within the package follow one layer order (so they form no
 cycle), and each module can be the first one imported.  Also: each tree
-shape of expressions and predicates is walked in one place."""
+shape of expressions and predicates is walked in one place, and no
+module keeps mutable state, so every memo lives as long as the call that
+made it."""
 
 import ast
 import subprocess
@@ -58,6 +60,38 @@ def test_package_imports_are_acyclic(name):
     """An import of a later layer is the only way a cycle could start."""
     later = set(LAYERS[LAYERS.index(name):])
     assert not _package_imports(name) & later
+
+
+# The one module-level store: the solver's cache of satisfiability answers,
+# which depend on nothing but their key.
+MODULE_STATE = {"predicates._sat_cache"}
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_TYPES = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter",
+                 "deque"}
+
+
+def _mutable(value) -> bool:
+    """An expression that builds a mutable container, alone or inside a tuple."""
+    if isinstance(value, ast.Tuple):
+        return any(_mutable(e) for e in value.elts)
+    if isinstance(value, ast.Call):
+        func = value.func
+        return getattr(func, "id", getattr(func, "attr", None)) in MUTABLE_TYPES
+    return isinstance(value, MUTABLE_DISPLAYS)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_level_mutable_state(name):
+    found = set()
+    for node in _tree(name).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if _mutable(node.value):
+                found.update(f"{name}.{n.id}" for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+    assert not found - MODULE_STATE, (
+        f"module-level mutable containers: {', '.join(sorted(found - MODULE_STATE))}; "
+        f"keep a memo inside the call that fills it")
 
 
 def test_startup_leaves_out_dataclasses():
