@@ -104,21 +104,28 @@ class NonInjectiveChannelMap(EncodingError):
 
 
 class _BpiParser(Parser):
-    def bpi(self):
-        left = self.bpi_seq()
+    """A term is sequential terms joined by ``||``, which appears only at
+    top level: ``top`` is false below a prefix, a sum or a rec."""
+
+    def bpi(self, top=True):
+        left = self.bpi_seq(top)
         while self.at("||"):
+            if not top:
+                self.fail("'||' is allowed only at top level")
             self.advance()
-            left = BPar(left, self.bpi_seq())
+            left = BPar(left, self.bpi_seq(top))
         return left
 
-    def bpi_seq(self):
-        left = self.bpi_pre()
+    def bpi_seq(self, top=False):
+        left = self.bpi_pre(top)
         while self.at("+"):
+            if isinstance(left, BPar):
+                self.fail("'||' is allowed only at top level")
             self.advance()
             left = BSum(left, self.bpi_pre())
         return left
 
-    def bpi_pre(self):
+    def bpi_pre(self, top=False):
         if self.eat("nil"):
             return BNIL
         if self.eat("tau"):
@@ -137,7 +144,7 @@ class _BpiParser(Parser):
                 args = self.bpi_names()
                 return BRec(name, params, body, args)
             self.advance()
-            p = self.bpi()
+            p = self.bpi(top)
             self.expect(")")
             return p
         name = self.ident("name")
@@ -227,56 +234,9 @@ def free_names(p: BpiProcess, bound: frozenset = frozenset()) -> frozenset:
     raise TypeError(f"not a bpi process: {p!r}")
 
 
-def _fresh_like(name: str, avoid) -> str:
-    i = 0
-    while f"{name}#{i}" in avoid:
-        i += 1
-    return f"{name}#{i}"
-
-
 def subst_names(p: BpiProcess, mapping: dict) -> BpiProcess:
     """Capture-avoiding substitution of names for names."""
-    mapping = {k: v for k, v in mapping.items() if k != v}
-    if not mapping:
-        return p
-    look = lambda n: mapping.get(n, n)
-    if isinstance(p, BNil):
-        return p
-    if isinstance(p, BTau):
-        return BTau(subst_names(p.cont, mapping))
-    if isinstance(p, BIn):
-        vars_, cont = _avoid_capture(p.vars, p.cont, mapping)
-        inner = {k: v for k, v in mapping.items() if k not in vars_}
-        return BIn(look(p.chan), vars_, subst_names(cont, inner))
-    if isinstance(p, BOut):
-        return BOut(look(p.chan), tuple(look(n) for n in p.names), subst_names(p.cont, mapping))
-    if isinstance(p, BSum):
-        return BSum(subst_names(p.left, mapping), subst_names(p.right, mapping))
-    if isinstance(p, BPar):
-        return BPar(subst_names(p.left, mapping), subst_names(p.right, mapping))
-    if isinstance(p, BRec):
-        params, body = _avoid_capture(p.params, p.body, mapping)
-        inner = {k: v for k, v in mapping.items() if k not in params}
-        return BRec(p.name, params, subst_names(body, inner), tuple(look(a) for a in p.args))
-    if isinstance(p, BCall):
-        return BCall(p.name, tuple(look(a) for a in p.args))
-    raise TypeError(f"not a bpi process: {p!r}")
-
-
-def _avoid_capture(binders: tuple, body: BpiProcess, mapping: dict):
-    live = {k for k in mapping if k not in binders}
-    incoming = {mapping[k] for k in live}
-    clashing = [b for b in binders if b in incoming]
-    if not clashing:
-        return binders, body
-    avoid = set(incoming) | set(binders) | set(free_names(body))
-    ren = {}
-    for b in clashing:
-        nb = _fresh_like(b, avoid)
-        avoid.add(nb)
-        ren[b] = nb
-    new_binders = tuple(ren.get(b, b) for b in binders)
-    return new_binders, subst_names(body, ren)
+    return _rewrite(p, mapping, None)
 
 
 def canon_bpi(p: BpiProcess) -> BpiProcess:
@@ -287,76 +247,84 @@ def canon_bpi(p: BpiProcess) -> BpiProcess:
     if isinstance(p, BPar):
         left, right = canon_bpi(p.left), canon_bpi(p.right)
         return p if left is p.left and right is p.right else BPar(left, right)
-    return _canon(p, {}, _fresh_names(free_names(p)))
+    return _rewrite(p, {}, _fresh_names(free_names(p)))
+
+
+def _unfold(rec: BRec) -> BpiProcess:
+    """The body of ``rec`` with its parameters bound to its arguments, and
+    each call of the recursion made the recursion again."""
+    return _rewrite(rec.body, dict(zip(rec.params, rec.args)), None, rec)
 
 
 def _fresh_names(avoid):
     return (n for n in map("x{}".format, count()) if n not in avoid)
 
 
-def _canon(p: BpiProcess, ren: dict, fresh) -> BpiProcess:
-    """``p`` with each free name bound outside it renamed by ``ren``, and
-    its binders renamed to the next names of ``fresh`` in pre-order.  A
-    rec body that uses no name bound outside the rec is numbered on its
-    own, so equal recs canonicalise equally in any context; otherwise it
-    keeps the outer renaming and its binders continue the numbering."""
-    look = lambda n: ren.get(n, n)
-    if isinstance(p, BNil):
+def _rewrite(p: BpiProcess, ren: dict, fresh, rec=None) -> BpiProcess:
+    """The one scoped walk over broadcast terms, behind substitution,
+    canonical forms and recursion unfolding: each free name in ``ren``
+    becomes the name it maps to, and binders shadow.  Given ``fresh``, an
+    iterator of names, every binder takes the next of them in pre-order,
+    but a rec body that uses no name of ``ren`` is numbered on its own, so
+    equal recs canonicalise equally in any context.  Otherwise a binder
+    keeps its name unless it would capture an incoming name, one that
+    ``ren`` maps to or one free in the body of ``rec``; then it becomes
+    ``name#i``.  Given ``rec``, each call of ``rec.name`` becomes that
+    recursion, unless an inner rec of that name shadows it."""
+    if not ren and fresh is None and rec is None or isinstance(p, BNil):
         return p
+    look = lambda names: tuple([ren.get(n, n) for n in names])
     if isinstance(p, BTau):
-        return BTau(_canon(p.cont, ren, fresh))
-    if isinstance(p, BIn):
-        names = tuple([next(fresh) for _ in p.vars])
-        return BIn(look(p.chan), names, _canon(p.cont, {**ren, **dict(zip(p.vars, names))}, fresh))
+        return BTau(_rewrite(p.cont, ren, fresh, rec))
     if isinstance(p, BOut):
-        return BOut(look(p.chan), tuple(map(look, p.names)), _canon(p.cont, ren, fresh))
+        return BOut(ren.get(p.chan, p.chan), look(p.names), _rewrite(p.cont, ren, fresh, rec))
+    if isinstance(p, BIn):
+        names, inner = _bind(p.vars, p.cont, ren, fresh, rec)
+        return BIn(ren.get(p.chan, p.chan), names, _rewrite(p.cont, inner, fresh, rec))
     if isinstance(p, (BSum, BPar)):
-        return type(p)(_canon(p.left, ren, fresh), _canon(p.right, ren, fresh))
+        return type(p)(_rewrite(p.left, ren, fresh, rec), _rewrite(p.right, ren, fresh, rec))
     if isinstance(p, BRec):
-        used = free_names(p.body, frozenset(p.params))
-        inner, local = ({}, _fresh_names(used)) if ren.keys().isdisjoint(used) else (ren, fresh)
-        params = tuple([next(local) for _ in p.params])
-        body = _canon(p.body, {**inner, **dict(zip(p.params, params))}, local)
-        return BRec(p.name, params, body, tuple(map(look, p.args)))
+        if rec is not None and rec.name == p.name:
+            rec = None
+        body_ren, body_fresh = ren, fresh
+        if fresh is not None:
+            used = free_names(p.body, frozenset(p.params))
+            if ren.keys().isdisjoint(used):
+                body_ren, body_fresh = {}, _fresh_names(used)
+        params, inner = _bind(p.params, p.body, body_ren, body_fresh, rec)
+        return BRec(p.name, params, _rewrite(p.body, inner, body_fresh, rec), look(p.args))
     if isinstance(p, BCall):
-        return BCall(p.name, tuple(map(look, p.args)))
+        if rec is not None and rec.name == p.name:
+            return BRec(rec.name, rec.params, rec.body, look(p.args))
+        return BCall(p.name, look(p.args))
     raise TypeError(f"not a bpi process: {p!r}")
+
+
+def _bind(binders: tuple, body: BpiProcess, ren: dict, fresh, rec) -> tuple:
+    """The names that ``binders`` take in ``_rewrite``, and the renaming
+    under them."""
+    inner = {k: v for k, v in ren.items() if k not in binders}
+    if fresh is not None:
+        names = tuple([next(fresh) for _ in binders])
+        inner.update(zip(binders, names))  # all of them, so a rec body sees what is bound
+        return names, inner
+    incoming = {v for k, v in inner.items() if k != v}
+    if rec is not None:
+        incoming |= free_names(rec.body, frozenset(rec.params))
+    if incoming.isdisjoint(binders):
+        return binders, inner
+    avoid = incoming | set(binders) | free_names(body)
+    for b in binders:
+        if b in incoming:
+            inner[b] = next(n for n in (f"{b}#{i}" for i in count()) if n not in avoid)
+            avoid.add(inner[b])
+    return tuple(inner.get(b, b) for b in binders), inner
 
 
 # ---------------------------------------------------------------------------
 # Broadcast transitions
 
 TAU = ("tau",)
-
-
-def _unfold(rec: BRec) -> BpiProcess:
-    body = subst_names(rec.body, dict(zip(rec.params, rec.args)))
-    return _tie(body, rec)
-
-
-def _tie(p: BpiProcess, rec: BRec) -> BpiProcess:
-    """Replace recursion-variable calls by the recursive definition."""
-    if isinstance(p, BNil):
-        return p
-    if isinstance(p, BTau):
-        return BTau(_tie(p.cont, rec))
-    if isinstance(p, BIn):
-        return BIn(p.chan, p.vars, _tie(p.cont, rec))
-    if isinstance(p, BOut):
-        return BOut(p.chan, p.names, _tie(p.cont, rec))
-    if isinstance(p, BSum):
-        return BSum(_tie(p.left, rec), _tie(p.right, rec))
-    if isinstance(p, BPar):
-        return BPar(_tie(p.left, rec), _tie(p.right, rec))
-    if isinstance(p, BRec):
-        if p.name == rec.name:
-            return p  # inner rec shadows the name
-        return BRec(p.name, p.params, _tie(p.body, rec), p.args)
-    if isinstance(p, BCall):
-        if p.name == rec.name:
-            return BRec(rec.name, rec.params, rec.body, p.args)
-        return p
-    raise TypeError(f"not a bpi process: {p!r}")
 
 
 def _seq_outs(g: BpiProcess):

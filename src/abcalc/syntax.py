@@ -255,7 +255,13 @@ class Parser:
             self.advance()
             return False
         if self.eat("{"):
-            return frozenset(self.comma_list("}", self.value))
+            members = self.comma_list("}", self.value)
+            for i, v in enumerate(members):  # a frozenset would merge 1 and true
+                for w in members[:i]:
+                    if v == w and not values_equal(v, w):
+                        raise ParseError(f"a set cannot hold both {pretty_value(w)} and "
+                                         f"{pretty_value(v)}", tok.line, tok.col)
+            return frozenset(members)
         if self.eat("tup"):
             self.expect("(")
             return tuple(self.comma_list(")", self.value))

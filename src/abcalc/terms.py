@@ -313,9 +313,13 @@ def _as_set(s):
 
 def _op_insert(s, v):
     s = _as_set(s)
-    if any(values_equal(x, v) for x in s):
-        return s
-    return s | {v}
+    if v not in s:
+        return s | {v}
+    if not any(values_equal(x, v) for x in s):  # a frozenset would merge 1 and true
+        merged = next(x for x in s if x == v)
+        raise OperatorDomainError(f"a set cannot hold both {pretty_value(merged)} and "
+                                  f"{pretty_value(v)}")
+    return s
 
 
 def _op_remove(s, v):

@@ -14,6 +14,7 @@ import pytest
 from abcalc import predicates as pr
 from abcalc import semantics as sem
 from abcalc.predicates import And, Atom, DomainContext, FF, Not, Or, TT
+from abcalc.syntax import parse_process
 from abcalc.terms import (
     Attr,
     AttrEnv,
@@ -245,6 +246,71 @@ def rewrite_equivalent(rng: random.Random, comp):
 
 
 # ---------------------------------------------------------------------------
+# Equivalence examples: the choice / or-predicate pair and the negative
+# congruence instances
+
+
+def choice_or_pair(preds, cont: str = '("done")@tt.0', env=None, iface=()):
+    """A component guarded by the disjunction of the given predicates,
+    paired with the sum of individually guarded branches."""
+    texts = [f"({p})" if not p.startswith("(") else p for p in preds]
+    disj = " || ".join(texts)
+    sum_text = " + ".join(f"{t}(x).{_wrap(cont)}" for t in texts)
+    c1 = _leaf(f"({disj})(x).{_wrap(cont)}", env, iface)
+    c2 = _leaf(sum_text, env, iface)
+    return c1, c2
+
+
+def _wrap(cont: str) -> str:
+    return f"({cont})" if ("+" in cont or "|" in cont) else cont
+
+
+def _leaf(proc_text: str, env=None, iface=()) -> Leaf:
+    return Leaf(AttrEnv.of(env or {}), frozenset(iface), parse_process(proc_text))
+
+
+def remark51() -> dict:
+    """The negative congruence instances: P and Q are bisimilar in
+    isolation (neither can move: the awareness guard this.a = w fails
+    under the closed environment), but prefixing, interleaving and
+    updates can tell them apart by binding or assigning w."""
+    env = {"a": "v"}
+    p = '<(this.a == "w")> (1)@tt.0'
+    q = "0"
+    p_bind = "<(this.a == w)> (1)@tt.0"  # the guard name bound by a prefix
+    mk = lambda text: Leaf(AttrEnv.of(env), frozenset(), parse_process(text))
+    msg = sem.Label(sem.IN, AttrEnv(), pr.TT, ("v",))
+    return {
+        "P": mk(p),
+        "Q": mk(q),
+        "prefix_P": mk(f"(tt)(w).({p_bind})"),
+        "prefix_Q": mk(f"(tt)(w).{q}"),
+        "par_P": mk(f'({p}) | ()@ff.[a := "w"] 0'),
+        "par_Q": mk(f'{q} | ()@ff.[a := "w"] 0'),
+        "upd_P": mk(f'("z")@tt.[a := "w"] ({p})'),
+        "upd_Q": mk(f'("z")@tt.[a := "w"] {q}'),
+        "message": msg,
+    }
+
+
+def remark52() -> dict:
+    """Mixed choice distinguishes receive predicates: with R an output,
+    the message arrival consumes the input branch on one side only."""
+    pi1 = Atom("==", Attr("b"), Const(1))
+    pi2 = Atom("==", Attr("b"), Const(2))
+    r = '("v")@(c == 3).0'
+    mk = lambda text: Leaf(AttrEnv.of({"c": 3}), frozenset({"c"}), parse_process(text))
+    msg = sem.Label(sem.IN, AttrEnv.of({"b": 1}), pr.TT, ("w",))
+    return {
+        "C1": mk(f"(b == 1)(x).0 + {r}"),
+        "C2": mk(f"(b == 2)(x).0 + {r}"),
+        "plain1": mk("(b == 1)(x).0"),
+        "plain2": mk("(b == 2)(x).0"),
+        "message": msg,
+    }
+
+
+# ---------------------------------------------------------------------------
 # Random broadcast terms
 
 _CHANS = ("a", "b", "c")
@@ -277,6 +343,41 @@ def random_bpi(rng: random.Random, depth: int = 3):
     for _ in range(rng.randint(0, 2)):
         p = bp.BPar(p, random_bpi_seq(rng, depth - 1))
     return p
+
+
+# Binders, channels and values share one pool, canonical names included,
+# so binders shadow one another, clash with substituted names and may
+# capture a name free in a recursion body.
+_REC_POOL = ("a", "b", "u", "v", "x", "y", "x0", "x1")
+
+
+def random_bpi_rec(rng: random.Random, depth: int = 5, recs: tuple = ()):
+    """A random sequential term with parametrised recursion and calls of
+    the recursions in scope (``recs``: name and arity); an inner rec may
+    reuse the name of an outer one."""
+    from abcalc import bpi as bp
+
+    names = lambda k: tuple(rng.choice(_REC_POOL) for _ in range(k))
+    if depth == 0 or rng.random() < 0.15:
+        if recs and rng.random() < 0.7:
+            name, arity = rng.choice(recs)
+            return bp.BCall(name, names(arity))
+        return bp.BNIL
+    cont = lambda: random_bpi_rec(rng, depth - 1, recs)
+    shape = rng.random()
+    if shape < 0.1:
+        return bp.BTau(cont())
+    if shape < 0.35:
+        return bp.BOut(rng.choice(_REC_POOL), names(rng.randint(0, 2)), cont())
+    if shape < 0.6:
+        return bp.BIn(rng.choice(_REC_POOL), tuple(rng.sample(_REC_POOL, rng.randint(0, 2))),
+                      cont())
+    if shape < 0.75:
+        return bp.BSum(cont(), cont())
+    name = rng.choice(("A", "B"))
+    params = tuple(rng.sample(_REC_POOL, rng.randint(0, 2)))
+    inner = tuple(r for r in recs if r[0] != name) + ((name, len(params)),)
+    return bp.BRec(name, params, random_bpi_rec(rng, depth - 1, inner), names(len(params)))
 
 
 # ---------------------------------------------------------------------------

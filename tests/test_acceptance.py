@@ -16,13 +16,14 @@ from abcalc.lts import ExploreBounds, aut_text, auto_universe, explore
 from abcalc.predicates import And, Atom, DomainContext, Not
 from abcalc.semantics import IN, Label, OUT
 from abcalc.syntax import parse_predicate, parse_process, pretty_pred, pretty_process
-from abcalc.systems import choice_or_pair, corpus_path, network, remark51, remark52
+from abcalc.systems import corpus_path, network
 from abcalc.terms import Attr, AttrEnv, Const, Leaf, ParC, ResIn, ResOut
 
 import conftest
 from conftest import (
     ORACLE_DOMAINS,
     PROBE_MESSAGES,
+    choice_or_pair,
     law_universe,
     oracle_implies,
     oracle_is_sat,
@@ -33,6 +34,8 @@ from conftest import (
     random_process,
     random_restriction,
     record_acceptance,
+    remark51,
+    remark52,
     rewrite_equivalent,
 )
 

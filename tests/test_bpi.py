@@ -28,6 +28,7 @@ from abcalc.bpi import (
     parse_bpi,
     pretty_bpi,
     subst_names,
+    _unfold,
 )
 from abcalc.lts import ExploreBounds
 from abcalc.systems import corpus_path
@@ -113,6 +114,13 @@ class TestSteps:
         [(lab, succ)] = bpi_steps(p)
         assert lab == ("out", "a", ("v",))
         assert canon_bpi(succ) == canon_bpi(p)
+
+    def test_unfolding_does_not_capture(self):
+        # b is free in the body of A, and the call of A sits under c(b)
+        p = parse_bpi("(rec A(x).c(b).A(x) + b!(x).nil)(v) || c!(w).nil")
+        [succ] = [s for lab, s in bpi_steps(p) if lab == ("out", "c", ("w",))]
+        assert succ == BPar(p.left, BNIL)
+        assert _unfold(p.left).left == BIn("c", ("b#0",), p.left)
 
     def test_unbound_recursion_variable(self):
         with pytest.raises(UnboundRecursionVariable):

@@ -257,11 +257,25 @@ class TestIllFormedInput:
          "explore"),
         ("dup.bpi", "a(x, x).b!(x).nil || a!(u, v).nil\n", "verify-encoding"),
         ("dup.bpi", "(rec A(x, x).a!(x).A(x, x))(u, v)\n", "verify-encoding"),
+        # a parallel composition below the top level: under a prefix, in a rec body
+        ("nested.bpi", "a(x).b(y).(x!(y).nil || y!(x).nil) || a!(u).nil || b!(u).nil\n",
+         "translate"),
+        ("nested.bpi", "a(x).b(y).(x!(y).nil || y!(x).nil) || a!(u).nil || b!(u).nil\n",
+         "verify-encoding"),
+        ("nested.bpi", "(rec A().(a!().nil || A()))()\n", "steps"),
+        ("nested.bpi", "(rec A().(a!().nil || A()))()\n", "translate"),
+        ("nested.bpi", "(rec A().(a!().nil || A()))()\n", "verify-encoding"),
+        # a set that lists both 1 and true, which Python would merge
+        ("dom.abc", "domain a in {1, true};\n"
+                    "comp C { iface: [a]; env: {a = true}; run: (a)@tt.0 }\nsystem: C;\n",
+         "explore"),
     ], ids=["undefined-process", "call-arity", "encoding-error", "encoding-error-successor",
             "deep-bpi", "deep-abc",
             "bpi-explore", "bpi-barbs", "bpi-bisim-left", "bpi-bisim-right",
             "repeated-input-binder", "repeated-def-parameter", "repeated-bpi-binder",
-            "repeated-rec-parameter"])
+            "repeated-rec-parameter", "parallel-under-prefix-translate",
+            "parallel-under-prefix-verify", "parallel-rec-body-steps",
+            "parallel-rec-body-translate", "parallel-rec-body-verify", "set-merging-1-and-true"])
     def test_exit_2(self, capsys, tmp_path, name, text, command):
         model = tmp_path / name
         model.write_text(text)

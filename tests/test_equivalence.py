@@ -18,9 +18,9 @@ from abcalc.semantics import IN, Label, OUT
 from abcalc.syntax import parse_predicate, parse_process
 from abcalc.terms import AttrEnv, Leaf, ParC, ResIn, ResOut, RestrictionFn, ZERO
 
-from abcalc.systems import choice_or_pair, network, remark51, remark52
+from abcalc.systems import network
 
-from conftest import law_universe, random_component
+from conftest import choice_or_pair, law_universe, random_component, remark51, remark52
 
 
 def leaf(text, env=None, iface=()):

@@ -1,9 +1,9 @@
 """The module graph of the package: every import sits at module top, the
 imports within the package follow one layer order (so they form no
 cycle), and each module can be the first one imported.  Also: each tree
-shape of expressions and predicates is walked in one place, and no
-module keeps mutable state, so every memo lives as long as the call that
-made it."""
+shape of expressions, predicates and broadcast terms is walked in one
+place, and no module keeps mutable state, so every memo lives as long as
+the call that made it."""
 
 import ast
 import subprocess
@@ -125,16 +125,22 @@ TREE_WALKS = {
 }
 TREE_NODES = {"Op", "Not", "And", "Or"}
 
+# The same for sequential broadcast terms: one reader (``free_names``), one
+# rebuild (``_rewrite``, behind substitution, canonical forms and
+# unfolding), the steps, the encoding and the printer.
+BPI_WALKS = {"bpi.free_names", "bpi._rewrite", "bpi._seq_outs", "bpi._seq_ins",
+             "bpi.encode_proc", "bpi.pretty_bpi"}
+BPI_NODES = {"BTau", "BIn", "BOut", "BSum", "BRec", "BCall"}
 
-def _tests_tree_node(fn) -> bool:
-    """fn holds an ``isinstance`` test against an expression or predicate
-    node type."""
+
+def _tests_node(fn, nodes: set) -> bool:
+    """fn holds an ``isinstance`` test against one of ``nodes``."""
     for node in ast.walk(fn):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "isinstance" and len(node.args) == 2):
             types = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.args[1])
                      if isinstance(n, (ast.Name, ast.Attribute))}
-            if types & TREE_NODES:
+            if types & nodes:
                 return True
     return False
 
@@ -145,25 +151,44 @@ def _calls_itself(fn) -> bool:
                for node in ast.walk(fn))
 
 
-def _tree_walks(name: str) -> set:
+def _walks(name: str, tree: ast.Module, nodes: set) -> set:
     """The top-level functions and methods of a module that hold a function
-    recursing through expression or predicate nodes."""
+    recursing through ``nodes``."""
     out = set()
-    tops = [(f"{name}.{node.name}", node) for node in _tree(name).body
+    tops = [(f"{name}.{node.name}", node) for node in tree.body
             if isinstance(node, ast.FunctionDef)]
-    tops += [(f"{name}.{cls.name}.{node.name}", node) for cls in _tree(name).body
+    tops += [(f"{name}.{cls.name}.{node.name}", node) for cls in tree.body
              if isinstance(cls, ast.ClassDef) for node in cls.body
              if isinstance(node, ast.FunctionDef)]
     for qual, top in tops:
-        if any(isinstance(fn, ast.FunctionDef) and _tests_tree_node(fn) and _calls_itself(fn)
+        if any(isinstance(fn, ast.FunctionDef) and _tests_node(fn, nodes) and _calls_itself(fn)
                for fn in ast.walk(top)):
             out.add(qual)
     return out
 
 
+def _check_walks(nodes: set, allowed: set, helpers: str):
+    found = set().union(*(_walks(name, _tree(name), nodes) for name in MODULES))
+    assert not found - allowed, (
+        f"read and rebuild these trees with {helpers} instead: "
+        f"{', '.join(sorted(found - allowed))}")
+    assert not allowed - found, f"no longer walks: {', '.join(sorted(allowed - found))}"
+
+
 def test_one_walk_per_tree_shape():
-    found = set().union(*(_tree_walks(name) for name in MODULES))
-    assert not found - TREE_WALKS, (
-        f"walk expressions or predicates with the terms helpers instead: "
-        f"{', '.join(sorted(found - TREE_WALKS))}")
-    assert not TREE_WALKS - found, f"no longer walks: {', '.join(sorted(TREE_WALKS - found))}"
+    _check_walks(TREE_NODES, TREE_WALKS, "the terms helpers")
+
+
+def test_one_walk_per_bpi_shape():
+    _check_walks(BPI_NODES, BPI_WALKS, "bpi.free_names and bpi._rewrite")
+
+
+def test_a_second_bpi_rewrite_is_found():
+    """A nested helper counts for the function that holds it."""
+    source = ("def rename(p, ren):\n"
+              "    def go(q):\n"
+              "        if isinstance(q, (BTau, BOut)):\n"
+              "            return type(q)(go(q.cont))\n"
+              "        return q\n"
+              "    return go(p)\n")
+    assert _walks("bpi", ast.parse(source), BPI_NODES) == {"bpi.rename"}

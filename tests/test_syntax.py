@@ -1,6 +1,8 @@
 """Parsing and pretty-printing: grammar coverage, exact round trips, and
 error locations."""
 
+import re
+
 import pytest
 
 from abcalc.bpi import parse_bpi, pretty_bpi
@@ -40,6 +42,15 @@ from conftest import random_bpi, random_pred, random_process
 
 
 class TestValues:
+    @pytest.mark.parametrize("text, first, second", [
+        ("{1, true}", "1", "true"), ("{false, 2, 0}", "false", "0"),
+        ("{tup(1), tup(true)}", "tup(1)", "tup(true)"), ("{{0}, {false}}", "{0}", "{false}"),
+    ])
+    def test_set_literal_cannot_merge_members(self, text, first, second):
+        message = f"a set cannot hold both {first} and {second}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_predicate(f"a in {text}")
+
     def test_literals(self):
         assert parse_predicate("a == 3") == Atom("==", Attr("a"), Const(3))
         assert parse_predicate("a == -2").right == Const(-2)
@@ -177,6 +188,23 @@ class TestBpi:
         for _ in range(200):
             p = random_bpi(rng)
             assert parse_bpi(pretty_bpi(p)) == p
+
+    @pytest.mark.parametrize("text", [
+        "a(x).(x!(v).nil || a!(v).nil)",
+        "tau.(a!(v).nil || nil)",
+        "(a!(v).nil || nil) + b!(v).nil",
+        "b!(v).nil + (a!(v).nil || nil)",
+        "(rec A().(a!().nil || A()))()",
+        "((a!(v).nil || nil) + nil) || nil",
+    ])
+    def test_parallel_only_at_top_level(self, text):
+        with pytest.raises(ParseError, match="'[|][|]' is allowed only at top level"):
+            parse_bpi(text)
+
+    def test_parenthesised_top_level_groups(self):
+        flat = parse_bpi("a!(v).nil || b!(v).nil || c!(v).nil")
+        assert parse_bpi("(a!(v).nil || b!(v).nil) || c!(v).nil") == flat
+        assert parse_bpi("((a!(v).nil || b!(v).nil)) || (c!(v).nil)") == flat
 
 
 class TestLabels:

@@ -181,6 +181,15 @@ class TestEvalExpr:
         assert eval_expr(Op("contains", (Attr("s"), Const(2))), self.ENV) is True
         assert eval_expr(Op("contains", (Attr("s"), Const(9))), self.ENV) is False
 
+    def test_insert_keeps_1_and_true_apart(self):
+        # a frozenset cannot hold both, so the step does not exist
+        assert eval_expr(Op("insert", (Const(frozenset({True})), Const(True))), self.ENV) == {True}
+        with pytest.raises(OperatorDomainError, match="both 1 and true"):
+            eval_expr(Op("insert", (Attr("s"), Const(True))), self.ENV)
+        with pytest.raises(OperatorDomainError, match=r"both \{false\} and \{0\}"):
+            eval_expr(Op("insert", (Const(frozenset({frozenset({False})})), Const(frozenset({0})))),
+                      self.ENV)
+
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             eval_expr(Op("+", (Const(1),)), self.ENV)
