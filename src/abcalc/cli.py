@@ -23,7 +23,7 @@ from . import bpi as bp
 from . import equivalence as eq
 from . import lts as L
 from . import systems
-from .predicates import DomainContext
+from .predicates import DomainContext, equiv
 from .semantics import OUT, UnboundProcessName
 from .syntax import (
     Model,
@@ -302,7 +302,7 @@ def cmd_corpus(args) -> int:
     pi1 = net["pi1"]
     check("network explores", len(lts.states) == 10)
     check("network first emission is a client barb",
-          any(eq.label_equiv_pred(lab, pi1, net["domains"])
+          any(equiv(lab.pred, pi1, net["domains"])
               for _, lab, _ in lts.transitions if lab.kind == OUT))
     v1 = eq.weak_bisim(net["N_closed"], net["T"], net["defs"], domains=net["domains"],
                        bounds=cfg.bounds)

@@ -32,11 +32,6 @@ from .syntax import pretty_label
 from .terms import Component, Record
 
 
-def label_equiv_pred(label: sem.Label, pred, domains: DomainContext = EMPTY_DOMAINS) -> bool:
-    """Whether an output label's predicate is equivalent to the given one."""
-    return label.kind == sem.OUT and pr.equiv(label.pred, pred, domains)
-
-
 # ---------------------------------------------------------------------------
 # Barbs
 
@@ -111,40 +106,27 @@ def _label_classes(labels, domains):
     return class_of
 
 
-def _strong_edges(lts: Lts, offset: int, class_of):
-    edges = {offset + i: [] for i in range(len(lts.states))}
-    for src, lab, dst in lts.transitions:
-        edges[offset + src].append((class_of[lab], offset + dst, lab))
-    return edges
-
-
-def _weak_edges(lts: Lts, offset: int, class_of):
-    closure = weak_closure(lts)
-    pre = inverse_closure(closure)
-    edges = {offset + i: [] for i in range(len(lts.states))}
-    for s in range(len(lts.states)):
-        for t in closure[s]:
-            edges[offset + s].append((_TAU, offset + t, None))
+def _moves(lts: Lts, offset: int, class_of, weak: bool):
+    """Each state's distinct moves, in first-seen order: a dict from
+    ``(class, target)`` to the first label seen for it.  A weak move pads
+    a visible step with silent moves on both sides, and a silent move
+    (label ``None``) reaches any state of the tau-closure."""
+    n = len(lts.states)
+    if weak:
+        after = weak_closure(lts)
+        before = inverse_closure(after)
+        moves = [dict.fromkeys((_TAU, offset + t) for t in after[s]) for s in range(n)]
+    else:
+        after = before = [(s,) for s in range(n)]
+        moves = [{} for _ in range(n)]
     for src, lab, dst in lts.transitions:
         cls = class_of[lab]
-        if cls == _TAU:
+        if weak and cls == _TAU:
             continue
-        for s in pre[src]:
-            for t in closure[dst]:
-                edges[offset + s].append((cls, offset + t, lab))
-    for s in edges:
-        edges[s] = _dedupe(edges[s])
-    return edges
-
-
-def _dedupe(pairs):
-    seen = set()
-    out = []
-    for cls, tgt, lab in pairs:
-        if (cls, tgt) not in seen:
-            seen.add((cls, tgt))
-            out.append((cls, tgt, lab))
-    return out
+        for s in before[src]:
+            for t in after[dst]:
+                moves[s].setdefault((cls, offset + t), lab)
+    return moves
 
 
 def strong_bisim(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
@@ -172,79 +154,57 @@ def _bisim(c1, c2, defs, universe, domains, bounds, weak) -> Verdict:
         return Verdict(False, universe or (),
                        inconclusive=True, reason=f"inconclusive under bounds: {exc}")
 
-    labels = []
-    for lts in (l1, l2):
-        for _, lab, _ in lts.transitions:
-            if lab not in labels:
-                labels.append(lab)
+    labels = dict.fromkeys(lab for lts in (l1, l2) for _, lab, _ in lts.transitions)
     class_of = _label_classes(labels, domains)
 
     n1 = len(l1.states)
-    if weak:
-        edges = _weak_edges(l1, 0, class_of)
-        edges.update(_weak_edges(l2, n1, class_of))
-    else:
-        edges = _strong_edges(l1, 0, class_of)
-        edges.update(_strong_edges(l2, n1, class_of))
+    moves = _moves(l1, 0, class_of, weak) + _moves(l2, n1, class_of, weak)
 
-    states = list(range(n1 + len(l2.states)))
-    blocks = {s: 0 for s in states}
-    history = [dict(blocks)]
+    # Each round splits blocks by their moves into the last partition,
+    # numbered by first occurrence.  A signature holds the old block, so
+    # a round that adds no block leaves the partition as it was.
+    blocks, count = [0] * len(moves), 1
+    history = [blocks]
     while True:
-        sigs = {
-            s: (blocks[s], frozenset((cls, blocks[t]) for cls, t, _ in edges[s]))
-            for s in states
-        }
         renum = {}
-        new = {}
-        for s in states:
-            if sigs[s] not in renum:
-                renum[sigs[s]] = len(renum)
-            new[s] = renum[sigs[s]]
-        if new == blocks:
+        new = [renum.setdefault((b, frozenset((cls, blocks[t]) for cls, t in m)), len(renum))
+               for b, m in zip(blocks, moves)]
+        if len(renum) == count:
             break
-        blocks = new
-        history.append(dict(blocks))
+        blocks, count = new, len(renum)
+        history.append(blocks)
 
-    init2 = n1
-    if blocks[0] == blocks[init2]:
+    if blocks[0] == blocks[n1]:
         return Verdict(True, universe)
-    witness = _extract_witness(0, init2, edges, history, n1)
-    return Verdict(False, universe, witness=witness)
+    return Verdict(False, universe, witness=_extract_witness(0, n1, moves, history, n1))
 
 
-def _extract_witness(s, t, edges, history, n1):
+def _extract_witness(s, t, moves, history, n1):
     """A distinguishing label sequence from the refinement history.
 
     At the first round where s and t split, their signatures over the
-    previous partition differ; the witnessing edge gives the move one
-    side can make into a block the other cannot reach, and recursion on
-    any would-be answer continues the trace at a strictly earlier
-    split round.
+    previous partition differ; the first move of one side into a block
+    the other cannot reach is the next step, and the trace goes on from
+    its target and the answer of the other side that split earliest, at
+    a strictly earlier round.
     """
-    div = _first_divergence(s, t, history)
-    prev = history[div - 1]
-    sig_s = {(cls, prev[tgt]) for cls, tgt, _ in edges[s]}
-    sig_t = {(cls, prev[tgt]) for cls, tgt, _ in edges[t]}
-    if sig_s - sig_t:
-        cls, blk = sorted(sig_s - sig_t, key=repr)[0]
-        mover, responder = s, t
-    else:
-        cls, blk = sorted(sig_t - sig_s, key=repr)[0]
-        mover, responder = t, s
-    lab = next(
-        l for c, tgt, l in edges[mover] if c == cls and prev[tgt] == blk
-    )
-    nxt = next(tgt for c, tgt, l in edges[mover] if c == cls and prev[tgt] == blk)
-    step = {
-        "label": "tau" if lab is None else pretty_label(lab),
-        "from": "A" if mover < n1 else "B",
-    }
-    answers = [tgt for c, tgt, _ in edges[responder] if c == cls]
-    if not answers:
-        return [step]
-    best = min(answers, key=lambda a: _first_divergence(nxt, a, history))
-    return [step] + _extract_witness(nxt, best, edges, history, n1)
+    witness = []
+    while True:
+        prev = history[_first_divergence(s, t, history) - 1]
+        sig_s, sig_t = ({(cls, prev[tgt]) for cls, tgt in moves[u]} for u in (s, t))
+        if not sig_s - sig_t:  # t is the side that moves
+            s, t, sig_s, sig_t = t, s, sig_t, sig_s
+        cls, blk = min(sig_s - sig_t, key=repr)
+        nxt, lab = next((tgt, lab) for (c, tgt), lab in moves[s].items()
+                        if c == cls and prev[tgt] == blk)
+        witness.append({
+            "label": "tau" if lab is None else pretty_label(lab),
+            "from": "A" if s < n1 else "B",
+        })
+        answers = [tgt for c, tgt in moves[t] if c == cls]
+        if not answers:
+            return witness
+        s, t = nxt, min(answers, key=lambda a: _first_divergence(nxt, a, history))
 
 
 def _first_divergence(s, t, history) -> int:

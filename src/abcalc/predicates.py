@@ -14,6 +14,7 @@ bounded set membership).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .terms import (  # the tree and subst_pred are re-exported
@@ -215,7 +216,10 @@ EMPTY_DOMAINS = DomainContext()
 
 _FRESH = "zz#fresh"
 
-_sat_cache: dict = {}
+# Each answer depends on nothing but its key.  One command asks a few
+# dozen distinct questions at most; the bound keeps a long-lived process
+# (a test session, a library user) from growing without end.
+_SOLVER_CACHE_SIZE = 4096
 
 
 def _candidate_pool(pred: Predicate) -> tuple:
@@ -273,21 +277,16 @@ def is_sat(pred: Predicate, domains: DomainContext = EMPTY_DOMAINS) -> bool:
     return find_witness(pred, domains) is not None
 
 
+@lru_cache(maxsize=_SOLVER_CACHE_SIZE)
 def find_witness(pred: Predicate, domains: DomainContext = EMPTY_DOMAINS):
     if isinstance(pred, Tt):
         return AttrEnv()
     if isinstance(pred, Ff):
         return None
-    key = (pred, domains)
-    if key in _sat_cache:
-        return _sat_cache[key]
-    found = None
     for env in _witness_envs(pred, domains):
         if satisfies(env, pred):
-            found = env
-            break
-    _sat_cache[key] = found
-    return found
+            return env
+    return None
 
 
 def implies(p1: Predicate, p2: Predicate, domains: DomainContext = EMPTY_DOMAINS) -> bool:

@@ -350,6 +350,29 @@ def test_closed_stdout_ends_quietly(tmp_path):
     assert proc.wait() == 0 and "Traceback" not in err
 
 
+def test_long_witness_needs_no_recursion(tmp_path):
+    """A 300-step counter run that ends in "b" on one side and "c" on the
+    other: the witness follows the whole run, under a recursion limit far
+    below its length."""
+    for name, last in (("A", "b"), ("B", "c")):
+        (tmp_path / f"{name}.abc").write_text(
+            f'def {name} = <(this.k < 300)> ("a")@tt.[k := this.k + 1] {name} + '
+            f'<(this.k == 300)> ("{last}")@tt.0;\n'
+            f"comp C {{ iface: []; env: {{k = 0}}; run: {name} }}\nsystem: C;\n")
+    script = ("import sys\nfrom abcalc.cli import main\nsys.setrecursionlimit(200)\n"
+              "sys.exit(main(['check-bisim', '--strong', '--json', 'out.json', "
+              "'A.abc', 'B.abc']))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert "error:" not in result.stdout + result.stderr
+    witness = json.loads((tmp_path / "out.json").read_text())["witness"]
+    assert len(witness) == 301
+    assert witness[:-1] == [{"from": "A", "label": '{}@tt!("a")'}] * 300
+    assert witness[-1] == {"from": "A", "label": '{}@tt!("b")'}
+
+
 def test_usage_errors(capsys):
     rc, _, _ = run(capsys, "check-bisim", NETWORK, NETWORK)  # missing mode
     assert rc == 2

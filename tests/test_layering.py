@@ -62,9 +62,9 @@ def test_package_imports_are_acyclic(name):
     assert not _package_imports(name) & later
 
 
-# The one module-level store: the solver's cache of satisfiability answers,
-# which depend on nothing but their key.
-MODULE_STATE = {"predicates._sat_cache"}
+# No module-level store: the solver's answers are memoised by a bounded
+# ``functools.lru_cache`` on ``predicates.find_witness``.
+MODULE_STATE = set()
 MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 MUTABLE_TYPES = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter",
                  "deque"}
@@ -146,9 +146,27 @@ def _tests_node(fn, nodes: set) -> bool:
 
 
 def _calls_itself(fn) -> bool:
+    """fn calls a function of its own name; a parent's method, reached
+    through ``super()``, is another function."""
     return any(isinstance(node, ast.Call)
                and getattr(node.func, "id", getattr(node.func, "attr", None)) == fn.name
+               and not (isinstance(node.func, ast.Attribute)
+                        and isinstance(node.func.value, ast.Call)
+                        and getattr(node.func.value.func, "id", None) == "super")
                for node in ast.walk(fn))
+
+
+# Modules that walk state graphs, whose depth is that of a model's runs,
+# not of its text: a run of a few thousand steps must not reach Python's
+# recursion limit, so no function there calls itself.
+GRAPH_MODULES = ("lts", "equivalence")
+
+
+@pytest.mark.parametrize("name", GRAPH_MODULES)
+def test_no_recursion_in_graph_code(name):
+    found = sorted(f"{name}.{fn.name}" for fn in ast.walk(_tree(name))
+                   if isinstance(fn, ast.FunctionDef) and _calls_itself(fn))
+    assert not found, f"recursive functions in graph code: {', '.join(found)}"
 
 
 def _walks(name: str, tree: ast.Module, nodes: set) -> set:
