@@ -6,13 +6,14 @@ for that encoding.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from functools import cache
 from itertools import count
 
 from . import semantics as sem
-from .lts import DEFAULT_BOUNDS, abc_successors, alphabet_fixpoint, reach
-from .syntax import Parser
+from .lts import DEFAULT_BOUNDS, Walk, abc_walk, alphabet_fixpoint, fixed_steps, reach
+from .syntax import Parser, layout
 from .terms import (
     FF,
     TT,
@@ -32,8 +33,9 @@ from .terms import (
     Tt,
     Var,
     atoms,
-    canonical,
     expr_leaves,
+    flatten,
+    rebuild,
 )
 
 # ---------------------------------------------------------------------------
@@ -192,8 +194,7 @@ def pretty_bpi(p) -> str:
     if isinstance(p, BCall):
         return f"{p.name}({', '.join(p.args)})"
     if isinstance(p, BPar):
-        left = pretty_bpi(p.left) if isinstance(p.left, BPar) else _bpi_par_operand(p.left)
-        return f"{left} || {_bpi_par_operand(p.right)}"
+        return "".join([x if x.__class__ is str else pretty_bpi(x) for x in layout(p, BPar)])
     raise TypeError(f"not a bpi process: {p!r}")
 
 
@@ -203,40 +204,43 @@ def _bpi_pre_text(p) -> str:
     return pretty_bpi(p)
 
 
-def _bpi_par_operand(p) -> str:
-    if isinstance(p, BPar):
-        return f"({pretty_bpi(p)})"
-    return pretty_bpi(p)
-
-
 # ---------------------------------------------------------------------------
 # Free names / substitution (names double as channels and values)
 
 
 def free_names(p: BpiProcess, bound: frozenset = frozenset()) -> frozenset:
+    """The names free in ``p``, a term with parallel operands or not."""
+    return frozenset().union(*[_free(g, bound, {}) for g in flatten(p, BPar)[1]])
+
+
+def _free(p: BpiProcess, bound: frozenset, recs: dict) -> frozenset:
+    """The names free in a sequential term.  A call of a recursion named in
+    ``recs`` also uses the names that ``recs`` gives it."""
     if isinstance(p, BNil):
         return frozenset()
     if isinstance(p, BTau):
-        return free_names(p.cont, bound)
+        return _free(p.cont, bound, recs)
     if isinstance(p, BIn):
         chan = frozenset() if p.chan in bound else frozenset({p.chan})
-        return chan | free_names(p.cont, bound | frozenset(p.vars))
+        return chan | _free(p.cont, bound | frozenset(p.vars), recs)
     if isinstance(p, BOut):
         names = frozenset(n for n in (p.chan, *p.names) if n not in bound)
-        return names | free_names(p.cont, bound)
-    if isinstance(p, (BSum, BPar)):
-        return free_names(p.left, bound) | free_names(p.right, bound)
+        return names | _free(p.cont, bound, recs)
+    if isinstance(p, BSum):
+        return _free(p.left, bound, recs) | _free(p.right, bound, recs)
     if isinstance(p, BRec):
         args = frozenset(a for a in p.args if a not in bound)
-        return args | free_names(p.body, bound | frozenset(p.params))
+        inner = {k: v for k, v in recs.items() if k != p.name} if p.name in recs else recs
+        return args | _free(p.body, bound | frozenset(p.params), inner)
     if isinstance(p, BCall):
-        return frozenset(a for a in p.args if a not in bound)
-    raise TypeError(f"not a bpi process: {p!r}")
+        return frozenset(a for a in p.args if a not in bound) | recs.get(p.name, frozenset())
+    raise TypeError(f"not a sequential bpi term: {p!r}")
 
 
 def subst_names(p: BpiProcess, mapping: dict) -> BpiProcess:
     """Capture-avoiding substitution of names for names."""
-    return _rewrite(p, mapping, None)
+    shape, operands = flatten(p, BPar)
+    return rebuild(shape, [_rewrite(g, mapping, None) for g in operands])
 
 
 def canon_bpi(p: BpiProcess) -> BpiProcess:
@@ -244,10 +248,11 @@ def canon_bpi(p: BpiProcess) -> BpiProcess:
     in pre-order, skipping the operand's free names, so that structural
     equality is alpha-blind.  Each operand is numbered on its own, so a
     parallel composition of canonical operands is canonical."""
-    if isinstance(p, BPar):
-        left, right = canon_bpi(p.left), canon_bpi(p.right)
-        return p if left is p.left and right is p.right else BPar(left, right)
-    return _rewrite(p, {}, _fresh_names(free_names(p)))
+    shape, operands = flatten(p, BPar)
+    canon = [_rewrite(g, {}, _fresh_names(_free(g, frozenset(), {}))) for g in operands]
+    if all(map(operator.is_, canon, operands)):
+        return p
+    return rebuild(shape, canon)
 
 
 def _unfold(rec: BRec) -> BpiProcess:
@@ -260,44 +265,51 @@ def _fresh_names(avoid):
     return (n for n in map("x{}".format, count()) if n not in avoid)
 
 
-def _rewrite(p: BpiProcess, ren: dict, fresh, rec=None) -> BpiProcess:
-    """The one scoped walk over broadcast terms, behind substitution,
-    canonical forms and recursion unfolding: each free name in ``ren``
-    becomes the name it maps to, and binders shadow.  Given ``fresh``, an
-    iterator of names, every binder takes the next of them in pre-order,
-    but a rec body that uses no name of ``ren`` is numbered on its own, so
-    equal recs canonicalise equally in any context.  Otherwise a binder
-    keeps its name unless it would capture an incoming name, one that
-    ``ren`` maps to or one free in the body of ``rec``; then it becomes
-    ``name#i``.  Given ``rec``, each call of ``rec.name`` becomes that
-    recursion, unless an inner rec of that name shadows it."""
+def _rewrite(p: BpiProcess, ren: dict, fresh, rec=None, recs=None) -> BpiProcess:
+    """The one scoped walk over sequential broadcast terms, behind
+    substitution, canonical forms and recursion unfolding: each free name
+    in ``ren`` becomes the name it maps to, and binders shadow.  Given
+    ``fresh``, an iterator of names, every binder takes the next of them in
+    pre-order, but a rec body that uses no name of ``ren`` is numbered on
+    its own, skipping the names it uses, so equal recs canonicalise equally
+    in any context.  A call of an enclosing rec uses the names free in that
+    rec's body (``recs``), since an unfolding puts them there.  Otherwise a
+    binder keeps its name unless it would capture an incoming name, one
+    that ``ren`` maps to or one free in the body of ``rec``; then it
+    becomes ``name#i``.  Given ``rec``, each call of ``rec.name`` becomes
+    that recursion, unless an inner rec of that name shadows it."""
     if not ren and fresh is None and rec is None or isinstance(p, BNil):
         return p
     look = lambda names: tuple([ren.get(n, n) for n in names])
     if isinstance(p, BTau):
-        return BTau(_rewrite(p.cont, ren, fresh, rec))
+        return BTau(_rewrite(p.cont, ren, fresh, rec, recs))
     if isinstance(p, BOut):
-        return BOut(ren.get(p.chan, p.chan), look(p.names), _rewrite(p.cont, ren, fresh, rec))
+        return BOut(ren.get(p.chan, p.chan), look(p.names), _rewrite(p.cont, ren, fresh, rec, recs))
     if isinstance(p, BIn):
         names, inner = _bind(p.vars, p.cont, ren, fresh, rec)
-        return BIn(ren.get(p.chan, p.chan), names, _rewrite(p.cont, inner, fresh, rec))
-    if isinstance(p, (BSum, BPar)):
-        return type(p)(_rewrite(p.left, ren, fresh, rec), _rewrite(p.right, ren, fresh, rec))
+        return BIn(ren.get(p.chan, p.chan), names, _rewrite(p.cont, inner, fresh, rec, recs))
+    if isinstance(p, BSum):
+        return BSum(_rewrite(p.left, ren, fresh, rec, recs),
+                    _rewrite(p.right, ren, fresh, rec, recs))
     if isinstance(p, BRec):
         if rec is not None and rec.name == p.name:
             rec = None
         body_ren, body_fresh = ren, fresh
         if fresh is not None:
-            used = free_names(p.body, frozenset(p.params))
-            if ren.keys().isdisjoint(used):
+            recs = {k: v for k, v in (recs or {}).items() if k != p.name}
+            own = _free(p.body, frozenset(p.params), {})
+            used = _free(p.body, frozenset(p.params), recs)
+            if ren.keys().isdisjoint(own):
                 body_ren, body_fresh = {}, _fresh_names(used)
+            # the names of the rec's body as this walk prints them
+            recs[p.name] = frozenset([ren.get(n, n) for n in own]) | (used - own)
         params, inner = _bind(p.params, p.body, body_ren, body_fresh, rec)
-        return BRec(p.name, params, _rewrite(p.body, inner, body_fresh, rec), look(p.args))
+        return BRec(p.name, params, _rewrite(p.body, inner, body_fresh, rec, recs), look(p.args))
     if isinstance(p, BCall):
         if rec is not None and rec.name == p.name:
             return BRec(rec.name, rec.params, rec.body, look(p.args))
         return BCall(p.name, look(p.args))
-    raise TypeError(f"not a bpi process: {p!r}")
+    raise TypeError(f"not a sequential bpi term: {p!r}")
 
 
 def _bind(binders: tuple, body: BpiProcess, ren: dict, fresh, rec) -> tuple:
@@ -310,10 +322,10 @@ def _bind(binders: tuple, body: BpiProcess, ren: dict, fresh, rec) -> tuple:
         return names, inner
     incoming = {v for k, v in inner.items() if k != v}
     if rec is not None:
-        incoming |= free_names(rec.body, frozenset(rec.params))
+        incoming |= _free(rec.body, frozenset(rec.params), {})
     if incoming.isdisjoint(binders):
         return binders, inner
-    avoid = incoming | set(binders) | free_names(body)
+    avoid = incoming | set(binders) | _free(body, frozenset(), {})
     for b in binders:
         if b in incoming:
             inner[b] = next(n for n in (f"{b}#{i}" for i in count()) if n not in avoid)
@@ -373,52 +385,30 @@ def _seq_reacts(g: BpiProcess, chan: str, values: tuple) -> list:
     return accepts + [g] if can_discard else accepts
 
 
-# The local steps that parallel steps compose: a sequential term's tau and
-# output steps, and its successors on a broadcast.
-_SEQ_STEPS = (_seq_outs, _seq_reacts)
+def _walk(p: BpiProcess, canon) -> Walk:
+    """The walk of a term's exploration: its top-level ``||`` is the
+    skeleton and its sequential operands the leaves.  A tau reaches no
+    other operand."""
+    return Walk(p, canon, lambda g: _seq_outs(g), lambda g, msg: _seq_reacts(g, *msg),
+                lambda lab: None if lab == TAU else lab[1:], BPar)
 
 
-def _par_ins(p: BpiProcess, chan: str, values: tuple, local=_SEQ_STEPS) -> list:
-    if isinstance(p, BPar):
-        lefts = _par_ins(p.left, chan, values, local)
-        rights = _par_ins(p.right, chan, values, local) if lefts else []
-        return [BPar(l2, r2) for l2 in lefts for r2 in rights]
-    return list(local[1](p, chan, values))
-
-
-def _par_outs(p: BpiProcess, local=_SEQ_STEPS):
-    if not isinstance(p, BPar):
-        yield from local[0](p)
-        return
-    for label, l2 in _par_outs(p.left, local):
-        if label == TAU:
-            yield label, BPar(l2, p.right)
-        else:
-            _, chan, values = label
-            for r2 in _par_ins(p.right, chan, values, local):
-                yield label, BPar(l2, r2)
-    for label, r2 in _par_outs(p.right, local):
-        if label == TAU:
-            yield label, BPar(p.left, r2)
-        else:
-            _, chan, values = label
-            for l2 in _par_ins(p.left, chan, values, local):
-                yield label, BPar(l2, r2)
-
-
-def bpi_steps(p: BpiProcess, universe=(), local=_SEQ_STEPS):
+def bpi_steps(p: BpiProcess, universe=(), walk: Walk = None) -> list:
     """All transitions of a closed term: autonomous tau/output moves plus,
-    for every (chan, values) in the universe, the broadcast-input moves;
-    composed from the sequential steps ``local``."""
-    steps = list(_par_outs(p, local))
+    for every (chan, values) in the universe, the broadcast-input moves.
+    Given ``walk``, ``p`` is one of its states and so are the successors."""
+    if walk is None:
+        walk = _walk(p, lambda g: g)
+        return [(lab, walk.tree(q)) for lab, q in bpi_steps(walk.initial, universe, walk)]
+    steps = walk.outs(p)
     for chan, values in universe:
-        for p2 in _par_ins(p, chan, tuple(values), local):
-            steps.append((("in", chan, tuple(values)), p2))
+        msg = (chan, tuple(values))
+        steps += [(("in", *msg), q) for q in walk.ins(p, msg)]
     return steps
 
 
 def bpi_barbs(p: BpiProcess) -> frozenset:
-    return frozenset(lab[1] for lab, _ in _par_outs(p) if lab != TAU)
+    return frozenset(lab[1] for lab, _ in bpi_steps(p) if lab != TAU)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +473,7 @@ def encode_proc(g: BpiProcess, bound: frozenset, defs: dict):
     if isinstance(g, BSum):
         return Choice(encode_proc(g.left, bound, defs), encode_proc(g.right, bound, defs))
     if isinstance(g, BRec):
-        outer = sorted(free_names(g.body, frozenset(g.params)) & bound)
+        outer = sorted(_free(g.body, frozenset(g.params), {}) & bound)
         if outer:
             raise EncodingError(f"recursion {g.name} uses {outer[0]}, a name bound outside it")
         body = encode_proc(g.body, frozenset(g.params), defs)
@@ -510,9 +500,17 @@ def encode(p: BpiProcess, channel_map=None):
 
 
 def _encode_comp(p: BpiProcess, defs: dict) -> Component:
-    if isinstance(p, BPar):
-        return ParC(_encode_comp(p.left, defs), _encode_comp(p.right, defs))
-    return Leaf(AttrEnv(), frozenset(), encode_proc(p, frozenset(), defs))
+    shape, operands = flatten(p, BPar)
+    return rebuild(_abc_shape(shape), [_encode_leaf(g, defs) for g in operands])
+
+
+def _encode_leaf(g: BpiProcess, defs: dict) -> Leaf:
+    return Leaf(AttrEnv(), frozenset(), encode_proc(g, frozenset(), defs))
+
+
+def _abc_shape(shape: tuple) -> tuple:
+    """The skeleton of a term's translation: each ``||`` becomes one."""
+    return tuple([None if node is None else (ParC, None) for node in shape])
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +531,19 @@ class CorrespondenceReport(Record):
 
 def harvest_bpi_universe(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> tuple:
     """Fixpoint of the broadcast alphabet, with its closure: every emitted
-    (chan, values) is fed back as an input until no new one appears.  The
-    steps of each sequential term, and its answer to each broadcast, are
-    worked out once per call and shared by every state that holds it."""
-    local = (cache(lambda g: tuple([(lab, canon_bpi(nxt)) for lab, nxt in _seq_outs(g)])),
-             cache(lambda g, chan, values: tuple(map(canon_bpi, _seq_reacts(g, chan, values)))))
-    return alphabet_fixpoint(
-        canon_bpi(p),
-        lambda q: bpi_steps(q, (), local),
-        lambda q, msg: [(("in", *msg), nxt) for nxt in _par_ins(q, *msg, local)],
+    (chan, values) is fed back as an input until no new one appears.
+    Returns the universe and the closure: its states, their steps and the
+    walk that found them."""
+    walk = _walk(p, canon_bpi)
+    universe, (states, steps) = alphabet_fixpoint(
+        walk.initial,
+        lambda q: bpi_steps(q, (), walk),
+        lambda q, msg: [(("in", *msg), nxt) for nxt in walk.ins(q, msg)],
         lambda have, outs: tuple(sorted({*have, *((l[1], l[2]) for l in outs if l != TAU)})),
         (),
         bounds.max_states,
     )
+    return universe, (states, steps, walk)
 
 
 def _abc_label(lab) -> sem.Label:
@@ -560,7 +558,7 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
     """Walk the broadcast transition system and, at every reachable state,
     require a label-preserving bijection between its transitions and the
     transitions of its translation, with matching barbs."""
-    universe, (found, closure) = harvest_bpi_universe(p, bounds)
+    universe, (found, closure, walk) = harvest_bpi_universe(p, bounds)
     # numbered in ``bpi_steps`` order: tau and outputs as found, then inputs
     ids, transitions = reach(0, closure.__getitem__, lambda lab: lab[1:] if lab[0] == "in" else (),
                              lambda i: 0, bounds)
@@ -571,42 +569,42 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
         steps[src].append((lab, dst))
 
     # one translation for the whole walk: the definitions of every state in
-    # one dict (a recursion name with two bodies raises EncodingError), each
-    # sequential term encoded once into a canonical leaf
+    # one dict (a recursion name with two bodies raises EncodingError), and
+    # each sequential term encoded once, its leaf id in the translation's
+    # walk, over the same skeleton
     defs: dict = {}
-    leaf = cache(lambda g: canonical(_encode_comp(g, defs)))
-
-    def encoding(q):
-        return ParC(encoding(q.left), encoding(q.right)) if isinstance(q, BPar) else leaf(q)
-
+    leaf = cache(lambda g: _encode_leaf(walk.leaves[g], defs))
     try:
-        comps = [encoding(q) for q in states]
+        target = abc_walk(rebuild(_abc_shape(walk.shape), [leaf(g) for g in walk.initial]), defs)
+        leaf_id = cache(lambda g: target.intern(leaf(g)))
+        encoded = [tuple([leaf_id(g) for g in q]) for q in states]
     except EncodingError:
         _encode_comp(p, {})  # where the term's own translation fails, say it in its names
         raise
-    successors = abc_successors(defs, [_abc_label(("in", chan, values))
-                                       for chan, values in universe])
+    abc_label = cache(lambda lab: target.label(_abc_label(lab)))
+    successors = fixed_steps(target, [abc_label(("in", chan, values)) for chan, values in universe])
 
-    for cur, comp, bsteps in zip(states, comps, steps):
+    for q, comp, bsteps in zip(states, encoded, steps):
         asteps = successors(comp)
+        wrong = []  # this state's violations, each without the state
 
         if len(bsteps) != len(asteps):
-            report.violations.append(("transition-count", cur, len(bsteps), len(asteps)))
+            wrong.append(("transition-count", len(bsteps), len(asteps)))
 
         # bijective matching per label, targets as multisets; a source step
         # takes the first unmatched equal target step
         offered, taken = Counter(asteps), Counter()
         for lab, dst in bsteps:
-            want = (_abc_label(lab), comps[dst])
+            want = (abc_label(lab), encoded[dst])
             if taken[want] < offered[want]:
                 taken[want] += 1
             else:
-                report.violations.append(("unmatched-source-step", cur, lab))
+                wrong.append(("unmatched-source-step", lab))
         for extra in asteps:
             if taken[extra]:
                 taken[extra] -= 1
             else:
-                report.violations.append(("unmatched-target-step", cur, extra[0]))
+                wrong.append(("unmatched-target-step", extra[0]))
 
         src_barbs = frozenset(lab[1] for lab, _ in bsteps if lab[0] == "out")
         tgt_barbs = frozenset(
@@ -615,5 +613,8 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
             if lab.kind == sem.OUT and isinstance(lab.pred, Tt) and lab.values
         )
         if src_barbs != tgt_barbs:
-            report.violations.append(("barb-mismatch", cur, src_barbs, tgt_barbs))
+            wrong.append(("barb-mismatch", src_barbs, tgt_barbs))
+        if wrong:
+            cur = walk.tree(q)
+            report.violations += [(kind, cur, *rest) for kind, *rest in wrong]
     return report

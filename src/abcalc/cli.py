@@ -35,7 +35,7 @@ from .syntax import (
     pretty_model,
     pretty_pred,
 )
-from .terms import ArityMismatch, DomainViolation, Record, canonical
+from .terms import ArityMismatch, DomainViolation, Record
 
 SCHEMA_VERSION = 1
 
@@ -159,10 +159,13 @@ def cmd_steps(args) -> int:
             for lab, nxt in bp.bpi_steps(model, universe)
         ]
     else:
-        comp = canonical(_require_component(model, args.file))
+        comp = _require_component(model, args.file)
         universe, closure = _universe(model, comp, cfg)
-        steps = (L.abc_successors(model.defs, universe, model.domains)(comp) if closure is None
-                 else [(lab, closure[0][i]) for lab, i in closure[1][0]])
+        if closure is None:
+            steps = L.abc_successors(model.defs, universe, model.domains)(comp)
+        else:
+            found, moves, walk = closure
+            steps = [(lab, walk.tree(found[i])) for lab, i in moves[0]]
         rows = [{"label": label, "target": target} for label, target in
                 sorted((pretty_label(lab), pretty_component(c2)) for lab, c2 in steps)]
     human = "\n".join(f"{r['label']}  ->  {r['target']}" for r in rows) or "(no steps)"

@@ -108,7 +108,8 @@ def _label_classes(labels, domains):
 
 def _moves(lts: Lts, offset: int, class_of, weak: bool):
     """Each state's distinct moves, in first-seen order: a dict from
-    ``(class, target)`` to the first label seen for it.  A weak move pads
+    ``(class, target)`` to the first label seen for it; ``class_of`` maps
+    the ``id`` of each label object to its class.  A weak move pads
     a visible step with silent moves on both sides, and a silent move
     (label ``None``) reaches any state of the tau-closure."""
     n = len(lts.states)
@@ -120,7 +121,7 @@ def _moves(lts: Lts, offset: int, class_of, weak: bool):
         after = before = [(s,) for s in range(n)]
         moves = [{} for _ in range(n)]
     for src, lab, dst in lts.transitions:
-        cls = class_of[lab]
+        cls = class_of[id(lab)]
         if weak and cls == _TAU:
             continue
         for s in before[src]:
@@ -154,8 +155,11 @@ def _bisim(c1, c2, defs, universe, domains, bounds, weak) -> Verdict:
         return Verdict(False, universe or (),
                        inconclusive=True, reason=f"inconclusive under bounds: {exc}")
 
-    labels = dict.fromkeys(lab for lts in (l1, l2) for _, lab, _ in lts.transitions)
-    class_of = _label_classes(labels, domains)
+    # an exploration keeps one object per label, so the classes of a side's
+    # labels are looked up by object, comparing no fields
+    objects = {id(lab): lab for lts in (l1, l2) for _, lab, _ in lts.transitions}
+    classes = _label_classes(dict.fromkeys(objects.values()), domains)
+    class_of = {key: classes[lab] for key, lab in objects.items()}
 
     n1 = len(l1.states)
     moves = _moves(l1, 0, class_of, weak) + _moves(l2, n1, class_of, weak)

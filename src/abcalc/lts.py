@@ -6,7 +6,8 @@ An input universe makes the environment finite: besides the autonomous
 output moves, every state also reacts to each input label of the
 universe, by default the closure of the emitted non-silent outputs.
 ``reach`` and ``alphabet_fixpoint`` do all exploration, of components
-and of broadcast terms alike; ``reach`` numbers the closure's states.
+and of broadcast terms alike; ``reach`` numbers the closure's states,
+and a ``Walk`` gives the states as leaf-id vectors and composes their steps.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from functools import cache
+from itertools import accumulate, product
 
 from . import predicates as pr
 from . import semantics as sem
 from .predicates import DomainContext, EMPTY_DOMAINS
-from .syntax import pretty_component, pretty_label
-from .terms import Component, Node, Record, canonical, values_equal
+from .syntax import layout, pretty_component, pretty_label
+from .terms import (Component, Node, ParC, Record, ResIn, ResOut, canonical, flatten, rebuild,
+                    values_equal)
 
 
 class BoundExceeded(Exception):
@@ -66,10 +69,14 @@ def fingerprint(labels) -> str:
 
 
 class Lts(Record):
+    """A numbered transition system.  ``states`` holds the id vectors of
+    the ``Walk`` that found them, not trees; ``transitions`` holds
+    ``(source, label, target)`` triples of state numbers."""
+
     def __init__(self, states: list, transitions: list, initial: int = 0,
                  domains: DomainContext = EMPTY_DOMAINS):
         self.states = states
-        self.transitions = transitions  # (source id, Label, target id)
+        self.transitions = transitions
         self.initial = initial
         self.domains = domains
         self._tau_cache = {}
@@ -156,24 +163,180 @@ def alphabet_fixpoint(initial, out_steps, in_steps, grow, base, max_states: int)
         new, universe = [lab for lab in grown if lab not in old], grown
 
 
-def abc_steps(defs, domains: DomainContext = EMPTY_DOMAINS):
-    """A component's output steps and input steps of one message, with
-    canonical successors.  The steps of each leaf, and its answer to each
-    message, are worked out once per call of ``abc_steps`` and shared by
-    every state that holds the leaf.  ``canonical`` renames each leaf on
-    its own, so a tree of canonical leaves is canonical."""
+class Walk:
+    """The states of one exploration as vectors of leaf ids over one fixed
+    skeleton.  A step never changes the ``||`` and restriction nodes of a
+    state, only its leaves, so each distinct leaf gets a dense id in a table
+    local to the walk (hash-consing) and a state is a tuple of ints.  Each
+    leaf's steps and its answer to each message are worked out once, as ids.
+
+    ``leaf_outs(leaf)`` gives a leaf's ``(label, successor)`` steps,
+    ``leaf_ins(leaf, msg)`` its successors on a message (itself among them
+    when it can discard) and ``hear(label)`` the message an output delivers
+    to the other leaves, or None.  Leaves pass ``canon`` before they get an
+    id, and labels ``label``, so that lookups compare objects, not fields."""
+
+    def __init__(self, tree, canon, leaf_outs, leaf_ins, hear, binary=ParC):
+        self.shape, leaves = flatten(tree, binary)
+        self.leaves, self._ids, self._labels, self._outs, self._answers = [], {}, {}, {}, {}
+        self._canon, self._leaf_outs, self._leaf_ins = canon, leaf_outs, leaf_ins
+        self._hear = cache(lambda lab: self.label(hear(lab)))
+        self._restrict = cache(lambda lab, fn: self.label(lab.restrict(fn)))
+        self._routes = cache(self._route)
+        self.initial = tuple([self.intern(leaf) for leaf in leaves])
+        # each node's subtree: where it ends in the skeleton, and its leaves
+        n = len(self.shape)
+        self._end = [n] * (n + 1)
+        for e in reversed(range(n)):
+            node = self.shape[e]
+            self._end[e] = (e + 1 if node is None else self._end[e + 1] if node[1] is not None
+                            else self._end[self._end[e + 1]])
+        self._first = list(accumulate([node is None for node in self.shape], initial=0))
+        self._filters = [[] for _ in leaves]  # the restrictIn nodes above a leaf, top down
+        for e, node in enumerate(self.shape):
+            if node is not None and node[0] is ResIn:
+                for k in range(self._first[e], self._first[self._end[e]]):
+                    self._filters[k].append((e, node[1]))
+        self._env = tuple((k, tuple(fn for _, fn in fs)) for k, fs in enumerate(self._filters))
+
+    def intern(self, leaf) -> int:
+        leaf = self._canon(leaf)
+        i = self._ids.get(leaf)
+        if i is None:
+            i = self._ids[leaf] = len(self.leaves)
+            self.leaves.append(leaf)
+        return i
+
+    def label(self, lab):
+        return self._labels.setdefault(lab, lab)
+
+    def tree(self, state):
+        return rebuild(self.shape, [self.leaves[i] for i in state])
+
+    def _route(self, i: int) -> list:
+        """How an output of leaf ``i`` travels, from the leaf up: a
+        restrictOut strengthens it (``(fn, ())``), and at each ``||`` the
+        other operand's leaves hear it, left to right, each through the
+        restrictIn nodes below that ``||`` (``(None, group)``)."""
+        route, e, first, end = [], 0, self._first, self._end
+        while self.shape[e] is not None:
+            kind, fn = self.shape[e]
+            if fn is None:
+                inside, other = e + 1, end[e + 1]
+                if i >= first[other]:
+                    inside, other = other, inside
+                route.append((None, tuple((k, tuple(f for d, f in self._filters[k] if d > e))
+                                         for k in range(first[other], first[end[other]]))))
+                e = inside
+            else:
+                if kind is ResOut:
+                    route.append((fn, ()))
+                e += 1
+        return route[::-1]
+
+    def _answer(self, state, group, msg, factors) -> bool:
+        """Add to ``factors`` how each leaf of ``group`` answers ``msg``,
+        leaving out the leaves that can only discard it.  False, and the
+        leaves after it not asked, when one can neither accept nor discard."""
+        answers = self._answers  # message -> leaf id -> successor ids
+        heard = answers.get(msg)
+        if heard is None:
+            heard = answers[msg] = {}
+        for k, fns in group:
+            table, filtered, leaf = heard, msg, state[k]
+            if fns:
+                for fn in fns:
+                    filtered = self._restrict(filtered, fn)
+                table = answers.setdefault(filtered, {})
+            got = table.get(leaf)
+            if got is None:
+                got = table[leaf] = tuple([self.intern(nxt) for nxt in
+                                           self._leaf_ins(self.leaves[leaf], filtered)])
+            if not got:
+                return False
+            if got != (leaf,):
+                factors.append((k, got))
+        return True
+
+    def outs(self, state) -> list:
+        """A state's output steps ``(label, successor)``: leaf by leaf, left
+        to right, each step of the leaf and then each way it is answered."""
+        steps = []
+        for i, leaf in enumerate(state):
+            moves = self._outs.get(leaf)
+            if moves is None:
+                moves = self._outs[leaf] = tuple([(self.label(lab), self.intern(nxt)) for lab, nxt
+                                                  in self._leaf_outs(self.leaves[leaf])])
+            for label, nxt in moves:
+                factors = []
+                for fn, group in self._routes(i):
+                    if fn is not None:
+                        label = self._restrict(label, fn)
+                    elif (msg := self._hear(label)) is not None \
+                            and not self._answer(state, group, msg, factors):
+                        break
+                else:
+                    steps += [(label, succ) for succ in _fill(state, i, nxt, factors)]
+        return steps
+
+    def ins(self, state, msg) -> list:
+        """A state's successors when the environment sends ``msg``."""
+        factors = []
+        if not self._answer(state, self._env, self.label(msg), factors):
+            return []
+        return _fill(state, None, None, factors)
+
+
+def _fill(state, i, leaf, factors) -> list:
+    """``state`` with ``leaf`` at ``i`` and each combination of the answers
+    in ``factors``, the first factor varying slowest."""
+    base = list(state)
+    if i is not None:
+        base[i] = leaf
+    out = []
+    for choice in product(*[got for _, got in factors]):
+        for (k, _), nxt in zip(factors, choice):
+            base[k] = nxt
+        out.append(tuple(base))
+    return out
+
+
+def abc_walk(comp: Component, defs, domains: DomainContext = EMPTY_DOMAINS) -> Walk:
+    """The walk of a component's exploration, over canonical leaves.
+    ``canonical`` renames each leaf on its own, so a tree of canonical
+    leaves is canonical."""
     leaf_outs, leaf_ins = sem.leaf_steps(defs, domains)
-    local = (cache(lambda leaf: tuple([(lab, canonical(s)) for lab, s in leaf_outs(leaf)])),
-             cache(lambda leaf, msg: tuple([canonical(s) for s in leaf_ins(leaf, msg)])))
-    return (lambda comp: sem.system_out_steps(comp, defs, domains, local),
-            lambda comp, msg: [(msg, c) for c in sem.system_in_step(comp, msg, defs, domains,
-                                                                    local)])
+    return Walk(comp, canonical, leaf_outs, leaf_ins, sem.Label.as_input)
+
+
+def abc_steps(walk: Walk) -> tuple:
+    """A state's output steps, and its input steps on one message."""
+    return walk.outs, lambda state, msg: [(msg, succ) for succ in walk.ins(state, msg)]
+
+
+def fixed_steps(walk: Walk, universe):
+    """A state's steps under a fixed universe: outputs, then inputs of each
+    label of it."""
+    out_steps, in_steps = abc_steps(walk)
+    return lambda state: out_steps(state) + [st for msg in universe for st in in_steps(state, msg)]
 
 
 def abc_successors(defs, universe=(), domains: DomainContext = EMPTY_DOMAINS):
-    """Successors under a fixed universe: outputs, then inputs of each label of it."""
-    out_steps, in_steps = abc_steps(defs, domains)
-    return lambda comp: out_steps(comp) + [st for msg in universe for st in in_steps(comp, msg)]
+    """A component's steps under a fixed universe, successors as trees."""
+
+    def successors(comp):
+        walk = abc_walk(comp, defs, domains)
+        return [(lab, walk.tree(succ)) for lab, succ in fixed_steps(walk, universe)(walk.initial)]
+
+    return successors
+
+
+def state_text(walk: Walk):
+    """A state's printed form, the sort key of its steps: the skeleton's
+    text with each leaf's text, printed once per leaf."""
+    pieces = layout(rebuild(walk.shape, range(len(walk.initial))))
+    text = cache(lambda leaf: pretty_component(walk.leaves[leaf]))
+    return lambda state: "".join([p if p.__class__ is str else text(state[p]) for p in pieces])
 
 
 def explore(
@@ -188,12 +351,14 @@ def explore(
     state's steps sorted by printed label and successor.  Given the closure
     that computed ``universe``, it numbers the closure's states."""
     if closure is None:
-        states, transitions = reach(canonical(comp), abc_successors(defs or {}, universe, domains),
-                                    pretty_label, pretty_component, bounds)
+        walk = abc_walk(comp, defs or {}, domains)
+        states, transitions = reach(walk.initial, fixed_steps(walk, universe), pretty_label,
+                                    state_text(walk), bounds)
     else:
-        found, steps = closure
-        ids, transitions = reach(0, steps.__getitem__, pretty_label,
-                                 lambda i: pretty_component(found[i]), bounds)
+        found, steps, walk = closure
+        text = state_text(walk)
+        ids, transitions = reach(0, steps.__getitem__, pretty_label, lambda i: text(found[i]),
+                                 bounds)
         states = [found[i] for i in ids]
     return Lts(states, transitions, 0, domains)
 
@@ -207,14 +372,17 @@ def auto_universe(
 ) -> tuple:
     """Shared-alphabet closure: harvest emitted output labels as inputs
     until nothing new appears.  Silent outputs are never harvested.
-    Returns the universe and the closure that ``explore`` numbers."""
+    Returns the universe and the closure that ``explore`` numbers: its
+    states, their steps and the walk that found them."""
 
     def grow(have, outputs):
-        heard = [lab.as_input() for lab in outputs if not pr.is_ff(lab.pred, domains)]
+        heard = [walk.label(lab.as_input()) for lab in outputs if not pr.is_ff(lab.pred, domains)]
         return merge_labels(have, sorted(heard, key=pretty_label), domains)
 
-    return alphabet_fixpoint(canonical(comp), *abc_steps(defs or {}, domains), grow, base,
-                             bounds.max_states)
+    walk = abc_walk(comp, defs or {}, domains)
+    universe, (states, steps) = alphabet_fixpoint(walk.initial, *abc_steps(walk), grow, base,
+                                                  bounds.max_states)
+    return universe, (states, steps, walk)
 
 
 def weak_closure(lts: Lts):

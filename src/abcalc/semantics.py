@@ -1,14 +1,15 @@
-"""The two transition relations: component-level steps of a single leaf
-and system-level steps of a full component tree.
+"""Component-level steps of a single leaf, and the labels they carry.
 
 Output enumeration walks the process structure (Brd plus the choice /
 interleave / awareness / recursion contexts).  Input handling returns,
 for a leaf, the set of accepting successors together with whether the
 discard derivation exists; a leaf whose input prefix satisfies both
 receive constraints cannot discard, which is what keeps dynamic
-operators honest.  At system level a broadcast from one side of a
-parallel composition is delivered eagerly to every sibling, which either
-accepts (possibly in several ways) or stays unchanged.
+operators honest.  System steps are composed from these leaf steps by
+``lts.Walk``: a broadcast from one leaf is delivered eagerly to every
+other leaf, which either accepts (possibly in several ways) or stays
+unchanged, and a restriction on the way strengthens the label
+(``Label.restrict``).
 
 A step whose expressions fail to evaluate does not exist: for an output
 that is the output itself, for an input the accepting successor (the
@@ -29,18 +30,14 @@ from .terms import (
     Aware,
     Call,
     Choice,
-    Component,
     EvalError,
     In,
     Inact,
     Leaf,
     Node,
     Out,
-    ParC,
     ParP,
     Process,
-    ResIn,
-    ResOut,
     Upd,
     apply_updates,
     eval_expr,
@@ -61,6 +58,13 @@ class Label(Node):
 
     def as_input(self) -> "Label":
         return Label(IN, self.env, self.pred, self.values)
+
+    def restrict(self, fn) -> "Label":
+        """The label with its predicate strengthened by the restriction
+        ``fn`` at its sender and values: what ``restrictOut`` does to an
+        output leaving it and ``restrictIn`` to a message entering it."""
+        extra = pr.instantiate(fn, self.env, self.values)
+        return Label(self.kind, self.env, pr.And(self.pred, extra), self.values)
 
 
 class UnboundProcessName(Exception):
@@ -186,58 +190,3 @@ def leaf_steps(defs, domains: DomainContext = EMPTY_DOMAINS) -> tuple:
         return accepts + [leaf] if can_discard else accepts
 
     return (lambda leaf: component_out_steps(leaf, defs, domains)), ins
-
-
-# ---------------------------------------------------------------------------
-# System level
-
-
-def system_out_steps(c: Component, defs, domains: DomainContext = EMPTY_DOMAINS, local=None):
-    """All system-level output transitions of a component tree, composed
-    from the leaf steps ``local`` (by default ``leaf_steps(defs, domains)``)."""
-    local = local or leaf_steps(defs, domains)
-    if isinstance(c, Leaf):
-        return list(local[0](c))
-    out = []
-    if isinstance(c, ParC):
-        for label, l2 in system_out_steps(c.left, defs, domains, local):
-            for r2 in system_in_step(c.right, label.as_input(), defs, domains, local):
-                out.append((label, ParC(l2, r2)))
-        for label, r2 in system_out_steps(c.right, defs, domains, local):
-            for l2 in system_in_step(c.left, label.as_input(), defs, domains, local):
-                out.append((label, ParC(l2, r2)))
-    elif isinstance(c, ResOut):
-        for label, c2 in system_out_steps(c.comp, defs, domains, local):
-            extra = pr.instantiate(c.fn, label.env, label.values)
-            strengthened = Label(OUT, label.env, pr.And(label.pred, extra), label.values)
-            out.append((strengthened, ResOut(c2, c.fn)))
-    elif isinstance(c, ResIn):
-        for label, c2 in system_out_steps(c.comp, defs, domains, local):
-            out.append((label, ResIn(c2, c.fn)))
-    else:
-        raise TypeError(f"not a component: {c!r}")
-    return out
-
-
-def system_in_step(c: Component, msg: Label, defs, domains: DomainContext = EMPTY_DOMAINS,
-                   local=None):
-    """All successors after the environment injects an input label,
-    composed from the leaf steps ``local`` as in ``system_out_steps``.
-
-    Empty only when some leaf must accept but its accepting step fails to
-    evaluate; otherwise every leaf accepts or discards.
-    """
-    local = local or leaf_steps(defs, domains)
-    if isinstance(c, Leaf):
-        return list(local[1](c, msg))
-    if isinstance(c, ParC):
-        lefts = system_in_step(c.left, msg, defs, domains, local)
-        rights = system_in_step(c.right, msg, defs, domains, local) if lefts else []
-        return [ParC(l2, r2) for l2 in lefts for r2 in rights]
-    if isinstance(c, ResIn):
-        extra = pr.instantiate(c.fn, msg.env, msg.values)
-        inner = Label(IN, msg.env, pr.And(msg.pred, extra), msg.values)
-        return [ResIn(c2, c.fn) for c2 in system_in_step(c.comp, inner, defs, domains, local)]
-    if isinstance(c, ResOut):
-        return [ResOut(c2, c.fn) for c2 in system_in_step(c.comp, msg, defs, domains, local)]
-    raise TypeError(f"not a component: {c!r}")

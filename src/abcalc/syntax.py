@@ -42,7 +42,7 @@ from .terms import (
     SndAttr,
     Upd,
     Var,
-    leaves,
+    flatten,
     pretty_value,
     values_equal,
 )
@@ -126,7 +126,7 @@ class Model(Record):
 def check_domains(comps, domains: DomainContext):
     """Every environment of the components gives each declared attribute
     a value of its domain; otherwise raise DomainViolation."""
-    for leaf in (leaf for comp in comps for leaf in leaves(comp)):
+    for leaf in (leaf for comp in comps for leaf in flatten(comp)[1]):
         for attr, value in leaf.env.items:
             dom = domains.get(attr)
             if dom is not None and not any(values_equal(value, d) for d in dom):
@@ -711,26 +711,35 @@ def pretty_env(env: AttrEnv) -> str:
 
 
 def pretty_component(c) -> str:
-    if isinstance(c, Leaf):
-        iface = ", ".join(sorted(c.iface))
-        return (
-            "comp { iface: [" + iface + "]; env: " + pretty_env(c.env)
-            + "; run: " + pretty_process(c.proc) + " }"
-        )
-    if isinstance(c, ParC):
-        left = pretty_component(c.left) if isinstance(c.left, ParC) else _comp_text(c.left)
-        return f"{left} || {_comp_text(c.right)}"
-    if isinstance(c, ResOut):
-        return "restrictOut(" + c.fn.name + "){ " + pretty_component(c.comp) + " }"
-    if isinstance(c, ResIn):
-        return "restrictIn(" + c.fn.name + "){ " + pretty_component(c.comp) + " }"
-    raise TypeError(f"not a component: {c!r}")
+    return "".join([p if p.__class__ is str else _leaf_text(p) for p in layout(c)])
 
 
-def _comp_text(c) -> str:
-    if isinstance(c, ParC):
-        return f"({pretty_component(c)})"
-    return pretty_component(c)
+def layout(c, binary=ParC) -> list:
+    """The text of a tree of ``binary`` ``||`` and restrictions, read by a
+    loop: its fixed text as strings, and in between each leaf itself, left
+    to right.  A right operand that is a ``||`` goes in parentheses."""
+    out, todo = [], [c]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is str:
+            out.append(node)
+        elif isinstance(node, binary):
+            nested = isinstance(node.right, binary)
+            todo += (")" if nested else "", node.right, " || (" if nested else " || ", node.left)
+        elif isinstance(node, (ResOut, ResIn)):
+            kind = "Out" if isinstance(node, ResOut) else "In"
+            todo += (" }", node.comp, f"restrict{kind}({node.fn.name}){{ ")
+        else:
+            out.append(node)
+    return out
+
+
+def _leaf_text(c) -> str:
+    if not isinstance(c, Leaf):
+        raise TypeError(f"not a component: {c!r}")
+    iface = ", ".join(sorted(c.iface))
+    return ("comp { iface: [" + iface + "]; env: " + pretty_env(c.env)
+            + "; run: " + pretty_process(c.proc) + " }")
 
 
 def pretty_label(lab: sem.Label) -> str:

@@ -9,6 +9,7 @@ directly.
 
 from __future__ import annotations
 
+import operator
 from itertools import count
 from types import MappingProxyType
 
@@ -686,14 +687,39 @@ class ResIn(Node):
 Component = Leaf | ParC | ResOut | ResIn
 
 
-def leaves(c: Component):
-    if isinstance(c, Leaf):
-        yield c
-    elif isinstance(c, ParC):
-        yield from leaves(c.left)
-        yield from leaves(c.right)
-    else:
-        yield from leaves(c.comp)
+def flatten(tree, binary=ParC) -> tuple:
+    """The fixed skeleton of a tree and its leaves, left to right, read
+    by a loop, so any width is fine.  The skeleton lists the nodes in
+    pre-order: ``None`` for a leaf, ``(cls, None)`` for a ``binary`` node
+    (with ``left`` and ``right``), ``(cls, fn)`` for a restriction.
+    Anything else is a leaf."""
+    shape, leaves, todo = [], [], [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, binary):
+            shape.append((node.__class__, None))
+            todo += (node.right, node.left)
+        elif isinstance(node, (ResOut, ResIn)):
+            shape.append((node.__class__, node.fn))
+            todo.append(node.comp)
+        else:
+            shape.append(None)
+            leaves.append(node)
+    return tuple(shape), leaves
+
+
+def rebuild(shape: tuple, leaves):
+    """The tree of skeleton ``shape`` over ``leaves``, inverse to ``flatten``."""
+    stack, k = [], len(leaves)
+    for node in reversed(shape):
+        if node is None:
+            k -= 1
+            stack.append(leaves[k])
+        elif node[1] is None:
+            stack.append(node[0](stack.pop(), stack.pop()))
+        else:
+            stack.append(node[0](stack.pop(), node[1]))
+    return stack[0]
 
 
 def apply_updates(leaf: Leaf, domains=None) -> Leaf:
@@ -724,10 +750,8 @@ def canonical(c: Component) -> Component:
     if isinstance(c, Leaf):
         proc = _rewrite(c.proc, _NO_SCOPE, map("x{}".format, count()))
         return c if proc is c.proc else Leaf(c.env, c.iface, proc)
-    if isinstance(c, ParC):
-        left, right = canonical(c.left), canonical(c.right)
-        return c if left is c.left and right is c.right else ParC(left, right)
-    if isinstance(c, (ResOut, ResIn)):
-        comp = canonical(c.comp)
-        return c if comp is c.comp else type(c)(comp, c.fn)
-    raise TypeError(f"not a component: {c!r}")
+    if not isinstance(c, (ParC, ResOut, ResIn)):
+        raise TypeError(f"not a component: {c!r}")
+    shape, leaves = flatten(c)
+    canon = [canonical(leaf) for leaf in leaves]
+    return c if all(map(operator.is_, canon, leaves)) else rebuild(shape, canon)

@@ -27,6 +27,8 @@ from abcalc.terms import (
     Out,
     ParC,
     ParP,
+    ResIn,
+    ResOut,
     RestrictionFn,
     SelfAttr,
     Upd,
@@ -167,10 +169,18 @@ def random_leaf(rng: random.Random, depth: int = 3) -> Leaf:
     return Leaf(AttrEnv.of(env), iface, random_process(rng, depth))
 
 
-def random_component(rng: random.Random, depth: int = 2):
+def random_component(rng: random.Random, depth: int = 2, restrict: float = 0.0):
+    """A random tree of leaves; left-, right- and mixed-nested ``||``.  With
+    ``restrict``, each node is wrapped, with that probability, in a
+    restrictOut or restrictIn of ``RESTRICTION_POOL``."""
     if depth == 0 or rng.random() < 0.6:
-        return random_leaf(rng)
-    return ParC(random_component(rng, depth - 1), random_component(rng, depth - 1))
+        comp = random_leaf(rng)
+    else:
+        comp = ParC(random_component(rng, depth - 1, restrict),
+                    random_component(rng, depth - 1, restrict))
+    if restrict and rng.random() < restrict:
+        comp = rng.choice((ResOut, ResIn))(comp, random_restriction(rng))
+    return comp
 
 
 def chains_abc(depths) -> str:
@@ -335,13 +345,17 @@ def random_bpi_seq(rng: random.Random, depth: int = 3):
     return bp.BSum(random_bpi_seq(rng, depth - 1), random_bpi_seq(rng, depth - 1))
 
 
-def random_bpi(rng: random.Random, depth: int = 3):
-    """A random closed term: parallel composition of sequential terms."""
+def random_bpi(rng: random.Random, depth: int = 3, nest: str = "left", width: int = 2):
+    """A random closed term: parallel composition of up to ``width`` + 1
+    sequential terms, nested to the ``left``, to the ``right`` or, for
+    ``mixed``, either way at each ``||``."""
     from abcalc import bpi as bp
 
     p = random_bpi_seq(rng, depth)
-    for _ in range(rng.randint(0, 2)):
-        p = bp.BPar(p, random_bpi_seq(rng, depth - 1))
+    for _ in range(rng.randint(0, width)):
+        q = random_bpi_seq(rng, depth - 1)
+        right = nest == "right" or nest == "mixed" and rng.random() < 0.5
+        p = bp.BPar(q, p) if right else bp.BPar(p, q)
     return p
 
 

@@ -68,6 +68,14 @@ class TestSteps:
         assert rc == 0
         assert '"p", "v"' in out
 
+    def test_auto_universe_steps_are_printed_trees(self, capsys):
+        # under auto the steps come from the closure's walk, rebuilt as trees
+        rc, out, _ = run(capsys, "steps", NETWORK)
+        rc_none, fixed, _ = run(capsys, "steps", NETWORK, "--universe", "none")
+        assert rc == rc_none == 0
+        assert set(fixed.splitlines()) < set(out.splitlines())
+        assert all("  ->  restrictOut(ffwd){ comp {" in line for line in out.splitlines())
+
     def test_bpi_steps(self, capsys):
         rc, out, _ = run(capsys, "steps", HANDSHAKE)
         assert rc == 0 and "a!(x)" in out
@@ -228,6 +236,36 @@ class TestVerifyEncoding:
         bad.write_text("A(v)")
         rc, _, err = run(capsys, "verify-encoding", str(bad))
         assert rc == 2 and "error" in err
+
+    @pytest.mark.parametrize("text, states", [
+        # the inner rec calls the outer one, whose body uses x0: once the
+        # outer one unfolds inside it, x0 is free there too
+        ("c!(w).c!(w).nil || (rec A().x0!().(rec B().c(y).A())())()", 6),
+        ("c!(w).c!(w).nil || (rec A().d!().(rec B().c(y).A())())()", 6),
+        # an inner rec that does not call the outer one skips only its own names
+        ("c!(w).c!(w).nil || (rec A().x0!().(rec B().c(y).nil)())()", 9),
+    ])
+    def test_nested_rec_keeps_one_body(self, capsys, tmp_path, text, states):
+        term = tmp_path / "n.bpi"
+        term.write_text(text + "\n")
+        rc, out, err = run(capsys, "verify-encoding", str(term))
+        assert (rc, err) == (0, "")
+        assert out.startswith(f"ok: {states} states")
+
+
+def test_wide_parallel_composition(capsys, tmp_path):
+    """1,500 operands side by side: skeletons are read by loops, so width
+    meets no recursion limit."""
+    term = tmp_path / "wide.bpi"
+    term.write_text(" || ".join(["nil"] * 1498 + ["c!(m).nil", "c(x).nil"]) + "\n")
+    rc, out, err = run(capsys, "verify-encoding", str(term))
+    assert (rc, err) == (0, "") and out.startswith("ok: 3 states")
+    model = tmp_path / "wide.abc"
+    names = [f"Z{i}" for i in range(1500)]
+    model.write_text("".join(f"comp {n} {{ iface: []; env: {{}}; run: 0 }}\n" for n in names)
+                     + f"system: {' || '.join(names)};\n")
+    rc, out, err = run(capsys, "explore", str(model))
+    assert (rc, err) == (0, "") and out == "des (0,0,1)\n"
 
 
 class TestIllFormedInput:

@@ -6,7 +6,6 @@ universes must agree label for label, in order."""
 import pytest
 
 from abcalc import predicates as pr
-from abcalc import semantics as sem
 from abcalc.bpi import bpi_steps, canon_bpi, harvest_bpi_universe, parse_bpi
 from abcalc.lts import auto_universe, merge_labels
 from abcalc.predicates import EMPTY_DOMAINS
@@ -14,6 +13,7 @@ from abcalc.syntax import parse_abc, pretty_label
 from abcalc.systems import network
 from abcalc.terms import canonical
 
+import composition_reference as ref
 from conftest import chains_abc, random_bpi, random_component
 
 
@@ -27,10 +27,10 @@ def naive_auto_universe(comp, defs=None, domains=EMPTY_DOMAINS, base=()):
             if c in seen:
                 continue
             seen.add(c)
-            steps = list(sem.system_out_steps(c, defs))
+            steps = list(ref.system_out_steps(c, defs))
             fresh += [lab.as_input() for lab, _ in steps if not pr.is_ff(lab.pred, domains)]
             for msg in universe:
-                steps += [(msg, succ) for succ in sem.system_in_step(c, msg, defs)]
+                steps += [(msg, succ) for succ in ref.system_in_step(c, msg, defs)]
             frontier += [canonical(succ) for _, succ in steps]
         grown = merge_labels(universe, sorted(fresh, key=pretty_label), domains)
         if len(grown) == len(universe):

@@ -125,10 +125,10 @@ TREE_WALKS = {
 }
 TREE_NODES = {"Op", "Not", "And", "Or"}
 
-# The same for sequential broadcast terms: one reader (``free_names``), one
+# The same for sequential broadcast terms: one reader (``_free``), one
 # rebuild (``_rewrite``, behind substitution, canonical forms and
 # unfolding), the steps, the encoding and the printer.
-BPI_WALKS = {"bpi.free_names", "bpi._rewrite", "bpi._seq_outs", "bpi._seq_ins",
+BPI_WALKS = {"bpi._free", "bpi._rewrite", "bpi._seq_outs", "bpi._seq_ins",
              "bpi.encode_proc", "bpi.pretty_bpi"}
 BPI_NODES = {"BTau", "BIn", "BOut", "BSum", "BRec", "BCall"}
 
@@ -193,12 +193,35 @@ def _check_walks(nodes: set, allowed: set, helpers: str):
     assert not allowed - found, f"no longer walks: {', '.join(sorted(allowed - found))}"
 
 
+# The same for the skeleton of a state, the ``||`` and restriction nodes
+# above its leaves: the canonical form of a component and the printer of
+# broadcast terms.  ``terms.flatten`` reads a skeleton and ``terms.rebuild``
+# builds one, by loops, so any width is fine; ``lts.Walk`` composes the
+# steps of the leaves over it.
+SKELETON_WALKS = {"terms.canonical", "bpi.pretty_bpi"}
+SKELETON_NODES = {"ParC", "ResOut", "ResIn", "BPar"}
+
+# The recursive composition that ``lts.Walk`` replaced, kept only as the
+# reference in ``tests/composition_reference.py``.
+REPLACED = {"system_out_steps", "system_in_step", "_par_outs", "_par_ins"}
+
+
 def test_one_walk_per_tree_shape():
     _check_walks(TREE_NODES, TREE_WALKS, "the terms helpers")
 
 
 def test_one_walk_per_bpi_shape():
     _check_walks(BPI_NODES, BPI_WALKS, "bpi.free_names and bpi._rewrite")
+
+
+def test_one_walk_per_skeleton():
+    _check_walks(SKELETON_NODES, SKELETON_WALKS, "terms.flatten and lts.Walk")
+
+
+def test_replaced_composition_stays_gone():
+    defined = {f"{name}.{fn.name}" for name in MODULES for fn in ast.walk(_tree(name))
+               if isinstance(fn, ast.FunctionDef) and fn.name in REPLACED}
+    assert not defined, f"compose steps in lts.Walk instead: {', '.join(sorted(defined))}"
 
 
 def test_a_second_bpi_rewrite_is_found():

@@ -68,8 +68,8 @@ class TestOncePerLocalState:
         monkeypatch.setattr(bp, "encode_proc", counting)
         report = bp.correspondence_check(term)
         assert report.ok and report.states_checked == 233
-        _, (states, _) = bp.harvest_bpi_universe(term)
-        operands = {g for q in states for g in _operands(q)}
+        _, (states, _, walk) = bp.harvest_bpi_universe(term)
+        operands = {g for q in states for g in _operands(walk.tree(q))}
         assert len(top) == len(set(top)) == len(operands) == 12
         assert set(top) == operands
 
@@ -79,7 +79,7 @@ class TestOncePerLocalState:
         monkeypatch.setattr(bp, "_seq_outs", lambda g: outs.append(g) or real_outs(g))
         monkeypatch.setattr(bp, "_seq_ins", lambda g, chan, values: ins.append((g, chan, values))
                             or real_ins(g, chan, values))
-        universe, (states, _) = bp.harvest_bpi_universe(bp.parse_bpi(RELAY_K5))
+        universe, (states, _, _) = bp.harvest_bpi_universe(bp.parse_bpi(RELAY_K5))
         assert len(states) == 233 and len(universe) == 6
         assert len(outs) == len(set(outs)) == 12
         assert len(ins) == len(set(ins))

@@ -4,12 +4,12 @@ against the enumeration oracle, round trips, and input totality."""
 from hypothesis import given, settings, strategies as st
 
 from abcalc import predicates as pr
-from abcalc import semantics as sem
 from abcalc.bpi import BIn, BOut, BSum, BTau, encode, parse_bpi, pretty_bpi
 from abcalc.predicates import And, Atom, Not, Or
 from abcalc.syntax import parse_predicate, pretty_pred
 from abcalc.terms import Attr, AttrEnv, Const
 
+import composition_reference as ref
 from conftest import ORACLE_DOMAINS, PROBE_MESSAGES, oracle_implies, oracle_is_sat
 
 # predicates over the oracle domains a: {1,2,3}, b: {"x","y"}, c: {0,5}
@@ -97,4 +97,4 @@ def test_bpi_roundtrip(p):
 @given(bpi_seq, st.sampled_from(list(PROBE_MESSAGES)))
 def test_encoded_input_totality(p, msg):
     comp, defs = encode(p)
-    assert sem.system_in_step(comp, msg, defs)
+    assert ref.system_in_step(comp, msg, defs)

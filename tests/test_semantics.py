@@ -13,8 +13,6 @@ from abcalc.semantics import (
     UnboundProcessName,
     component_in_step,
     component_out_steps,
-    system_in_step,
-    system_out_steps,
 )
 from abcalc.terms import (
     Attr,
@@ -38,6 +36,7 @@ from abcalc.terms import (
     ZERO,
 )
 
+from composition_reference import system_in_step, system_out_steps
 from conftest import PROBE_MESSAGES, random_component, random_restriction
 
 

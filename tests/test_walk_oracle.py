@@ -64,6 +64,8 @@ from abcalc.terms import (
 from abcalc import bpi as bp
 from abcalc.bpi import BCall, BIn, BNil, BOut, BPar, BRec, BSum, BTau, free_names
 
+from abcalc.lts import BoundExceeded, ExploreBounds
+
 from conftest import ORACLE_DOMAINS, random_bpi_rec, random_component, random_process
 
 # ---------------------------------------------------------------------------
@@ -574,28 +576,60 @@ def ref_fresh_names(avoid):
 def ref_canon_bpi(p):
     if isinstance(p, BPar):
         return BPar(ref_canon_bpi(p.left), ref_canon_bpi(p.right))
-    return ref_canon(p, {}, ref_fresh_names(free_names(p)))
+    return ref_canon(p, {}, ref_fresh_names(free_names(p)), {})
 
 
-def ref_canon(p, ren, fresh):
+def ref_closed_free(p, bound, recs):
+    """The names free in p once each call of a rec named in ``recs`` is
+    unfolded: such a call also uses the names ``recs`` gives it."""
+    out = set()
+    todo = [(p, frozenset(bound), recs)]
+    while todo:
+        q, bound, recs = todo.pop()
+        if isinstance(q, BCall):
+            out |= {a for a in q.args if a not in bound} | recs.get(q.name, set())
+        elif isinstance(q, BRec):
+            out |= {a for a in q.args if a not in bound}
+            todo.append((q.body, bound | set(q.params),
+                         {k: v for k, v in recs.items() if k != q.name}))
+        elif isinstance(q, BIn):
+            out |= {q.chan} - bound
+            todo.append((q.cont, bound | set(q.vars), recs))
+        elif isinstance(q, BOut):
+            out |= {q.chan, *q.names} - bound
+            todo.append((q.cont, bound, recs))
+        elif isinstance(q, BTau):
+            todo.append((q.cont, bound, recs))
+        elif isinstance(q, BSum):
+            todo += [(q.left, bound, recs), (q.right, bound, recs)]
+    return out
+
+
+def ref_canon(p, ren, fresh, recs):
     look = lambda n: ren.get(n, n)
     if isinstance(p, BNil):
         return p
     if isinstance(p, BTau):
-        return BTau(ref_canon(p.cont, ren, fresh))
+        return BTau(ref_canon(p.cont, ren, fresh, recs))
     if isinstance(p, BIn):
         names = tuple([next(fresh) for _ in p.vars])
         inner = {**ren, **dict(zip(p.vars, names))}
-        return BIn(look(p.chan), names, ref_canon(p.cont, inner, fresh))
+        return BIn(look(p.chan), names, ref_canon(p.cont, inner, fresh, recs))
     if isinstance(p, BOut):
-        return BOut(look(p.chan), tuple(map(look, p.names)), ref_canon(p.cont, ren, fresh))
+        return BOut(look(p.chan), tuple(map(look, p.names)), ref_canon(p.cont, ren, fresh, recs))
     if isinstance(p, (BSum, BPar)):
-        return type(p)(ref_canon(p.left, ren, fresh), ref_canon(p.right, ren, fresh))
+        return type(p)(ref_canon(p.left, ren, fresh, recs), ref_canon(p.right, ren, fresh, recs))
     if isinstance(p, BRec):
-        used = free_names(p.body, frozenset(p.params))
-        inner, local = ({}, ref_fresh_names(used)) if ren.keys().isdisjoint(used) else (ren, fresh)
+        # the names an enclosing rec's body uses reach this body when a call
+        # of that rec in it unfolds, so they are skipped too
+        scope = {k: v for k, v in recs.items() if k != p.name}
+        own = free_names(p.body, frozenset(p.params))
+        used = ref_closed_free(p.body, p.params, scope)
+        inner, local = ({}, ref_fresh_names(used)) if ren.keys().isdisjoint(own) else (ren, fresh)
         params = tuple([next(local) for _ in p.params])
-        body = ref_canon(p.body, {**inner, **dict(zip(p.params, params))}, local)
+        printed = {look(n) for n in own} | (used - own)
+        body = ref_canon(p.body, {**inner, **dict(zip(p.params, params))}, local,
+                         {**scope, p.name: printed})
         return BRec(p.name, params, body, tuple(map(look, p.args)))
     if isinstance(p, BCall):
         return BCall(p.name, tuple(map(look, p.args)))
@@ -654,9 +688,25 @@ def captures(p, rec, bound=frozenset()):
     return any(captures(q, rec, bound) for q in _children(p))
 
 
-def random_rec_terms(seed, n):
+def nested_rec(rng):
+    """A rec whose body holds a second rec, like
+    ``(rec A().x0!().(rec B().c(y).A())())()``: the outer body uses names
+    (canonical ones among them) that an unfolding puts into the inner
+    body, when the inner one calls the outer one."""
+    pool = ("c", "x0", "x1", "y")
+    inner_body = BIn(rng.choice(pool), tuple(rng.sample(("y", "x0", "x1"), rng.randint(0, 2))),
+                     BCall("A", ()) if rng.random() < 0.7 else bp.BNIL)
+    if rng.random() < 0.3:
+        inner_body = BSum(inner_body, random_bpi_rec(rng, 2, (("A", 0), ("B", 0))))
+    inner = BRec("B", (), inner_body, ())
+    outer_body = BOut(rng.choice(pool), tuple(rng.sample(pool, rng.randint(0, 1))), inner)
+    return BRec("A", (), outer_body, ())
+
+
+def random_rec_terms(seed, n, nested=0):
     """n random terms, each with at least one rec, about 30% of them with
-    a second parallel operand."""
+    a second parallel operand; then ``nested`` terms with a ``nested_rec``
+    in the first operand."""
     rng, out = random.Random(seed), []
     while len(out) < n:
         p = random_bpi_rec(rng)
@@ -664,6 +714,9 @@ def random_rec_terms(seed, n):
             p = BPar(p, random_bpi_rec(rng, 3))
         if next(recs_in(p), None) is not None:
             out.append(p)
+    for _ in range(nested):
+        p = nested_rec(rng)
+        out.append(BPar(p, random_bpi_rec(rng, 3)) if rng.random() < 0.5 else p)
     return out
 
 
@@ -672,7 +725,7 @@ def random_rec_terms(seed, n):
 
 
 def test_canon_bpi_matches_reference_on_random_terms():
-    for p in random_rec_terms(21, 5000):
+    for p in random_rec_terms(21, 5000, nested=1000):
         c = bp.canon_bpi(p)
         assert repr(c) == repr(ref_canon_bpi(p))
         assert repr(bp.canon_bpi(c)) == repr(c)
@@ -687,7 +740,7 @@ def test_unfold_matches_reference_on_random_terms():
     captured and 197 are alpha-variants; of those in the terms as
     generated, 8,426, 382 and 406."""
     counts = Counter()
-    for p in random_rec_terms(22, 5000):
+    for p in random_rec_terms(22, 5000, nested=1000):
         for term in (p, bp.canon_bpi(p)):
             for rec in recs_in(term):
                 got, want = bp._unfold(rec), ref_unfold(rec)
@@ -714,3 +767,26 @@ def test_subst_names_matches_reference_on_random_terms():
         mapping = {k: rng.choice(pool) for k in rng.sample(pool, rng.randint(0, 3))}
         got, want = bp.subst_names(p, mapping), ref_subst_names(p, mapping)
         assert repr(got) == repr(want) or bp.canon_bpi(got) == bp.canon_bpi(want)
+
+
+def test_a_rec_canonicalises_alike_in_every_state():
+    """Where each rec of a term has its own name and the term's translation
+    is defined, every reachable state holds each rec in one canonical form,
+    so the translation of the whole walk gives each name one body, and the
+    correspondence holds."""
+    checked = 0
+    for p in random_rec_terms(25, 1000, nested=500):
+        names = [r.name for r in recs_in(p)]
+        if len(names) != len(set(names)):
+            continue
+        try:
+            bp.encode(p)
+        except bp.EncodingError:
+            continue
+        try:
+            report = bp.correspondence_check(p, ExploreBounds(200, 50))
+        except (bp.UnboundRecursionVariable, BoundExceeded, RecursionError):
+            continue
+        assert report.ok, p
+        checked += 1
+    assert checked > 200
