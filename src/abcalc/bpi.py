@@ -13,7 +13,7 @@ from itertools import count
 
 from . import semantics as sem
 from .lts import DEFAULT_BOUNDS, Walk, abc_walk, alphabet_fixpoint, fixed_steps, reach
-from .syntax import Parser, layout
+from .syntax import Parser, UnguardedRecursion, layout
 from .terms import (
     FF,
     TT,
@@ -128,11 +128,12 @@ class _BpiParser(Parser):
         return left
 
     def bpi_pre(self, top=False):
+        mark = len(self.calls)
         if self.eat("nil"):
             return BNIL
         if self.eat("tau"):
             self.expect(".")
-            return BTau(self.bpi_pre())
+            return BTau(self.guarded(mark, self.bpi_pre()))
         if self.at("("):
             if self.peek(1).value == "rec":
                 self.advance()
@@ -142,6 +143,10 @@ class _BpiParser(Parser):
                 params = self.distinct(self.bpi_names(), "parameter", tok)
                 self.expect(".")
                 body = self.bpi_seq()
+                # the body's unguarded calls of other recursions are this term's
+                if name in self.calls[mark:]:
+                    raise UnguardedRecursion(name)
+                self.calls[mark:] = [n for n in self.calls[mark:] if n != name]
                 self.expect(")")
                 args = self.bpi_names()
                 return BRec(name, params, body, args)
@@ -153,13 +158,16 @@ class _BpiParser(Parser):
         if self.eat("!"):
             values = self.bpi_names()
             self.expect(".")
-            return BOut(name, values, self.bpi_pre())
+            return BOut(name, values, self.guarded(mark, self.bpi_pre()))
         if self.at("("):
             tok = self.peek()
             vars_ = self.bpi_names()
             if self.eat("."):
-                return BIn(name, self.distinct(vars_, "variable", tok), self.bpi_pre())
+                return BIn(name, self.distinct(vars_, "variable", tok),
+                           self.guarded(mark, self.bpi_pre()))
+            self.calls.append(name)
             return BCall(name, vars_)
+        self.calls.append(name)
         return BCall(name, ())
 
     def bpi_names(self):

@@ -6,10 +6,10 @@ bound errors and for ill-formed input (a name bound twice by one input,
 definition or recursion, a call to an undefined process or with the
 wrong number of arguments, an unbound recursion variable, a term the
 encoding rejects, an environment or an update outside a declared
-domain, a .bpi term where a component model is expected, or nesting too
-deep for the recursion limit).  Diagnostics go to stderr, one line each; results
-go to stdout, as JSON when --json is given.  A reader that closes stdout
-early does not change the exit code.
+domain, a .bpi term where a component model is expected, an unguarded
+recursion, or nesting too deep for the recursion limit).  Diagnostics go
+to stderr, one line each; results go to stdout, as JSON when --json is
+given.  A reader that closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .semantics import OUT, UnboundProcessName
 from .syntax import (
     Model,
     ParseError,
+    UnguardedRecursion,
     check_domains,
     parse_abc,
     pretty_component,
@@ -162,12 +163,13 @@ def cmd_steps(args) -> int:
         comp = _require_component(model, args.file)
         universe, closure = _universe(model, comp, cfg)
         if closure is None:
-            steps = L.abc_successors(model.defs, universe, model.domains)(comp)
+            walk = L.abc_walk(comp, model.defs, model.domains)
+            steps = L.fixed_steps(walk, universe)(walk.initial)
         else:
             found, moves, walk = closure
-            steps = [(lab, walk.tree(found[i])) for lab, i in moves[0]]
+            steps = [(lab, found[i]) for lab, i in moves[0]]
         rows = [{"label": label, "target": target} for label, target in
-                sorted((pretty_label(lab), pretty_component(c2)) for lab, c2 in steps)]
+                sorted((pretty_label(lab), pretty_component(walk.tree(q))) for lab, q in steps)]
     human = "\n".join(f"{r['label']}  ->  {r['target']}" for r in rows) or "(no steps)"
     _emit(cfg, {"steps": rows}, human)
     return 0
@@ -328,74 +330,68 @@ def cmd_corpus(args) -> int:
 # Entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its name, handler, help line and arguments in order.
+COMMANDS = (
+    ("parse", cmd_parse, "parse and pretty-print a source file", ("file", "json")),
+    ("steps", cmd_steps, "one-step successors with labels",
+     ("file", "json", "bounds", "universe")),
+    ("explore", cmd_explore, "explore to a .aut transition system",
+     ("file", "output", "json", "bounds", "universe")),
+    ("barbs", cmd_barbs, "observable output predicates", ("file", "weak", "json", "bounds")),
+    ("check-bisim", cmd_check_bisim, "decide bisimilarity of two systems",
+     ("mode", "left", "right", "json", "bounds", "universe")),
+    ("translate", cmd_translate, "translate a broadcast term", ("file", "output", "json")),
+    ("verify-encoding", cmd_verify_encoding, "check the translation step by step",
+     ("file", "json", "bounds")),
+    ("corpus", cmd_corpus, "run the bundled regression suite", ("json", "bounds")),
+)
+
+
+def _add_argument(p: argparse.ArgumentParser, name: str):
+    """Add to ``p`` the argument that ``COMMANDS`` calls ``name``."""
+    if name in ("file", "left", "right"):
+        p.add_argument(name)
+    elif name == "output":
+        p.add_argument("-o", "--output", default=None)
+    elif name == "weak":
+        p.add_argument("--weak", action="store_true")
+    elif name == "mode":
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--strong", action="store_true")
+        mode.add_argument("--weak", action="store_true")
+    elif name == "json":
+        p.add_argument("--json", nargs="?", const="-", default=None, metavar="FILE",
+                       help="emit a JSON verdict (to FILE, or stdout)")
+    elif name == "bounds":
+        p.add_argument("--max-states", type=int, default=L.DEFAULT_BOUNDS.max_states)
+        p.add_argument("--max-depth", type=int, default=L.DEFAULT_BOUNDS.max_depth)
+    elif name == "universe":
+        p.add_argument("--universe", choices=("auto", "declared", "none"), default="auto")
+
+
+def build_parser(command: str = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or given the name of one, of that
+    one alone: it parses that command's arguments as the whole parser
+    does, with the same usage and errors."""
     ap = argparse.ArgumentParser(
         prog="abcalc",
         description="Workbench for attribute-based communicating components.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, universe=True, bounds=True):
-        p.add_argument("--json", nargs="?", const="-", default=None, metavar="FILE",
-                       help="emit a JSON verdict (to FILE, or stdout)")
-        if bounds:
-            p.add_argument("--max-states", type=int, default=L.DEFAULT_BOUNDS.max_states)
-            p.add_argument("--max-depth", type=int, default=L.DEFAULT_BOUNDS.max_depth)
-        if universe:
-            p.add_argument("--universe", choices=("auto", "declared", "none"),
-                           default="auto")
-
-    p = sub.add_parser("parse", help="parse and pretty-print a source file")
-    p.add_argument("file")
-    common(p, universe=False, bounds=False)
-    p.set_defaults(fn=cmd_parse)
-
-    p = sub.add_parser("steps", help="one-step successors with labels")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_steps)
-
-    p = sub.add_parser("explore", help="explore to a .aut transition system")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", default=None)
-    common(p)
-    p.set_defaults(fn=cmd_explore)
-
-    p = sub.add_parser("barbs", help="observable output predicates")
-    p.add_argument("file")
-    p.add_argument("--weak", action="store_true")
-    common(p, universe=False)
-    p.set_defaults(fn=cmd_barbs)
-
-    p = sub.add_parser("check-bisim", help="decide bisimilarity of two systems")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--strong", action="store_true")
-    mode.add_argument("--weak", action="store_true")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-    p.set_defaults(fn=cmd_check_bisim)
-
-    p = sub.add_parser("translate", help="translate a broadcast term")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", default=None)
-    common(p, universe=False, bounds=False)
-    p.set_defaults(fn=cmd_translate)
-
-    p = sub.add_parser("verify-encoding", help="check the translation step by step")
-    p.add_argument("file")
-    common(p, universe=False)
-    p.set_defaults(fn=cmd_verify_encoding)
-
-    p = sub.add_parser("corpus", help="run the bundled regression suite")
-    common(p, universe=False)
-    p.set_defaults(fn=cmd_corpus)
-
+    chosen = [entry for entry in COMMANDS if entry[0] == command] or COMMANDS
+    # built alone, a subparser leaves the others to the usage line
+    metavar = "{" + ",".join(entry[0] for entry in COMMANDS) + "}" if len(chosen) == 1 else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, fn, help_text, arguments in chosen:
+        p = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            _add_argument(p, argument)
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -406,7 +402,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (L.BoundExceeded, UnboundProcessName, ArityMismatch, bp.EncodingError,
-            bp.UnboundRecursionVariable) as exc:
+            bp.UnboundRecursionVariable, UnguardedRecursion) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainViolation as exc:

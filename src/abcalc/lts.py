@@ -12,10 +12,14 @@ and a ``Walk`` gives the states as leaf-id vectors and composes their steps.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from functools import cache
 from itertools import accumulate, product
+
+try:  # hashlib would load OpenSSL, which takes longer than any digest here
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import predicates as pr
 from . import semantics as sem
@@ -26,9 +30,13 @@ from .terms import (Component, Node, ParC, Record, ResIn, ResOut, canonical, fla
 
 
 class BoundExceeded(Exception):
-    def __init__(self, message: str, frontier: int = 0):
-        super().__init__(f"{message} (frontier size {frontier})")
+    """A bound hit, with the depth reached (the most steps from the initial
+    state to a state found) and the number of states left to expand."""
+
+    def __init__(self, message: str, frontier: int = 0, depth: int = 0):
+        super().__init__(f"{message} (depth reached {depth}, frontier size {frontier})")
         self.frontier = frontier
+        self.depth = depth
 
 
 class ExploreBounds(Node):
@@ -65,7 +73,7 @@ def merge_labels(have, new, domains: DomainContext = EMPTY_DOMAINS) -> tuple:
 def fingerprint(labels) -> str:
     """Order-independent digest of a universe."""
     text = "\n".join(sorted(pretty_label(lab) for lab in labels))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return sha256(text.encode()).hexdigest()[:12]
 
 
 class Lts(Record):
@@ -105,9 +113,11 @@ def reach(initial, successors, label_key, state_key, bounds: ExploreBounds = DEF
             dst = index.get(succ)
             if dst is None:
                 if len(states) >= bounds.max_states:
-                    raise BoundExceeded(f"state bound {bounds.max_states} hit", len(queue))
+                    raise BoundExceeded(f"state bound {bounds.max_states} hit", len(queue),
+                                        depth[-1])
                 if depth[src] + 1 > bounds.max_depth:
-                    raise BoundExceeded(f"depth bound {bounds.max_depth} hit", len(queue))
+                    raise BoundExceeded(f"depth bound {bounds.max_depth} hit", len(queue),
+                                        depth[-1])
                 dst = index[succ] = len(states)
                 states.append(succ)
                 depth.append(depth[src] + 1)
@@ -128,15 +138,17 @@ def alphabet_fixpoint(initial, out_steps, in_steps, grow, base, max_states: int)
     order and each one's ``(label, successor index)`` pairs."""
     universe, new = tuple(base), ()
     states, index, steps, queue, met = [initial], {initial: 0}, [[]], deque([0]), set()
+    depth = [0]  # the steps from the initial state to each state, as found
 
     def visit(src, lab, succ):
         dst = index.get(succ)
         if dst is None:
             if len(states) >= max_states:
-                raise BoundExceeded(f"state bound {max_states} hit", len(queue))
+                raise BoundExceeded(f"state bound {max_states} hit", len(queue), max(depth))
             dst = index[succ] = len(states)
             states.append(succ)
             steps.append([])
+            depth.append(depth[src] + 1)
             queue.append(dst)
         steps[src].append((lab, dst))
 
@@ -319,16 +331,6 @@ def fixed_steps(walk: Walk, universe):
     label of it."""
     out_steps, in_steps = abc_steps(walk)
     return lambda state: out_steps(state) + [st for msg in universe for st in in_steps(state, msg)]
-
-
-def abc_successors(defs, universe=(), domains: DomainContext = EMPTY_DOMAINS):
-    """A component's steps under a fixed universe, successors as trees."""
-
-    def successors(comp):
-        walk = abc_walk(comp, defs, domains)
-        return [(lab, walk.tree(succ)) for lab, succ in fixed_steps(walk, universe)(walk.initial)]
-
-    return successors
 
 
 def state_text(walk: Walk):

@@ -55,6 +55,15 @@ class ParseError(Exception):
         self.col = col
 
 
+class UnguardedRecursion(Exception):
+    """A recursion that reaches a call of itself through choice, parallel,
+    awareness or other calls, with no action prefix in between: unfolding
+    it never ends."""
+
+    def __init__(self, name: str):
+        super().__init__(f"unguarded recursion: {name}")
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
 
@@ -140,6 +149,7 @@ class Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
+        self.calls = []  # the names called since the last prefix: unguarded calls
 
     # -- plumbing
 
@@ -210,6 +220,13 @@ class Parser:
                 items.append(item(*args))
         self.expect(close)
         return items
+
+    def guarded(self, mark: int, cont):
+        """``cont``, the continuation of a prefix, parsed after ``calls``
+        had ``mark`` entries: the calls in it are guarded, so they are
+        dropped.  It takes the parsed term, so a prefix costs no frame."""
+        del self.calls[mark:]
+        return cont
 
     def binders(self, what: str) -> tuple:
         """Distinct names with commas between, up to and including ``)``;
@@ -392,7 +409,7 @@ class Parser:
         return left
 
     def proc_pre(self, bound: frozenset):
-        tok = self.peek()
+        tok, mark = self.peek(), len(self.calls)
         if tok.kind == "int" and tok.value == "0":
             self.advance()
             return Inact()
@@ -403,7 +420,7 @@ class Parser:
                 self.expect(":=")
                 assigns.append((attr, self.expr(bound)))
                 self.expect("]")
-            return Upd(tuple(assigns), self.proc_pre(bound))
+            return Upd(tuple(assigns), self.guarded(mark, self.proc_pre(bound)))
         if self.eat("<"):
             p = self.guard(bound)
             self.expect(">")
@@ -417,7 +434,7 @@ class Parser:
                 self.expect("@")
                 p = self.guard(bound)
                 self.expect(".")
-                return Out(tuple(exprs), p, self.proc_pre(bound))
+                return Out(tuple(exprs), p, self.guarded(mark, self.proc_pre(bound)))
             if after == "(":
                 # input: read the binders first, then the guard with
                 # them in scope (the guard may mention the binders)
@@ -434,7 +451,7 @@ class Parser:
                     self.fail("malformed input guard")
                 self.pos = vclose + 1
                 self.expect(".")
-                return In(p, vars_, self.proc_pre(inner))
+                return In(p, vars_, self.guarded(mark, self.proc_pre(inner)))
             self.advance()
             p = self.process(bound)
             self.expect(")")
@@ -442,6 +459,7 @@ class Parser:
         if tok.kind == "id" and tok.value not in _KEYWORDS:
             self.advance()
             args = self.comma_list(")", self.expr, bound) if self.eat("(") else ()
+            self.calls.append(tok.value)
             return Call(tok.value, tuple(args))
         self.fail(f"expected a process, found {tok.value!r}")
 
@@ -512,6 +530,7 @@ class Parser:
         domains = {}
         system = None
         labels = []
+        heads = {}  # definition -> the calls its body makes unguarded
         while self.peek().kind != "eof":
             if self.at("domain"):
                 self.advance()
@@ -527,9 +546,11 @@ class Parser:
                 name = self.ident("definition name")
                 params = self.binders("parameter") if self.eat("(") else ()
                 self.expect("=")
+                del self.calls[:]
                 body = self.process(frozenset(params))
                 self.expect(";")
                 model.defs[name] = (params, body)
+                heads[name], self.calls = self.calls, []
             elif self.at("fn"):
                 self.advance()
                 name = self.ident("restriction function name")
@@ -552,6 +573,7 @@ class Parser:
                 self.expect("}")
             else:
                 self.fail(f"unexpected {self.peek().value!r} at top level")
+        _check_guarded(heads)
         model.domains = DomainContext.of(domains) if domains else EMPTY_DOMAINS
         model.universe = tuple(labels)
         if system is None and len(model.components) == 1:
@@ -569,6 +591,20 @@ class Parser:
         values = self.comma_list(")", self.value)
         self.expect(";")
         return sem.Label(sem.IN, env, p, tuple(values))
+
+
+def _check_guarded(heads: dict):
+    """Raise UnguardedRecursion for the first definition that reaches a
+    call of itself through the unguarded calls of ``heads``."""
+    for name in heads:
+        seen, todo = set(), list(heads[name])
+        while todo:
+            callee = todo.pop()
+            if callee == name:
+                raise UnguardedRecursion(name)
+            if callee in heads and callee not in seen:
+                seen.add(callee)
+                todo += heads[callee]
 
 
 def _unquote(raw: str) -> str:

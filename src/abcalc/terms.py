@@ -10,8 +10,9 @@ directly.
 from __future__ import annotations
 
 import operator
+from functools import cache
 from itertools import count
-from types import MappingProxyType
+from types import FunctionType, MappingProxyType
 
 Value = int | bool | str | tuple | frozenset
 
@@ -115,10 +116,30 @@ def __eq__(self, other):
 """
 
 
+@cache
+def _node_code(size: int, typed: tuple) -> tuple:
+    """The code of ``__init__`` and ``__eq__`` for every class of one field
+    shape: ``size`` fields, those at the positions ``typed`` compared by
+    value too.  Field ``i`` is the parameter and attribute ``_f<i>`` and is
+    set by the global ``_s<i>``; ``_NodeType`` renames and binds them."""
+    fields = [f"_f{i}" for i in range(size)]
+    src = _NODE_METHODS.format(
+        params="".join(f", {f}" for f in fields),
+        sets="".join(f"    _s{i}(self, {f})\n" for i, f in enumerate(fields)),
+        key="".join(f"{f}, " for f in fields),
+        mine="".join(f"self.{f}, " for f in fields),
+        theirs="".join(f"other.{f}, " for f in fields),
+        typed="".join(f" and _same(self._f{i}, other._f{i})" for i in typed))
+    env = {}
+    exec(src, env)
+    return env["__init__"].__code__, env["__eq__"].__code__
+
+
 class _NodeType(type):
     """Turns the annotated names of a ``Node`` class body into its fields:
     slots in that order, with the class-level values as defaults of the
-    trailing ones, and one ``__init__`` and ``__eq__`` compiled for them.
+    trailing ones, and an ``__init__`` and ``__eq__`` made from the code of
+    its field shape (compiled once per shape), with the field names put in.
     The fields named in a class's ``_by_value`` hold values and also
     compare by ``values_equal``, so that ``1`` and ``true`` differ."""
 
@@ -129,20 +150,15 @@ class _NodeType(type):
         defaults = tuple(ns.pop(f) for f in fields if f in ns)
         ns["__slots__"] = fields
         cls = super().__new__(mcls, name, bases, ns)
-        first = len(fields) - len(defaults)
-        src = _NODE_METHODS.format(
-            params="".join(f", {f}" if i < first else f", {f}=_defaults[{i - first}]"
-                           for i, f in enumerate(fields)),
-            sets="".join(f"    _set_{f}(self, {f})\n" for f in fields),
-            key="".join(f"{f}, " for f in fields),
-            mine="".join(f"self.{f}, " for f in fields),
-            theirs="".join(f"other.{f}, " for f in fields),
-            typed="".join(f" and _same(self.{f}, other.{f})" for f in ns.get("_by_value", ())))
+        init, eq = _node_code(len(fields), tuple(map(fields.index, ns.get("_by_value", ()))))
+        attr = {f"_f{i}": f for i, f in enumerate(fields)}
         # the slots are set through their descriptors: ``Node.__setattr__`` refuses
-        env = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
-        env.update(_set_hash=Node._hash.__set__, _defaults=defaults, _same=values_equal)
-        exec(src, env)
-        cls.__init__, cls.__eq__ = env["__init__"], env["__eq__"]
+        env = {f"_s{i}": cls.__dict__[f].__set__ for i, f in enumerate(fields)}
+        env.update(_set_hash=Node._hash.__set__, _same=values_equal)
+        cls.__init__ = FunctionType(init.replace(co_varnames=("self", *fields)), env,
+                                    "__init__", defaults)
+        cls.__eq__ = FunctionType(eq.replace(co_names=tuple(attr.get(n, n) for n in eq.co_names)),
+                                  env, "__eq__")
         return cls
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from abcalc.cli import main
+from abcalc.cli import COMMANDS, build_parser, main
 from abcalc.systems import corpus_path
 
 from conftest import chains_abc, emitters_abc
@@ -102,7 +102,9 @@ class TestExplore:
 
     def test_bound_exceeded(self, capsys):
         rc, _, err = run(capsys, "explore", NETWORK, "--max-states", "2")
-        assert rc == 2 and "bound" in err
+        assert rc == 2 and err == "error: state bound 2 hit (depth reached 1, frontier size 0)\n"
+        rc, _, err = run(capsys, "explore", NETWORK, "--universe", "none", "--max-depth", "2")
+        assert rc == 2 and err == "error: depth bound 2 hit (depth reached 2, frontier size 1)\n"
 
     def test_universe_closure_is_exact(self, capsys, tmp_path):
         # a depth-10 chain learns its 11 labels over 12 rounds
@@ -409,6 +411,74 @@ def test_long_witness_needs_no_recursion(tmp_path):
     assert len(witness) == 301
     assert witness[:-1] == [{"from": "A", "label": '{}@tt!("a")'}] * 300
     assert witness[-1] == {"from": "A", "label": '{}@tt!("b")'}
+
+
+@pytest.mark.parametrize("name, text", [
+    ("self.abc", "def A = A;\n"),
+    ("pair.abc", "def A = B;\ndef B = A;\n"),
+    ("choice.abc", 'def A = ("x")@tt.0 + A;\n'),
+    ("aware.abc", "def A = <tt>A;\n"),
+    ("par.abc", 'def A = ("x")@tt.0 | A;\n'),
+    ("rec.bpi", "(rec A().A())()\n"),
+    ("choice.bpi", "(rec A().tau.nil + A())()\n"),
+    ("inner.bpi", "(rec A(x).(rec B().A(x))())(v)\n"),
+])
+def test_unguarded_recursion(capsys, tmp_path, name, text):
+    """A recursion that calls itself with no action prefix in between is
+    refused when the definitions are read, naming the recursion."""
+    model = tmp_path / name
+    if name.endswith(".abc"):
+        text += "comp C { iface: []; env: {}; run: A }\n"
+    model.write_text(text)
+    command = "explore" if name.endswith(".abc") else "verify-encoding"
+    rc, out, err = run(capsys, command, str(model))
+    assert (rc, out, err) == (2, "", "error: unguarded recursion: A\n")
+
+
+@pytest.mark.parametrize("text", [
+    'def A = ("x")@tt.A;\n',
+    'def A = (tt)(x).A + <tt>("y")@tt.B;\ndef B = A;\n',
+    'def A = ("x")@tt.0 | [n := 1] A;\n',
+])
+def test_guarded_recursion_is_accepted(capsys, tmp_path, text):
+    model = tmp_path / "m.abc"
+    model.write_text(text + "comp C { iface: []; env: {n = 0}; run: A }\n")
+    rc, out, err = run(capsys, "explore", str(model))
+    assert rc == 0 and err == "" and out.startswith("des (0,")
+
+
+def test_corpus_recursions_are_guarded(capsys):
+    for path in sorted(corpus_path("network.abc").parent.iterdir()):
+        rc, _, err = run(capsys, "parse", str(path))
+        assert (rc, err) == (0, ""), path.name
+
+
+def _full_parse(argv) -> int:
+    """Parse with the parser of every subcommand, as ``main`` turns the
+    outcome into an exit code."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    return 0
+
+
+USAGE_CASES = [[], ["--help"], ["-h"], ["no-such-command"], ["--bogus"],
+               ["check-bisim", NETWORK, NETWORK], ["check-bisim", "--weak", "--strong"],
+               ["explore", NETWORK, "--universe", "all"], ["explore", NETWORK, "--max-depth", "x"]]
+for _name, *_ in COMMANDS:
+    USAGE_CASES += [[_name, "--help"], [_name, "--bogus"], [_name, NETWORK, "--bogus"]]
+USAGE_CASES.append(["check-bisim", "--weak", NETWORK, NETWORK, "--bogus"])
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES,
+                         ids=lambda argv: " ".join("F" if a == NETWORK else a for a in argv))
+def test_one_subcommand_parser_answers_as_the_full_one(capsys, argv):
+    """``main`` builds only the parser of the command it is given; help,
+    usage lines and errors stay those of the parser of every command."""
+    want = _full_parse(argv), *capsys.readouterr()
+    got = run(capsys, *argv)
+    assert got == want and want[0] in (0, 2) and (want[1] or want[2])
 
 
 def test_usage_errors(capsys):

@@ -3,7 +3,7 @@ without recorded steps, then a breadth-first walk in sorted order that
 steps every state again and prints every successor as its sort key.  The
 engine numbers the closure's states instead, so the two must agree on
 the .aut text, the universe and, when a bound is hit, the message with
-its frontier size."""
+the depth reached and the frontier size."""
 
 import pytest
 
@@ -37,19 +37,22 @@ from conftest import chains_abc, emitters_abc, random_bpi, random_component
 def old_fixpoint(initial, out_steps, in_steps, grow, base, max_states):
     universe, new = tuple(base), ()
     seen, queue, stepped, met = {initial}, [initial], [], set()
+    depth = {initial: 0}
 
-    def visit(succ):
+    def visit(state, succ):
         if succ not in seen:
             if len(seen) >= max_states:
-                raise BoundExceeded(f"state bound {max_states} hit", len(queue))
+                raise BoundExceeded(f"state bound {max_states} hit", len(queue),
+                                    max(depth.values()))
             seen.add(succ)
+            depth[succ] = depth[state] + 1
             queue.append(succ)
 
     while True:
         for state in stepped:
             for lab in new:
                 for succ in in_steps(state, lab):
-                    visit(succ)
+                    visit(state, succ)
         fresh = []
         while queue:
             state = queue.pop(0)
@@ -57,10 +60,10 @@ def old_fixpoint(initial, out_steps, in_steps, grow, base, max_states):
                 if lab not in met:
                     met.add(lab)
                     fresh.append(lab)
-                visit(succ)
+                visit(state, succ)
             for lab in universe:
                 for succ in in_steps(state, lab):
-                    visit(succ)
+                    visit(state, succ)
             stepped.append(state)
         grown = grow(universe, fresh)
         if len(grown) == len(universe):
@@ -77,9 +80,11 @@ def old_reach(initial, successors, bounds):
             dst = index.get(succ)
             if dst is None:
                 if len(states) >= bounds.max_states:
-                    raise BoundExceeded(f"state bound {bounds.max_states} hit", len(queue))
+                    raise BoundExceeded(f"state bound {bounds.max_states} hit", len(queue),
+                                        depth[-1])
                 if depth[src] + 1 > bounds.max_depth:
-                    raise BoundExceeded(f"depth bound {bounds.max_depth} hit", len(queue))
+                    raise BoundExceeded(f"depth bound {bounds.max_depth} hit", len(queue),
+                                        depth[-1])
                 dst = index[succ] = len(states)
                 states.append(succ)
                 depth.append(depth[src] + 1)

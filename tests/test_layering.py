@@ -6,6 +6,7 @@ place, and no module keeps mutable state, so every memo lives as long as
 the call that made it."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,65 @@ def test_startup_leaves_out_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_startup_leaves_out_openssl():
+    """Importing the command line loads neither ``hashlib`` nor OpenSSL's
+    ``_hashlib``: fingerprints take ``sha256`` from the built-in module."""
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, abcalc.cli; "
+         "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"],
+        cwd=PACKAGE.parent, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+# More Node classes of field shapes already seen: 4 fields, 2 fields with a
+# default, 1 by-value field, none.
+MORE_NODES = """
+import json, sys
+import abcalc.cli
+from abcalc.terms import Node, _node_code
+
+def classes():
+    found, todo = set(), [Node]
+    while todo:
+        found.add(todo[-1])
+        todo += todo.pop().__subclasses__()
+    return found - {Node}
+
+before, compiled = len(classes()), _node_code.cache_info().misses
+
+class A(Node):
+    a: int
+    b: int
+    c: int
+    d: int
+
+class B(Node):
+    x: str
+    y: tuple = ()
+
+class C(Node):
+    value: object
+    _by_value = ("value",)
+
+class D(Node):
+    pass
+
+assert B("n") == B(x="n", y=()) and C(1) != C(True) and A(1, 2, 3, 4) != A(1, 2, 3, 5)
+json.dump([before, compiled, len(classes()), _node_code.cache_info().misses], sys.stdout)
+"""
+
+
+def test_node_methods_compile_once_per_field_shape():
+    result = subprocess.run([sys.executable, "-c", MORE_NODES], cwd=PACKAGE.parent,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    before, compiled, after, compiled_after = json.loads(result.stdout)
+    assert after == before + 4
+    assert compiled_after == compiled < before / 2
 
 
 @pytest.mark.parametrize("name", MODULES)

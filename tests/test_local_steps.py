@@ -88,8 +88,9 @@ class TestOncePerLocalState:
         leaf = Leaf(AttrEnv(), frozenset(), Call("A"))
         one = {"A": ((), parse_process('("one")@tt.0'))}
         two = {"A": ((), parse_process('("two")@tt.0'))}
-        assert [lab.values for lab, _ in L.abc_successors(one)(leaf)] == [("one",)]
-        assert [lab.values for lab, _ in L.abc_successors(two)(leaf)] == [("two",)]
+        for defs, value in ((one, "one"), (two, "two")):
+            walk = L.abc_walk(leaf, defs)
+            assert [lab.values for lab, _ in L.fixed_steps(walk, ())(walk.initial)] == [(value,)]
         assert L.aut_text(L.explore(leaf, one)) != L.aut_text(L.explore(leaf, two))
         # two terms that name different recursions A are checked apart
         assert bp.correspondence_check(bp.parse_bpi("(rec A(x).a!(x).A(x))(v)")).ok

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+import abcalc.cli  # noqa: F401
 from abcalc import bpi as bp
 from abcalc import semantics as sem
 from abcalc.predicates import Atom, TT
@@ -121,6 +122,68 @@ class TestNode:
     def test_every_term_class_is_a_node(self):
         for cls in (Leaf, Out, In, Var, AttrEnv, sem.Label, DomainContext, bp.BRec):
             assert issubclass(cls, Node)
+
+
+def _node_classes() -> list:
+    """Every ``Node`` class of the package (``abcalc.cli`` imports every
+    module of it)."""
+    found, todo = [], [Node]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls is not Node and cls.__module__.startswith("abcalc."):
+            found.append(cls)
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+NODE_CLASSES = _node_classes()
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_node_contract(cls):
+    """Construction by position, by keyword and with defaults, the hash of
+    the field tuple, the dataclass ``repr`` and a pickle round trip."""
+    fields = cls.__slots__
+    defaults = cls.__init__.__defaults__ or ()
+    required = len(fields) - len(defaults)
+    values = tuple((i, f"v{i}") for i in range(len(fields)))
+    node = cls(*values)
+    assert node == cls(**dict(zip(fields, values))) and node is not cls(*values)
+    assert tuple(getattr(node, f) for f in fields) == values
+    assert hash(node) == hash(values)
+    assert cls(*values[:required]) == cls(*values[:required], *defaults)
+    shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+    assert repr(node) == f"{cls.__qualname__}({shown})"
+    back = pickle.loads(pickle.dumps(node))
+    assert back == node and hash(back) == hash(node) and type(back) is cls
+    if fields:
+        assert node != cls(*values[:-1], "other")
+    with pytest.raises(TypeError):
+        cls(*values, "extra")
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=1)
+
+
+def test_same_fields_in_another_class_are_another_node():
+    by_shape = {}
+    for cls in NODE_CLASSES:
+        by_shape.setdefault(len(cls.__slots__), []).append(cls)
+    pairs = 0
+    for group in by_shape.values():
+        for one, two in zip(group, group[1:]):
+            values = tuple(range(len(one.__slots__)))
+            assert one(*values) != two(*values)
+            pairs += 1
+    assert pairs >= 20
+
+
+def test_by_value_fields_keep_1_and_true_apart():
+    assert Const(1) != Const(True) and Const(0) != Const(False) and Const(1) == Const(1)
+    for one, true in ((1, True), ((1,), (True,)), (frozenset({1}), frozenset({True}))):
+        assert sem.Label("out", AttrEnv(), TT, (one,)) != sem.Label("out", AttrEnv(), TT, (true,))
+        assert AttrEnv.of({"a": one}) != AttrEnv.of({"a": true})
+    label = sem.Label("out", AttrEnv(), TT, (1, "v"))
+    assert label == sem.Label("out", AttrEnv(), TT, (1, "v"))
 
 
 class TestAttrEnv:
