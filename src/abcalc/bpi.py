@@ -12,7 +12,7 @@ from functools import cache
 from itertools import count
 
 from . import semantics as sem
-from .lts import DEFAULT_BOUNDS, Walk, abc_walk, alphabet_fixpoint, fixed_steps, reach
+from .lts import DEFAULT_BOUNDS, Walk, abc_walk, alphabet_fixpoint, reach
 from .syntax import Parser, UnguardedRecursion, layout
 from .terms import (
     FF,
@@ -386,33 +386,20 @@ def _seq_ins(g: BpiProcess, chan: str, values: tuple):
     raise TypeError(f"not a sequential bpi term: {g!r}")
 
 
-def _seq_reacts(g: BpiProcess, chan: str, values: tuple) -> list:
-    """The successors of a sequential term on a broadcast chan(values):
-    the accepting ones, then the term itself when it can discard."""
-    accepts, can_discard = _seq_ins(g, chan, values)
-    return accepts + [g] if can_discard else accepts
-
-
 def _walk(p: BpiProcess, canon) -> Walk:
     """The walk of a term's exploration: its top-level ``||`` is the
     skeleton and its sequential operands the leaves.  A tau reaches no
     other operand."""
-    return Walk(p, canon, lambda g: _seq_outs(g), lambda g, msg: _seq_reacts(g, *msg),
-                lambda lab: None if lab == TAU else lab[1:], BPar)
+    return Walk(p, canon, lambda g: _seq_outs(g), lambda g, msg: _seq_ins(g, *msg[1:]),
+                lambda lab: None if lab == TAU else ("in", *lab[1:]), BPar)
 
 
-def bpi_steps(p: BpiProcess, universe=(), walk: Walk = None) -> list:
+def bpi_steps(p: BpiProcess, universe=()) -> list:
     """All transitions of a closed term: autonomous tau/output moves plus,
-    for every (chan, values) in the universe, the broadcast-input moves.
-    Given ``walk``, ``p`` is one of its states and so are the successors."""
-    if walk is None:
-        walk = _walk(p, lambda g: g)
-        return [(lab, walk.tree(q)) for lab, q in bpi_steps(walk.initial, universe, walk)]
-    steps = walk.outs(p)
-    for chan, values in universe:
-        msg = (chan, tuple(values))
-        steps += [(("in", *msg), q) for q in walk.ins(p, msg)]
-    return steps
+    for every input label ``("in", chan, values)`` of the universe, the
+    broadcast-input moves."""
+    walk = _walk(p, lambda g: g)
+    return [(lab, walk.tree(q)) for lab, q in walk.steps(walk.initial, universe)]
 
 
 def bpi_barbs(p: BpiProcess) -> frozenset:
@@ -539,19 +526,15 @@ class CorrespondenceReport(Record):
 
 def harvest_bpi_universe(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> tuple:
     """Fixpoint of the broadcast alphabet, with its closure: every emitted
-    (chan, values) is fed back as an input until no new one appears.
-    Returns the universe and the closure: its states, their steps and the
-    walk that found them."""
-    walk = _walk(p, canon_bpi)
-    universe, (states, steps) = alphabet_fixpoint(
-        walk.initial,
-        lambda q: bpi_steps(q, (), walk),
-        lambda q, msg: [(("in", *msg), nxt) for nxt in walk.ins(q, msg)],
-        lambda have, outs: tuple(sorted({*have, *((l[1], l[2]) for l in outs if l != TAU)})),
+    ``("out", chan, values)`` is fed back as the input ``("in", chan,
+    values)`` until no new one appears.  Returns the universe and the
+    closure: its states, their steps and the walk that found them."""
+    return alphabet_fixpoint(
+        _walk(p, canon_bpi),
+        lambda have, outs: tuple(sorted({*have, *(("in", *o[1:]) for o in outs if o != TAU)})),
         (),
         bounds.max_states,
     )
-    return universe, (states, steps, walk)
 
 
 def _abc_label(lab) -> sem.Label:
@@ -590,10 +573,10 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
         _encode_comp(p, {})  # where the term's own translation fails, say it in its names
         raise
     abc_label = cache(lambda lab: target.label(_abc_label(lab)))
-    successors = fixed_steps(target, [abc_label(("in", chan, values)) for chan, values in universe])
+    abc_universe = [abc_label(msg) for msg in universe]
 
     for q, comp, bsteps in zip(states, encoded, steps):
-        asteps = successors(comp)
+        asteps = target.steps(comp, abc_universe)
         wrong = []  # this state's violations, each without the state
 
         if len(bsteps) != len(asteps):

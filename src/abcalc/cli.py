@@ -36,7 +36,7 @@ from .syntax import (
     pretty_model,
     pretty_pred,
 )
-from .terms import ArityMismatch, DomainViolation, Record
+from .terms import ArityMismatch, DomainViolation, Record, values_equal
 
 SCHEMA_VERSION = 1
 
@@ -105,7 +105,7 @@ def _merge_contexts(m1, m2):
         defs[name] = entry
     d1, d2 = dict(m1.domains.items), dict(m2.domains.items)
     for attr, vals in d2.items():
-        if attr in d1 and d1[attr] != vals:
+        if attr in d1 and not values_equal(d1[attr], vals):
             raise CliError(f"domain of {attr!r} differs between the two files")
         d1[attr] = vals
     return defs, DomainContext.of({a: set(v) for a, v in d1.items()})
@@ -162,14 +162,10 @@ def cmd_steps(args) -> int:
     else:
         comp = _require_component(model, args.file)
         universe, closure = _universe(model, comp, cfg)
-        if closure is None:
-            walk = L.abc_walk(comp, model.defs, model.domains)
-            steps = L.fixed_steps(walk, universe)(walk.initial)
-        else:
-            found, moves, walk = closure
-            steps = [(lab, found[i]) for lab, i in moves[0]]
+        walk = L.abc_walk(comp, model.defs, model.domains) if closure is None else closure[2]
         rows = [{"label": label, "target": target} for label, target in
-                sorted((pretty_label(lab), pretty_component(walk.tree(q))) for lab, q in steps)]
+                sorted((pretty_label(lab), pretty_component(walk.tree(q)))
+                       for lab, q in walk.steps(walk.initial, universe))]
     human = "\n".join(f"{r['label']}  ->  {r['target']}" for r in rows) or "(no steps)"
     _emit(cfg, {"steps": rows}, human)
     return 0

@@ -19,12 +19,15 @@ from .lts import (
     DEFAULT_BOUNDS,
     ExploreBounds,
     Lts,
+    abc_walk,
     auto_universe,
     explore,
     fingerprint,
     inverse_closure,
     label_equiv,
     merge_labels,
+    reach,
+    state_text,
     weak_closure,
 )
 from .predicates import DomainContext, EMPTY_DOMAINS
@@ -45,19 +48,20 @@ def barbs(
 ):
     """Representatives (one per equivalence class) of the non-silent
     output predicates enabled at the component; the weak variant looks
-    at every state reachable by silent moves."""
-    defs = defs or {}
-    lts = explore(comp, defs, (), bounds, domains)
+    at every state reachable by silent moves.  Only those states are
+    stepped, so a model with infinitely many states has barbs too."""
+    walk = abc_walk(comp, defs or {}, domains)
+    silent = lambda lab: pr.is_ff(lab.pred, domains)
+    text = state_text(walk)
+    states = [walk.initial]
     if weak:
-        states = weak_closure(lts)[lts.initial]
-    else:
-        states = {lts.initial}
+        states, _ = reach(walk.initial, lambda q: [st for st in walk.outs(q) if silent(st[0])],
+                          pretty_label, text, bounds)
     reps = []
-    for src, lab, _ in lts.transitions:
-        if src not in states or lab.kind != sem.OUT or lts.is_tau(lab):
-            continue
-        if not any(pr.equiv(lab.pred, have, domains) for have in reps):
-            reps.append(lab.pred)
+    for state in states:
+        for lab, _ in sorted(walk.outs(state), key=lambda st: (pretty_label(st[0]), text(st[1]))):
+            if not silent(lab) and not any(pr.equiv(lab.pred, have, domains) for have in reps):
+                reps.append(lab.pred)
     return reps
 
 

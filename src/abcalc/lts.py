@@ -126,18 +126,19 @@ def reach(initial, successors, label_key, state_key, bounds: ExploreBounds = DEF
     return states, transitions
 
 
-def alphabet_fixpoint(initial, out_steps, in_steps, grow, base, max_states: int) -> tuple:
+def alphabet_fixpoint(walk, grow, base, max_states: int) -> tuple:
     """Grow the universe from ``base`` until it holds every label that
-    ``grow(universe, outputs)`` takes from the outputs of the states
-    reachable under it.  Semi-naive: each state's ``out_steps`` run once,
-    ``grow`` sees only the output labels new in a round, a new label's
-    ``in_steps`` run only on the states already seen, and a new state gets
-    the whole universe.  Each state is visited once, so the loop ends;
-    past ``max_states`` states it raises BoundExceeded.  Returns the
-    universe and the closure ``(states, steps)``: the states in discovery
-    order and each one's ``(label, successor index)`` pairs."""
+    ``grow(universe, outputs)`` takes from the outputs of the states that
+    ``walk`` reaches under it.  Semi-naive: each state's outputs are taken
+    once, ``grow`` sees only the output labels new in a round, a new
+    label's inputs are taken only on the states already seen, and a new
+    state gets the whole universe.  Each state is visited once, so the loop
+    ends; past ``max_states`` states it raises BoundExceeded.  Returns the
+    universe and the closure ``(states, steps, walk)``: the states in
+    discovery order, each one's ``(label, successor index)`` pairs and the
+    walk."""
     universe, new = tuple(base), ()
-    states, index, steps, queue, met = [initial], {initial: 0}, [[]], deque([0]), set()
+    states, index, steps, queue, met = [walk.initial], {walk.initial: 0}, [[]], deque([0]), set()
     depth = [0]  # the steps from the initial state to each state, as found
 
     def visit(src, lab, succ):
@@ -155,22 +156,22 @@ def alphabet_fixpoint(initial, out_steps, in_steps, grow, base, max_states: int)
     while True:
         for src in range(len(states)):
             for msg in new:
-                for lab, succ in in_steps(states[src], msg):
-                    visit(src, lab, succ)
+                for succ in walk.ins(states[src], msg):
+                    visit(src, msg, succ)
         fresh = []
         while queue:
             src = queue.popleft()
-            for lab, succ in out_steps(states[src]):
+            for lab, succ in walk.outs(states[src]):
                 if lab not in met:
                     met.add(lab)
                     fresh.append(lab)
                 visit(src, lab, succ)
             for msg in universe:
-                for lab, succ in in_steps(states[src], msg):
-                    visit(src, lab, succ)
+                for succ in walk.ins(states[src], msg):
+                    visit(src, msg, succ)
         grown = grow(universe, fresh)
         if len(grown) == len(universe):
-            return grown, (states, steps)
+            return grown, (states, steps, walk)
         old = set(universe)
         new, universe = [lab for lab in grown if lab not in old], grown
 
@@ -182,11 +183,13 @@ class Walk:
     local to the walk (hash-consing) and a state is a tuple of ints.  Each
     leaf's steps and its answer to each message are worked out once, as ids.
 
-    ``leaf_outs(leaf)`` gives a leaf's ``(label, successor)`` steps,
-    ``leaf_ins(leaf, msg)`` its successors on a message (itself among them
-    when it can discard) and ``hear(label)`` the message an output delivers
-    to the other leaves, or None.  Leaves pass ``canon`` before they get an
-    id, and labels ``label``, so that lookups compare objects, not fields."""
+    ``leaf_outs(leaf)`` gives a leaf's ``(label, successor)`` steps and
+    ``leaf_ins(leaf, msg)`` its answer to a message, ``(accepts,
+    can_discard)``: when it can discard, the leaf itself is its last
+    successor.  A message is the label of the input step it causes, and
+    ``hear(label)`` the one an output delivers to the other leaves, or None.
+    Leaves pass ``canon`` before they get an id, and labels ``label``, so
+    that lookups compare objects, not fields."""
 
     def __init__(self, tree, canon, leaf_outs, leaf_ins, hear, binary=ParC):
         self.shape, leaves = flatten(tree, binary)
@@ -262,8 +265,9 @@ class Walk:
                 table = answers.setdefault(filtered, {})
             got = table.get(leaf)
             if got is None:
-                got = table[leaf] = tuple([self.intern(nxt) for nxt in
-                                           self._leaf_ins(self.leaves[leaf], filtered)])
+                accepts, can_discard = self._leaf_ins(self.leaves[leaf], filtered)
+                got = [self.intern(nxt) for nxt in accepts] + ([leaf] if can_discard else [])
+                got = table[leaf] = tuple(got)
             if not got:
                 return False
             if got != (leaf,):
@@ -298,6 +302,11 @@ class Walk:
             return []
         return _fill(state, None, None, factors)
 
+    def steps(self, state, universe) -> list:
+        """A state's steps ``(label, successor)``: its outputs, then its
+        inputs on each label of ``universe``."""
+        return self.outs(state) + [(msg, succ) for msg in universe for succ in self.ins(state, msg)]
+
 
 def _fill(state, i, leaf, factors) -> list:
     """``state`` with ``leaf`` at ``i`` and each combination of the answers
@@ -317,20 +326,9 @@ def abc_walk(comp: Component, defs, domains: DomainContext = EMPTY_DOMAINS) -> W
     """The walk of a component's exploration, over canonical leaves.
     ``canonical`` renames each leaf on its own, so a tree of canonical
     leaves is canonical."""
-    leaf_outs, leaf_ins = sem.leaf_steps(defs, domains)
-    return Walk(comp, canonical, leaf_outs, leaf_ins, sem.Label.as_input)
-
-
-def abc_steps(walk: Walk) -> tuple:
-    """A state's output steps, and its input steps on one message."""
-    return walk.outs, lambda state, msg: [(msg, succ) for succ in walk.ins(state, msg)]
-
-
-def fixed_steps(walk: Walk, universe):
-    """A state's steps under a fixed universe: outputs, then inputs of each
-    label of it."""
-    out_steps, in_steps = abc_steps(walk)
-    return lambda state: out_steps(state) + [st for msg in universe for st in in_steps(state, msg)]
+    return Walk(comp, canonical, lambda leaf: sem.component_out_steps(leaf, defs, domains),
+                lambda leaf, msg: sem.component_in_step(leaf, msg, defs, domains),
+                sem.Label.as_input)
 
 
 def state_text(walk: Walk):
@@ -354,8 +352,8 @@ def explore(
     that computed ``universe``, it numbers the closure's states."""
     if closure is None:
         walk = abc_walk(comp, defs or {}, domains)
-        states, transitions = reach(walk.initial, fixed_steps(walk, universe), pretty_label,
-                                    state_text(walk), bounds)
+        states, transitions = reach(walk.initial, lambda state: walk.steps(state, universe),
+                                    pretty_label, state_text(walk), bounds)
     else:
         found, steps, walk = closure
         text = state_text(walk)
@@ -382,9 +380,7 @@ def auto_universe(
         return merge_labels(have, sorted(heard, key=pretty_label), domains)
 
     walk = abc_walk(comp, defs or {}, domains)
-    universe, (states, steps) = alphabet_fixpoint(walk.initial, *abc_steps(walk), grow, base,
-                                                  bounds.max_states)
-    return universe, (states, steps, walk)
+    return alphabet_fixpoint(walk, grow, base, bounds.max_states)
 
 
 def weak_closure(lts: Lts):

@@ -186,6 +186,7 @@ class DomainContext(Node):
     the relevant sort is unbounded."""
 
     items: tuple = ()
+    _by_value = ("items",)
 
     @staticmethod
     def of(mapping) -> "DomainContext":

@@ -7,9 +7,9 @@ discard derivation exists; a leaf whose input prefix satisfies both
 receive constraints cannot discard, which is what keeps dynamic
 operators honest.  System steps are composed from these leaf steps by
 ``lts.Walk``: a broadcast from one leaf is delivered eagerly to every
-other leaf, which either accepts (possibly in several ways) or stays
-unchanged, and a restriction on the way strengthens the label
-(``Label.restrict``).
+other leaf, which accepts (possibly in several ways) or, when it can
+discard, stays unchanged, and a restriction on the way strengthens the
+label (``Label.restrict``).
 
 A step whose expressions fail to evaluate does not exist: for an output
 that is the output itself, for an input the accepting successor (the
@@ -179,14 +179,3 @@ def _proc_ins(env, iface, proc, msg, defs, domains):
         return _proc_ins(env, iface, _resolve(proc, defs, env), msg, defs, domains)
     raise TypeError(f"not a process: {proc!r}")
 
-
-def leaf_steps(defs, domains: DomainContext = EMPTY_DOMAINS) -> tuple:
-    """The local steps that system steps compose: a leaf's output steps,
-    and its successors on an input message (accepting ones, then the leaf
-    itself when it can discard)."""
-
-    def ins(leaf, msg):
-        accepts, can_discard = component_in_step(leaf, msg, defs, domains)
-        return accepts + [leaf] if can_discard else accepts
-
-    return (lambda leaf: component_out_steps(leaf, defs, domains)), ins

@@ -2,7 +2,9 @@
 kept as the reference it is checked against: ``system_out_steps`` and
 ``system_in_step`` for component trees, ``par_outs`` and ``par_ins`` for
 broadcast terms.  Each rebuilds the tree per message and composes the
-local steps ``local`` of its leaves."""
+local steps ``local`` of its leaves, with its own discard rule: a leaf's
+successors on a message are the accepting ones, then the leaf itself when
+it can discard."""
 
 from abcalc import bpi as bp
 from abcalc import predicates as pr
@@ -12,10 +14,26 @@ from abcalc.semantics import IN, OUT, Label
 from abcalc.terms import Leaf, ParC, ResIn, ResOut
 
 
+def leaf_steps(defs, domains=EMPTY_DOMAINS) -> tuple:
+    """A leaf's output steps, and its successors on an input message."""
+
+    def ins(leaf, msg):
+        accepts, can_discard = sem.component_in_step(leaf, msg, defs, domains)
+        return accepts + [leaf] if can_discard else accepts
+
+    return (lambda leaf: sem.component_out_steps(leaf, defs, domains)), ins
+
+
+def seq_reacts(g, chan, values) -> list:
+    """A sequential term's successors on a broadcast chan(values)."""
+    accepts, can_discard = bp._seq_ins(g, chan, values)
+    return accepts + [g] if can_discard else accepts
+
+
 def system_out_steps(c, defs, domains=EMPTY_DOMAINS, local=None):
     """All system-level output transitions of a component tree, composed
     from the leaf steps ``local`` (by default ``leaf_steps(defs, domains)``)."""
-    local = local or sem.leaf_steps(defs, domains)
+    local = local or leaf_steps(defs, domains)
     if isinstance(c, Leaf):
         return list(local[0](c))
     out = []
@@ -43,7 +61,7 @@ def system_in_step(c, msg, defs, domains=EMPTY_DOMAINS, local=None):
     """All successors after the environment injects an input label.  Empty
     only when some leaf must accept but its accepting step fails to
     evaluate; otherwise every leaf accepts or discards."""
-    local = local or sem.leaf_steps(defs, domains)
+    local = local or leaf_steps(defs, domains)
     if isinstance(c, Leaf):
         return list(local[1](c, msg))
     if isinstance(c, ParC):
@@ -59,7 +77,7 @@ def system_in_step(c, msg, defs, domains=EMPTY_DOMAINS, local=None):
     raise TypeError(f"not a component: {c!r}")
 
 
-SEQ_STEPS = (lambda g: bp._seq_outs(g), lambda g, chan, values: bp._seq_reacts(g, chan, values))
+SEQ_STEPS = (lambda g: bp._seq_outs(g), seq_reacts)
 
 
 def par_ins(p, chan, values, local=SEQ_STEPS) -> list:
@@ -91,9 +109,9 @@ def par_outs(p, local=SEQ_STEPS):
 
 
 def bpi_steps(p, universe=(), local=SEQ_STEPS) -> list:
-    """All transitions of a closed term, as ``bpi.bpi_steps`` gives them."""
+    """All transitions of a closed term, as ``bpi.bpi_steps`` gives them:
+    the universe holds input labels ``("in", chan, values)``."""
     steps = list(par_outs(p, local))
-    for chan, values in universe:
-        for p2 in par_ins(p, chan, tuple(values), local):
-            steps.append((("in", chan, tuple(values)), p2))
+    for msg in universe:
+        steps += [(msg, p2) for p2 in par_ins(p, *msg[1:], local)]
     return steps

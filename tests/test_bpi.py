@@ -98,7 +98,7 @@ class TestSteps:
 
     def test_choice_input_consumes_whole_sum(self):
         p = load("choice.bpi")
-        steps = bpi_steps(p, universe=(("a", ("m",)),))
+        steps = bpi_steps(p, universe=(("in", "a", ("m",)),))
         ins = [s for lab, s in steps if lab[0] == "in"]
         assert parse_bpi("m!(w).nil") in ins  # accepting branch wins
         taus = [s for lab, s in steps if lab == TAU]
@@ -106,7 +106,7 @@ class TestSteps:
 
     def test_universe_input_discard_self(self):
         p = parse_bpi("b(y).nil")
-        steps = bpi_steps(p, universe=(("a", ()),))
+        steps = bpi_steps(p, universe=(("in", "a", ()),))
         assert (("in", "a", ()), p) in steps
 
     def test_recursion_unfolds(self):
@@ -133,7 +133,7 @@ class TestSteps:
 
     def test_harvest_universe(self):
         u, _ = harvest_bpi_universe(load("handshake.bpi"))
-        assert ("a", ("x",)) in u and ("b", ("x",)) in u
+        assert ("in", "a", ("x",)) in u and ("in", "b", ("x",)) in u
 
 
 class TestEncoding:
@@ -194,7 +194,7 @@ class TestCorrespondence:
     def test_report_counts(self):
         report = correspondence_check(load("handshake.bpi"))
         assert report.transitions_checked >= report.states_checked - 1
-        assert ("a", ("x",)) in report.universe
+        assert ("in", "a", ("x",)) in report.universe
 
     def test_random_terms(self, rng):
         for _ in range(25):

@@ -163,6 +163,21 @@ class TestBarbs:
         rc, out, _ = run(capsys, "barbs", ZERO)
         assert rc == 0 and "(none)" in out
 
+    @pytest.mark.parametrize("weak", [[], ["--weak"]])
+    def test_infinitely_many_states(self, capsys, tmp_path, weak):
+        # only the initial state, or the states silent steps reach, are stepped
+        model = tmp_path / "count.abc"
+        model.write_text('def A = ("a")@tt.[k := this.k + 1] A;\n'
+                         'comp C { iface: [k]; env: {k = 0}; run: A }\n')
+        assert run(capsys, "barbs", str(model), *weak) == (0, "tt\n", "")
+
+    def test_weak_barbs_after_silent_steps(self, capsys, tmp_path):
+        model = tmp_path / "silent.abc"
+        model.write_text('def A = ()@ff.("a")@(k == 1).[k := this.k + 1] A;\n'
+                         'comp C { iface: [k]; env: {k = 0}; run: A }\n')
+        assert run(capsys, "barbs", str(model)) == (0, "(none)\n", "")
+        assert run(capsys, "barbs", "--weak", str(model)) == (0, "k == 1\n", "")
+
 
 class TestCheckBisim:
     def test_equivalent(self, capsys, closed):
@@ -207,6 +222,17 @@ class TestCheckBisim:
         want = {k: v for k, v in json.loads(full).items() if k.startswith("universe")}
         assert want["universe_size"] == 1
         assert {k: json.loads(out)[k] for k in want} == want
+
+
+    def test_domains_differing_by_value_type(self, capsys, tmp_path):
+        paths = []
+        for value in ("1", "true"):
+            path = tmp_path / f"d{value}.abc"
+            path.write_text(f"domain a in {{{value}}};\n"
+                            f"comp C {{ iface: [a]; env: {{a = {value}}}; run: (a)@tt.0 }}\n")
+            paths.append(str(path))
+        rc, out, err = run(capsys, "check-bisim", "--weak", *paths)
+        assert (rc, out, err) == (2, "", "error: domain of 'a' differs between the two files\n")
 
 
 class TestTranslate:

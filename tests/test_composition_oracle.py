@@ -91,8 +91,8 @@ def test_network_systems():
 def test_broadcast_terms(rng, nest):
     for _ in range(300):
         p = random_bpi(rng, nest=nest, width=3)
-        universe = sorted({(lab[1], lab[2]) for lab, _ in ref.bpi_steps(p) if lab != bp.TAU}
-                          | {("a", ()), ("b", ("u",))})
+        universe = sorted({("in", *lab[1:]) for lab, _ in ref.bpi_steps(p) if lab != bp.TAU}
+                          | {("in", "a", ()), ("in", "b", ("u",))})
         assert bp.bpi_steps(p, universe) == ref.bpi_steps(p, universe), p
         # the harvest's canonical states step as their trees do
         _, (states, steps, walk) = bp.harvest_bpi_universe(p)

@@ -145,8 +145,8 @@ def old_correspondence(p, bounds):
     universe = old_fixpoint(
         bp.canon_bpi(p),
         lambda q: [(lab, bp.canon_bpi(nxt)) for lab, nxt in ref.bpi_steps(q)],
-        lambda q, msg: [bp.canon_bpi(nxt) for nxt in ref.par_ins(q, *msg)],
-        lambda have, outs: tuple(sorted({*have, *((l[1], l[2]) for l in outs if l != bp.TAU)})),
+        lambda q, msg: [bp.canon_bpi(nxt) for nxt in ref.par_ins(q, *msg[1:])],
+        lambda have, outs: tuple(sorted({*have, *(("in", *l[1:]) for l in outs if l != bp.TAU)})),
         (), bounds.max_states)
     states, transitions = old_reach(
         bp.canon_bpi(p),
@@ -160,8 +160,8 @@ def old_correspondence(p, bounds):
         defs = {}
         comp = canonical(bp._encode_comp(cur, defs))
         asteps = list(ref.system_out_steps(comp, defs))
-        for chan, values in universe:
-            msg = bp._abc_label(("in", chan, values))
+        for lab in universe:
+            msg = bp._abc_label(lab)
             for c2 in ref.system_in_step(comp, msg, defs):
                 asteps.append((msg, c2))
         asteps = [(lab, canonical(c2)) for lab, c2 in asteps]
@@ -282,14 +282,10 @@ def test_explore_prints_each_leaf_once(monkeypatch):
 def test_auto_explore_steps_each_state_once(monkeypatch):
     model = parse_abc(emitters_abc(3))
     outs, ins = [], []
-    real = L.abc_steps
-
-    def counting(*args):
-        out_steps, in_steps = real(*args)
-        return (lambda c: outs.append(c) or out_steps(c),
-                lambda c, msg: ins.append((c, msg)) or in_steps(c, msg))
-
-    monkeypatch.setattr(L, "abc_steps", counting)
+    real_outs, real_ins = L.Walk.outs, L.Walk.ins
+    monkeypatch.setattr(L.Walk, "outs", lambda walk, c: outs.append(c) or real_outs(walk, c))
+    monkeypatch.setattr(L.Walk, "ins",
+                        lambda walk, c, msg: ins.append((c, msg)) or real_ins(walk, c, msg))
     universe, closure = auto_universe(model.component, model.defs, domains=model.domains)
     lts = explore(model.component, model.defs, universe, domains=model.domains, closure=closure)
     assert len(outs) == len(set(outs)) == len(lts.states)

@@ -49,7 +49,7 @@ def naive_bpi_universe(p):
             seen.add(cur)
             for lab, nxt in bpi_steps(cur, universe):
                 if lab[0] == "out":
-                    harvested.add((lab[1], tuple(lab[2])))
+                    harvested.add(("in", lab[1], tuple(lab[2])))
                 frontier.append(canon_bpi(nxt))
         if harvested == universe:
             return tuple(sorted(universe))

@@ -1,0 +1,74 @@
+"""Golden outputs of the command line on the bundled corpus: every call
+below runs ``cli.main`` in-process, from the corpus directory, and its
+exit code, stdout and stderr must equal what ``tests/golden/`` records.
+A refactor that leaves these files as they are changed no output.
+
+To record the outputs again, after a change that is meant to alter them:
+``PYTHONPATH=src python tests/test_golden.py``."""
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from abcalc.cli import main
+from abcalc.systems import CORPUS_DIR
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FILES = sorted(p.name for p in CORPUS_DIR.iterdir() if p.suffix in (".abc", ".bpi"))
+MODELS = [f for f in FILES if f.endswith(".abc")]
+
+
+def calls_of(name: str) -> list:
+    """The calls recorded in one golden file: every command on one corpus
+    file (those that refuse its kind of file included), or the commands
+    that take no file or two."""
+    if name == "pairs":
+        return [["corpus"]] + [["check-bisim", mode, a, b] for a in MODELS for b in MODELS
+                               for mode in ("--weak", "--strong")]
+    calls = [["parse", name], ["translate", name], ["verify-encoding", name]]
+    calls += [["steps", "--universe", mode, name] for mode in ("auto", "none", "declared")]
+    calls += [["explore", name], ["explore", name, "--json"],
+              ["explore", "--max-states", "2", name], ["explore", "--max-depth", "1", name]]
+    calls += [["barbs", name], ["barbs", "--weak", name]]
+    return calls
+
+
+GROUPS = FILES + ["pairs"]
+
+
+def run(argv: list) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(CORPUS_DIR)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def record(group: str) -> dict:
+    return {" ".join(argv): run(argv) for argv in calls_of(group)}
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_outputs_match_the_golden_files(group):
+    want = json.loads((GOLDEN / f"{group}.json").read_text(encoding="utf-8"))
+    got = record(group)
+    assert list(got) == list(want)
+    for call, result in got.items():
+        assert result == want[call], call
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for group in GROUPS:
+        text = json.dumps(record(group), indent=1) + "\n"
+        (GOLDEN / f"{group}.json").write_text(text, encoding="utf-8")
+    print(f"wrote {len(GROUPS)} files to {GOLDEN}", file=sys.stderr)

@@ -262,8 +262,10 @@ SKELETON_WALKS = {"terms.canonical", "bpi.pretty_bpi"}
 SKELETON_NODES = {"ParC", "ResOut", "ResIn", "BPar"}
 
 # The recursive composition that ``lts.Walk`` replaced, kept only as the
-# reference in ``tests/composition_reference.py``.
-REPLACED = {"system_out_steps", "system_in_step", "_par_outs", "_par_ins"}
+# reference in ``tests/composition_reference.py``, and the per-calculus
+# adapters that ``Walk.steps`` and the walk's discard rule replaced.
+REPLACED = {"system_out_steps", "system_in_step", "_par_outs", "_par_ins",
+            "abc_steps", "fixed_steps", "leaf_steps", "_seq_reacts"}
 
 
 def test_one_walk_per_tree_shape():

@@ -1,5 +1,5 @@
 """Local steps worked out once per exploration: the steps of each leaf and
-its answer to each message (``lts.abc_steps``), the steps of each
+its answer to each message (``lts.abc_walk``), the steps of each
 sequential broadcast term (``bpi.harvest_bpi_universe``) and its
 encoding (``bpi.correspondence_check``).  Also what sharing them relies
 on: values that compare by type, and canonical bπ forms that keep every
@@ -90,7 +90,7 @@ class TestOncePerLocalState:
         two = {"A": ((), parse_process('("two")@tt.0'))}
         for defs, value in ((one, "one"), (two, "two")):
             walk = L.abc_walk(leaf, defs)
-            assert [lab.values for lab, _ in L.fixed_steps(walk, ())(walk.initial)] == [(value,)]
+            assert [lab.values for lab, _ in walk.steps(walk.initial, ())] == [(value,)]
         assert L.aut_text(L.explore(leaf, one)) != L.aut_text(L.explore(leaf, two))
         # two terms that name different recursions A are checked apart
         assert bp.correspondence_check(bp.parse_bpi("(rec A(x).a!(x).A(x))(v)")).ok

@@ -215,6 +215,13 @@ class TestDomainContext:
         assert m.get("b") == frozenset({3})
         assert m.get("zz") is None
 
+    def test_domains_compare_by_value(self):
+        ones, trues = DomainContext.of({"a": {1}}), DomainContext.of({"a": {True}})
+        assert ones != trues and ones == DomainContext.of({"a": {1}})
+        # the solver's cache keys on the domains, so it must tell them apart
+        assert not is_sat(A("==", "a", True), ones)
+        assert is_sat(A("==", "a", True), trues)
+
     def test_pred_attrs(self):
         p = And(A("==", "a", 1), Atom("<", Op("+", (Attr("b"), Const(1))), Attr("c")))
         assert pred_attrs(p) == frozenset({"a", "b", "c"})
