@@ -62,7 +62,10 @@ def _config(args) -> RunConfig:
                              getattr(args, "max_depth", L.DEFAULT_BOUNDS.max_depth))
     if bounds.max_states <= 0 or bounds.max_depth <= 0:
         raise CliError("bounds must be positive")
-    return RunConfig(getattr(args, "universe", "auto"), bounds, getattr(args, "json", None))
+    json_out = getattr(args, "json", None)
+    if json_out and json_out.endswith((".abc", ".bpi")):
+        raise CliError(f"--json {json_out}: refusing to write JSON over a model file")
+    return RunConfig(getattr(args, "universe", "auto"), bounds, json_out)
 
 
 def _load_model(path: str):

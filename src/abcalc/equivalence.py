@@ -7,7 +7,8 @@ shared-alphabet closures) and bisimilarity is decided by partition
 refinement over labels quotiented by label equivalence.  The weak
 variant refines over the saturated transition relation, where a visible
 step may be padded with silent moves on both sides and a silent step is
-matched by zero or more silent moves.
+matched by zero or more silent moves.  It saturates only when branching
+bisimilarity, which is finer, does not relate the two initial states.
 """
 
 from __future__ import annotations
@@ -166,25 +167,94 @@ def _bisim(c1, c2, defs, universe, domains, bounds, weak) -> Verdict:
     class_of = {key: classes[lab] for key, lab in objects.items()}
 
     n1 = len(l1.states)
+    if weak:
+        branching = _branching_blocks((l1, l2), class_of)
+        if branching[0] == branching[n1]:
+            return Verdict(True, universe)
     moves = _moves(l1, 0, class_of, weak) + _moves(l2, n1, class_of, weak)
-
-    # Each round splits blocks by their moves into the last partition,
-    # numbered by first occurrence.  A signature holds the old block, so
-    # a round that adds no block leaves the partition as it was.
-    blocks, count = [0] * len(moves), 1
-    history = [blocks]
-    while True:
-        renum = {}
-        new = [renum.setdefault((b, frozenset((cls, blocks[t]) for cls, t in m)), len(renum))
-               for b, m in zip(blocks, moves)]
-        if len(renum) == count:
-            break
-        blocks, count = new, len(renum)
-        history.append(blocks)
-
-    if blocks[0] == blocks[n1]:
+    history = list(_refine(len(moves), lambda blocks: (
+        frozenset((cls, blocks[t]) for cls, t in m) for m in moves)))
+    if history[-1][0] == history[-1][n1]:
         return Verdict(True, universe)
     return Verdict(False, universe, witness=_extract_witness(0, n1, moves, history, n1))
+
+
+def _refine(size: int, signatures):
+    """The partitions of ``range(size)`` from one block on, each splitting
+    the one before by ``signatures(blocks)`` and numbered by first
+    occurrence, until a round adds no block."""
+    blocks, count = [0] * size, 1
+    while True:
+        yield blocks
+        renum = {}
+        new = [renum.setdefault((b, sig), len(renum))
+               for b, sig in zip(blocks, signatures(blocks))]
+        if len(renum) == count:
+            return
+        blocks, count = new, len(renum)
+
+
+def _branching_blocks(ltss, class_of) -> list:
+    """The block of each state of the union of ``ltss`` (numbered one after
+    another) under branching bisimilarity, which is finer than weak and
+    needs no saturation (Groote & Vaandrager 1990).  Silent cycles are
+    collapsed, then signatures are refined over inert silent moves, those
+    into the mover's own block (Blom & Orzan 2003)."""
+    edges, offset = [], 0
+    for lts in ltss:
+        edges += [(offset + s, class_of[id(lab)], offset + t) for s, lab, t in lts.transitions]
+        offset += len(lts.states)
+    silent = [[] for _ in range(offset)]
+    for s, cls, t in edges:
+        if cls == _TAU:
+            silent[s].append(t)
+    comp = _components(silent)
+    moves = [set() for _ in range(max(comp) + 1)]
+    for s, cls, t in edges:
+        if cls != _TAU or comp[s] != comp[t]:
+            moves[comp[s]].add((cls, comp[t]))
+
+    def signatures(blocks):
+        # a silent move never leads to a higher component, so the signature
+        # of one that an inert move reaches is already made
+        sigs = []
+        for v, out in enumerate(moves):
+            sig = {(cls, blocks[w]) for cls, w in out if cls != _TAU or blocks[w] != blocks[v]}
+            sig.update(*(sigs[w] for cls, w in out if cls == _TAU and blocks[w] == blocks[v]))
+            sigs.append(frozenset(sig))
+        return sigs
+
+    *_, blocks = _refine(len(moves), signatures)
+    return [blocks[c] for c in comp]
+
+
+def _components(succ) -> list:
+    """The strongly connected component of each node of a graph given by
+    successor lists (Tarjan 1972, by a loop), numbered in the order they
+    close, so that an edge never leads to a higher number."""
+    index, low, comp = [-1] * len(succ), [0] * len(succ), [-1] * len(succ)
+    stack, seen, closed = [], 0, 0
+    for root in range(len(succ)):
+        work = [(root, 0)] if index[root] < 0 else []
+        while work:
+            v, i = work.pop()  # v goes on from its i-th edge
+            if index[v] < 0:
+                index[v] = low[v] = seen
+                seen += 1
+                stack.append(v)
+            for i in range(i, len(succ[v])):
+                w = succ[v][i]
+                if index[w] < 0:  # visit w, then come back to this edge
+                    work += [(v, i), (w, 0)]
+                    break
+                if comp[w] < 0:  # still on the stack
+                    low[v] = min(low[v], low[w])
+            else:
+                if low[v] == index[v]:
+                    while comp[v] < 0:
+                        comp[stack.pop()] = closed
+                    closed += 1
+    return comp
 
 
 def _extract_witness(s, t, moves, history, n1):

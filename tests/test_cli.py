@@ -416,6 +416,25 @@ def test_closed_stdout_ends_quietly(tmp_path):
     assert proc.wait() == 0 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["explore", "check-bisim --weak", "verify-encoding"])
+def test_json_refuses_to_overwrite_a_model(capsys, tmp_path, command):
+    """``--json`` takes an optional FILE, so a model path right after it
+    is read as the destination: that is refused before anything is
+    read or written."""
+    ext = ".bpi" if command == "verify-encoding" else ".abc"
+    a, b = tmp_path / f"a{ext}", tmp_path / f"b{ext}"
+    source = HANDSHAKE if ext == ".bpi" else NETWORK
+    for path in (a, b):
+        path.write_text(open(source).read())
+    rest = [str(b)] * (2 if command.startswith("check-bisim") else 1)
+    rc, out, err = run(capsys, *command.split(), "--json", str(a), *rest)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --json {a}: refusing to write JSON over a model file\n"
+    assert a.read_text() == open(source).read()
+    rc, out, _ = run(capsys, *command.split(), *rest, "--json", str(tmp_path / "out.json"))
+    assert rc == 0 and json.loads((tmp_path / "out.json").read_text())
+
+
 def test_long_witness_needs_no_recursion(tmp_path):
     """A 300-step counter run that ends in "b" on one side and "c" on the
     other: the witness follows the whole run, under a recursion limit far
