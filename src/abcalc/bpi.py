@@ -545,6 +545,26 @@ def _abc_label(lab) -> sem.Label:
     return sem.Label(abc_kind, AttrEnv(), TT, (chan,) + tuple(values))
 
 
+def _unmatched(bsteps, mapped, asteps) -> list:
+    """The violations of a bijective matching per label, targets as
+    multisets: a source step takes the first unmatched equal target step."""
+    wrong = []
+    if len(bsteps) != len(asteps):
+        wrong.append(("transition-count", len(bsteps), len(asteps)))
+    offered, taken = Counter(asteps), Counter()
+    for (lab, _), want in zip(bsteps, mapped):
+        if taken[want] < offered[want]:
+            taken[want] += 1
+        else:
+            wrong.append(("unmatched-source-step", lab))
+    for extra in asteps:
+        if taken[extra]:
+            taken[extra] -= 1
+        else:
+            wrong.append(("unmatched-target-step", extra[0]))
+    return wrong
+
+
 def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> CorrespondenceReport:
     """Walk the broadcast transition system and, at every reachable state,
     require a label-preserving bijection between its transitions and the
@@ -577,26 +597,11 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
 
     for q, comp, bsteps in zip(states, encoded, steps):
         asteps = target.steps(comp, abc_universe)
-        wrong = []  # this state's violations, each without the state
-
-        if len(bsteps) != len(asteps):
-            wrong.append(("transition-count", len(bsteps), len(asteps)))
-
-        # bijective matching per label, targets as multisets; a source step
-        # takes the first unmatched equal target step
-        offered, taken = Counter(asteps), Counter()
-        for lab, dst in bsteps:
-            want = (abc_label(lab), encoded[dst])
-            if taken[want] < offered[want]:
-                taken[want] += 1
-            else:
-                wrong.append(("unmatched-source-step", lab))
-        for extra in asteps:
-            if taken[extra]:
-                taken[extra] -= 1
-            else:
-                wrong.append(("unmatched-target-step", extra[0]))
-
+        mapped = [(abc_label(lab), encoded[dst]) for lab, dst in bsteps]
+        # equal multisets leave nothing to explain (dict equality runs in C);
+        # ``wrong`` holds this state's violations, each without the state
+        same = dict.__eq__(Counter(mapped), Counter(asteps))
+        wrong = [] if same else _unmatched(bsteps, mapped, asteps)
         src_barbs = frozenset(lab[1] for lab, _ in bsteps if lab[0] == "out")
         tgt_barbs = frozenset(
             lab.values[0]

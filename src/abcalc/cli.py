@@ -7,7 +7,10 @@ definition or recursion, a call to an undefined process or with the
 wrong number of arguments, an unbound recursion variable, a term the
 encoding rejects, an environment or an update outside a declared
 domain, a .bpi term where a component model is expected, an unguarded
-recursion, or nesting too deep for the recursion limit).  Diagnostics go
+recursion, or nesting too deep for the recursion limit), and for an
+output file that cannot be written or that would overwrite a file being
+read or the other output file, which is refused before anything is
+written.  Diagnostics go
 to stderr, one line each; results go to stdout, as JSON when --json is
 given.  A reader that closes stdout early does not change the exit code.
 """
@@ -65,7 +68,30 @@ def _config(args) -> RunConfig:
     json_out = getattr(args, "json", None)
     if json_out and json_out.endswith((".abc", ".bpi")):
         raise CliError(f"--json {json_out}: refusing to write JSON over a model file")
+    _refuse_overwrites(args, json_out)
     return RunConfig(getattr(args, "universe", "auto"), bounds, json_out)
+
+
+def _refuse_overwrites(args, json_out):
+    """Refuse, before anything is written, an output file that resolves to
+    a file being read or to the other output file."""
+    inputs = [getattr(args, name, None) for name in ("file", "left", "right")]
+    read = {os.path.realpath(path): path for path in inputs if path}
+    output = getattr(args, "output", None)
+    for flag, path in (("-o", output), ("--json", None if json_out == "-" else json_out)):
+        source = path and read.get(os.path.realpath(path))
+        if source:
+            raise CliError(f"{flag} {path}: refusing to overwrite the input {source}")
+    if output and json_out and os.path.realpath(json_out) == os.path.realpath(output):
+        raise CliError(f"--json {json_out}: refusing to write JSON over the -o file")
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
 
 
 def _load_model(path: str):
@@ -130,8 +156,7 @@ def _emit(cfg: RunConfig, payload: dict, human: str):
         if cfg.json_out == "-":
             _print(text)
         else:
-            with open(cfg.json_out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            _write(cfg.json_out, text + "\n")
             if human:
                 _print(human)
     elif human:
@@ -190,8 +215,7 @@ def cmd_explore(args) -> int:
     lts = L.explore(comp, model.defs, universe, cfg.bounds, model.domains, closure)
     text = L.aut_text(lts)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
         human = f"wrote {args.output}: {len(lts.states)} states, {len(lts.transitions)} transitions"
     else:
         human = text.rstrip("\n")
@@ -258,8 +282,7 @@ def cmd_translate(args) -> int:
     model = Model(component=comp, defs=defs)
     text = pretty_model(model)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
         human = f"wrote {args.output}"
     else:
         human = text.rstrip("\n")

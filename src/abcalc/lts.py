@@ -176,12 +176,20 @@ def alphabet_fixpoint(walk, grow, base, max_states: int) -> tuple:
         new, universe = [lab for lab in grown if lab not in old], grown
 
 
+# An answer table's entry for a leaf that can only discard the message:
+# the leaf stays as it is and adds nothing to the step.
+DISCARDS = object()
+
+
 class Walk:
     """The states of one exploration as vectors of leaf ids over one fixed
     skeleton.  A step never changes the ``||`` and restriction nodes of a
     state, only its leaves, so each distinct leaf gets a dense id in a table
     local to the walk (hash-consing) and a state is a tuple of ints.  Each
-    leaf's steps and its answer to each message are worked out once, as ids.
+    leaf's steps and its answer to each message are worked out once, as ids,
+    and so is each plan: for a leaf at a position, its moves with their
+    labels as they leave the skeleton and the answer table of every leaf
+    that hears them, so that composing a step only looks answers up.
 
     ``leaf_outs(leaf)`` gives a leaf's ``(label, successor)`` steps and
     ``leaf_ins(leaf, msg)`` its answer to a message, ``(accepts,
@@ -198,6 +206,8 @@ class Walk:
         self._hear = cache(lambda lab: self.label(hear(lab)))
         self._restrict = cache(lambda lab, fn: self.label(lab.restrict(fn)))
         self._routes = cache(self._route)
+        self._plans = [{} for _ in leaves]  # position -> leaf id -> output plan
+        self._heard = {}  # message from the environment -> its asks
         self.initial = tuple([self.intern(leaf) for leaf in leaves])
         # each node's subtree: where it ends in the skeleton, and its leaves
         n = len(self.shape)
@@ -249,58 +259,79 @@ class Walk:
                 e += 1
         return route[::-1]
 
-    def _answer(self, state, group, msg, factors) -> bool:
-        """Add to ``factors`` how each leaf of ``group`` answers ``msg``,
-        leaving out the leaves that can only discard it.  False, and the
-        leaves after it not asked, when one can neither accept nor discard."""
-        answers = self._answers  # message -> leaf id -> successor ids
-        heard = answers.get(msg)
-        if heard is None:
-            heard = answers[msg] = {}
+    def _asks(self, group, msg) -> list:
+        """For each leaf of ``group``, left to right, where it finds its
+        answer when ``msg`` is sent: ``(position, answer table, message)``,
+        the message as it passes the leaf's restrictIn nodes.  A table maps
+        a leaf id to its successor ids, or to ``DISCARDS``."""
+        asks = []
         for k, fns in group:
-            table, filtered, leaf = heard, msg, state[k]
-            if fns:
-                for fn in fns:
-                    filtered = self._restrict(filtered, fn)
-                table = answers.setdefault(filtered, {})
+            heard = msg
+            for fn in fns:
+                heard = self._restrict(heard, fn)
+            asks.append((k, self._answers.setdefault(heard, {}), heard))
+        return asks
+
+    def _plan(self, i: int, leaf: int) -> tuple:
+        """The output plan of ``leaf`` at position ``i``: each of its moves
+        as ``(label, successor, asks)``, the label after every restrictOut
+        on the leaf's route and the asks of every leaf that hears it, in the
+        order they are asked."""
+        moves = self._outs.get(leaf)
+        if moves is None:
+            moves = self._outs[leaf] = tuple([(self.label(lab), self.intern(nxt)) for lab, nxt
+                                              in self._leaf_outs(self.leaves[leaf])])
+        plan = []
+        for label, nxt in moves:
+            asks = []
+            for fn, group in self._routes(i):
+                if fn is not None:
+                    label = self._restrict(label, fn)
+                elif (msg := self._hear(label)) is not None:
+                    asks += self._asks(group, msg)
+            plan.append((label, nxt, tuple(asks)))
+        plan = self._plans[i][leaf] = tuple(plan)
+        return plan
+
+    def _answer(self, state, asks) -> list | None:
+        """The leaves of ``asks`` that change, with their successors, or
+        None when one can neither accept nor discard: then the leaves after
+        it are not asked."""
+        factors = []
+        for k, table, msg in asks:
+            leaf = state[k]
             got = table.get(leaf)
             if got is None:
-                accepts, can_discard = self._leaf_ins(self.leaves[leaf], filtered)
-                got = [self.intern(nxt) for nxt in accepts] + ([leaf] if can_discard else [])
-                got = table[leaf] = tuple(got)
-            if not got:
-                return False
-            if got != (leaf,):
+                accepts, can_discard = self._leaf_ins(self.leaves[leaf], msg)
+                got = tuple([self.intern(nxt) for nxt in accepts] + ([leaf] if can_discard else []))
+                got = table[leaf] = DISCARDS if got == (leaf,) else got
+            if got is not DISCARDS:
+                if not got:
+                    return None
                 factors.append((k, got))
-        return True
+        return factors
 
     def outs(self, state) -> list:
         """A state's output steps ``(label, successor)``: leaf by leaf, left
         to right, each step of the leaf and then each way it is answered."""
-        steps = []
+        steps, plans = [], self._plans
         for i, leaf in enumerate(state):
-            moves = self._outs.get(leaf)
-            if moves is None:
-                moves = self._outs[leaf] = tuple([(self.label(lab), self.intern(nxt)) for lab, nxt
-                                                  in self._leaf_outs(self.leaves[leaf])])
-            for label, nxt in moves:
-                factors = []
-                for fn, group in self._routes(i):
-                    if fn is not None:
-                        label = self._restrict(label, fn)
-                    elif (msg := self._hear(label)) is not None \
-                            and not self._answer(state, group, msg, factors):
-                        break
-                else:
+            plan = plans[i].get(leaf)
+            if plan is None:
+                plan = self._plan(i, leaf)
+            for label, nxt, asks in plan:
+                factors = self._answer(state, asks)
+                if factors is not None:
                     steps += [(label, succ) for succ in _fill(state, i, nxt, factors)]
         return steps
 
     def ins(self, state, msg) -> list:
         """A state's successors when the environment sends ``msg``."""
-        factors = []
-        if not self._answer(state, self._env, self.label(msg), factors):
-            return []
-        return _fill(state, None, None, factors)
+        asks = self._heard.get(msg)
+        if asks is None:
+            asks = self._heard[msg] = self._asks(self._env, self.label(msg))
+        factors = self._answer(state, asks)
+        return [] if factors is None else _fill(state, None, None, factors)
 
     def steps(self, state, universe) -> list:
         """A state's steps ``(label, successor)``: its outputs, then its
@@ -314,6 +345,12 @@ def _fill(state, i, leaf, factors) -> list:
     base = list(state)
     if i is not None:
         base[i] = leaf
+    for k, got in factors:
+        if len(got) > 1:
+            break
+        base[k] = got[0]
+    else:
+        return [tuple(base)]
     out = []
     for choice in product(*[got for _, got in factors]):
         for (k, _), nxt in zip(factors, choice):

@@ -435,6 +435,50 @@ def test_json_refuses_to_overwrite_a_model(capsys, tmp_path, command):
     assert rc == 0 and json.loads((tmp_path / "out.json").read_text())
 
 
+@pytest.mark.parametrize("command, target", [
+    ("explore -o {missing} NETWORK", "{missing}"),
+    ("translate -o {directory} RELAY", "{directory}"),
+    ("verify-encoding --json {missing} RELAY", "{missing}"),
+])
+def test_unwritable_output_exits_2(capsys, tmp_path, command, target):
+    """An output that cannot be written is a usage error with one line,
+    not a traceback and not the exit code of a negative verdict."""
+    where = {"missing": tmp_path / "missing" / "x.out", "directory": tmp_path}
+    argv = [a.format(**where) for a in command.replace("NETWORK", NETWORK)
+            .replace("RELAY", RELAY).split()]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target.format(**where)}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, message", [
+    ("explore -o m.abc m.abc", "-o m.abc: refusing to overwrite the input m.abc"),
+    ("explore -o alias m.abc", "-o alias: refusing to overwrite the input m.abc"),
+    ("translate -o m.bpi m.bpi", "-o m.bpi: refusing to overwrite the input m.bpi"),
+    ("parse --json m.txt m.txt", "--json m.txt: refusing to overwrite the input m.txt"),
+    ("check-bisim --weak m.txt n.txt --json n.txt",
+     "--json n.txt: refusing to overwrite the input n.txt"),
+    ("explore -o out.aut --json out.aut m.abc",
+     "--json out.aut: refusing to write JSON over the -o file"),
+    ("explore m.abc -o out.aut --json ./out.aut",
+     "--json ./out.aut: refusing to write JSON over the -o file"),
+])
+def test_an_output_never_overwrites_an_input_or_the_other_output(
+        capsys, tmp_path, monkeypatch, command, message):
+    """Refused before anything is read or written, also when the paths
+    differ but resolve to one file."""
+    monkeypatch.chdir(tmp_path)
+    for name, source in (("m.abc", NETWORK), ("m.txt", NETWORK), ("n.txt", NETWORK),
+                         ("m.bpi", RELAY)):
+        (tmp_path / name).write_text(open(source).read())
+    (tmp_path / "out.aut").write_text("before\n")
+    (tmp_path / "alias").symlink_to(tmp_path / "m.abc")
+    before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    assert run(capsys, *command.split()) == (2, "", f"error: {message}\n")
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
+
+
 def test_long_witness_needs_no_recursion(tmp_path):
     """A 300-step counter run that ends in "b" on one side and "c" on the
     other: the witness follows the whole run, under a recursion limit far

@@ -9,9 +9,12 @@ import random
 import pytest
 
 from abcalc import bpi as bp
+from abcalc import predicates as pr
 from abcalc.lts import abc_walk
+from abcalc.syntax import parse_abc
 from abcalc.systems import network
-from abcalc.terms import ParC, ResIn, ResOut, canonical
+from abcalc.terms import (AttrEnv, Const, DomainViolation, In, Inact, Leaf, Out, ParC, ResIn,
+                          ResOut, RestrictionFn, Var, canonical)
 
 import composition_reference as ref
 from conftest import PROBE_MESSAGES, random_bpi, random_component
@@ -73,6 +76,44 @@ def test_right_and_mixed_nested_components(rng):
             right = ParC(leaf, right)
         assert_component_steps_match(right)
         assert_component_steps_match(random_component(rng, 3))
+
+
+def test_restrict_out_between_two_parallel_levels():
+    """B hears A's output as A sends it, C only as the restrictOut between
+    them leaves it: false, so C discards what B takes."""
+    hear = In(pr.TT, ("x",), Out((Var("x"),), pr.TT, Inact()))
+    a, b, c = (Leaf(AttrEnv(), frozenset(), proc)
+               for proc in (Out((Const(1),), pr.TT, Inact()), hear, hear))
+    for fn in (RestrictionFn("fff", pr.FF), RestrictionFn("ftt", pr.TT)):
+        assert_component_steps_match(ParC(ResOut(ParC(a, b), fn), c))
+        assert_component_steps_match(ParC(c, ResOut(ParC(b, a), fn)))
+
+
+REFUSAL = """domain d in {2};
+comp S { iface: []; env: {}; run: (1)@tt.0 }
+comp R { iface: []; env: {}; run: (tt)(x).[e := x + "a"]0 }
+comp L { iface: []; env: {}; run: (tt)(x).[d := x]0 }
+"""
+
+
+@pytest.mark.parametrize("system", ["S || (R || L)", "S || (L || R)", "(L || R) || S"])
+def test_a_refusing_leaf_ends_the_step(system):
+    """R takes the message but cannot evaluate its update, so it can
+    neither accept nor discard: that ends the step, and L, whose update
+    would leave its domain, is not asked after it; asked first, it raises."""
+    model = parse_abc(REFUSAL + f"system: {system};\n")
+    walk = abc_walk(model.component, model.defs, model.domains)
+    tree, msg = walk.tree(walk.initial), PROBE_MESSAGES[0]
+    for got, want in ((lambda: walk.outs(walk.initial),
+                       lambda: ref.system_out_steps(tree, model.defs, model.domains)),
+                      (lambda: walk.ins(walk.initial, msg),
+                       lambda: ref.system_in_step(tree, msg, model.defs, model.domains))):
+        if system.index("R") < system.index("L"):
+            assert got() == want() == []
+        else:
+            for steps in (got, want):
+                with pytest.raises(DomainViolation):
+                    steps()
 
 
 def test_network_systems():

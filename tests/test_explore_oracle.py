@@ -24,8 +24,9 @@ from abcalc.lts import (
 )
 from abcalc.predicates import EMPTY_DOMAINS
 from abcalc.syntax import parse_abc, pretty_component, pretty_label
-from abcalc.systems import network
-from abcalc.terms import Tt, canonical
+from abcalc.cli import main
+from abcalc.systems import corpus_path, network
+from abcalc.terms import Choice, In, Inact, Leaf, Out, Tt, canonical
 
 import composition_reference as ref
 from conftest import chains_abc, emitters_abc, random_bpi, random_component
@@ -244,6 +245,68 @@ def test_correspondence_matches_old_pipeline(rng):
         for bounds in (DEFAULT_BOUNDS, ExploreBounds(5, 2), ExploreBounds(40, 4)):
             assert correspondence(bp.correspondence_check, p, bounds) == \
                 correspondence(old_correspondence, p, bounds)
+
+
+# Faults put into the encoding, so that the violation path runs: the real
+# encoding is correct, and the check then only ever explains a match.
+
+
+def swap_channels(real):
+    """``_abc_label`` with channels ``a`` and ``b`` swapped."""
+    swap = {"a": "b", "b": "a"}
+    return lambda lab: real(lab if lab == bp.TAU else (lab[0], swap.get(lab[1], lab[1]), lab[2]))
+
+
+def drop_branches(kind):
+    """``_encode_leaf`` that leaves out each top-level branch of ``kind``."""
+
+    def drop(proc):
+        if isinstance(proc, kind):
+            return Inact()
+        if isinstance(proc, Choice):
+            return Choice(drop(proc.left), drop(proc.right))
+        return proc
+
+    return lambda real: lambda g, defs: Leaf((leaf := real(g, defs)).env, leaf.iface,
+                                             drop(leaf.proc))
+
+
+FAULTS = {
+    "swap-channels": ("_abc_label", swap_channels,
+                      {"unmatched-source-step", "unmatched-target-step"}),
+    "drop-inputs": ("_encode_leaf", drop_branches(In),
+                    {"unmatched-source-step", "unmatched-target-step"}),
+    "drop-outputs": ("_encode_leaf", drop_branches(Out),
+                     {"transition-count", "unmatched-source-step", "unmatched-target-step",
+                      "barb-mismatch"}),
+}
+CORPUS_BPI = ("choice", "handshake", "mobile", "relay", "repeater", "tau_chain")
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_violations_match_old_pipeline(monkeypatch, rng, fault):
+    name, make, kinds = FAULTS[fault]
+    monkeypatch.setattr(bp, name, make(getattr(bp, name)))
+    terms = [bp.parse_bpi(corpus_path(f"{n}.bpi").read_text()) for n in CORPUS_BPI]
+    terms += [random_bpi(rng) for _ in range(60)]
+    seen = set()
+    for p in terms:
+        for bounds in (DEFAULT_BOUNDS, ExploreBounds(40, 4)):
+            got = correspondence(bp.correspondence_check, p, bounds)
+            assert got == correspondence(old_correspondence, p, bounds), p
+            if not isinstance(got, str):
+                seen |= {v[0] for v in got.violations}
+    assert seen >= kinds
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_verify_encoding_reports_a_violation(monkeypatch, capsys, fault):
+    name, make, _ = FAULTS[fault]
+    monkeypatch.setattr(bp, name, make(getattr(bp, name)))
+    assert main(["verify-encoding", str(corpus_path("relay.bpi"))]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("VIOLATION: ")
+    assert err and all(line.startswith("violation: (") for line in err.splitlines())
 
 
 def test_bisim_numbering_a_closure_matches_fresh_exploration(rng):
