@@ -216,11 +216,6 @@ def _bpi_pre_text(p) -> str:
 # Free names / substitution (names double as channels and values)
 
 
-def free_names(p: BpiProcess, bound: frozenset = frozenset()) -> frozenset:
-    """The names free in ``p``, a term with parallel operands or not."""
-    return frozenset().union(*[_free(g, bound, {}) for g in flatten(p, BPar)[1]])
-
-
 def _free(p: BpiProcess, bound: frozenset, recs: dict) -> frozenset:
     """The names free in a sequential term.  A call of a recursion named in
     ``recs`` also uses the names that ``recs`` gives it."""
@@ -400,10 +395,6 @@ def bpi_steps(p: BpiProcess, universe=()) -> list:
     broadcast-input moves."""
     walk = _walk(p, lambda g: g)
     return [(lab, walk.tree(q)) for lab, q in walk.steps(walk.initial, universe)]
-
-
-def bpi_barbs(p: BpiProcess) -> frozenset:
-    return frozenset(lab[1] for lab, _ in bpi_steps(p) if lab != TAU)
 
 
 # ---------------------------------------------------------------------------

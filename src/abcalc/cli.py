@@ -182,7 +182,9 @@ def cmd_steps(args) -> int:
     cfg = _config(args)
     model = _load_model(args.file)
     if args.file.endswith(".bpi"):
-        universe, _ = bp.harvest_bpi_universe(model, cfg.bounds)
+        universe = ()  # a .bpi file declares none
+        if cfg.universe_mode == "auto":
+            universe, _ = bp.harvest_bpi_universe(model, cfg.bounds)
         rows = [
             {"label": _bpi_label_text(lab), "target": bp.pretty_bpi(nxt)}
             for lab, nxt in bp.bpi_steps(model, universe)
@@ -322,7 +324,6 @@ def cmd_corpus(args) -> int:
 
     def check(name, ok):
         results.append((name, bool(ok)))
-        _print(f"{'ok  ' if ok else 'FAIL'} {name}")
 
     net = systems.network()
     lts = L.explore(net["N"], net["defs"], (), cfg.bounds, net["domains"])
@@ -343,9 +344,9 @@ def cmd_corpus(args) -> int:
         term = bp.parse_bpi(systems.corpus_path(name).read_text())
         rep = bp.correspondence_check(term, cfg.bounds)
         check(f"encoding correspondence: {name}", rep.ok)
-    failed = [n for n, ok in results if not ok]
-    _emit(cfg, {"results": [{"name": n, "ok": ok} for n, ok in results]}, "")
-    return 1 if failed else 0
+    human = "\n".join(f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in results)
+    _emit(cfg, {"results": [{"name": n, "ok": ok} for n, ok in results]}, human)
+    return 0 if all(ok for _, ok in results) else 1
 
 
 # ---------------------------------------------------------------------------

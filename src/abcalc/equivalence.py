@@ -4,11 +4,12 @@ counterexample witnesses.
 Checking is relative to a finite input universe: both transition systems
 are explored under the same universe (by default the union of their
 shared-alphabet closures) and bisimilarity is decided by partition
-refinement over labels quotiented by label equivalence.  The weak
-variant refines over the saturated transition relation, where a visible
-step may be padded with silent moves on both sides and a silent step is
-matched by zero or more silent moves.  It saturates only when branching
-bisimilarity, which is finer, does not relate the two initial states.
+refinement over labels quotiented by label equivalence, all silent
+outputs in one class.  The weak variant refines over the saturated
+transition relation, built from that class: a visible step may be padded
+with silent moves on both sides and a silent step is matched by zero or
+more silent moves.  It saturates only when branching bisimilarity, which
+is finer, does not relate the two initial states.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from .lts import (
     auto_universe,
     explore,
     fingerprint,
-    inverse_closure,
     label_equiv,
     merge_labels,
     reach,
     state_text,
-    weak_closure,
 )
 from .predicates import DomainContext, EMPTY_DOMAINS
 from .syntax import pretty_label
@@ -119,8 +118,23 @@ def _moves(lts: Lts, offset: int, class_of, weak: bool):
     (label ``None``) reaches any state of the tau-closure."""
     n = len(lts.states)
     if weak:
-        after = weak_closure(lts)
-        before = inverse_closure(after)
+        silent = [set() for _ in range(n)]
+        for src, lab, dst in lts.transitions:
+            if class_of[id(lab)] == _TAU:
+                silent[src].add(dst)
+        after, before = [], [[] for _ in range(n)]  # tau-closure, and its inverse
+        for start in range(n):
+            seen, stack = {start}, [start]
+            while stack:
+                for nxt in silent[stack.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            # a copy may iterate in another order than ``seen``; the moves, and
+            # so the witnesses, follow the order of this frozenset
+            after.append(frozenset(seen))
+            for t in seen:
+                before[t].append(start)
         moves = [dict.fromkeys((_TAU, offset + t) for t in after[s]) for s in range(n)]
     else:
         after = before = [(s,) for s in range(n)]

@@ -1,6 +1,6 @@
 """Bounded exploration of the system transition relation into a finite
-labeled transition system, with silent-move classification, weak closure,
-predicate-indexed reductions, and Aldebaran export.
+labeled transition system, numbered states, input universes, and the
+Aldebaran text.
 
 An input universe makes the environment finite: besides the autonomous
 output moves, every state also reacts to each input label of the
@@ -77,24 +77,14 @@ def fingerprint(labels) -> str:
 
 
 class Lts(Record):
-    """A numbered transition system.  ``states`` holds the id vectors of
-    the ``Walk`` that found them, not trees; ``transitions`` holds
-    ``(source, label, target)`` triples of state numbers."""
+    """A numbered transition system from state 0.  ``states`` holds the id
+    vectors of the ``Walk`` that found them, not trees; ``transitions``
+    holds ``(source, label, target)`` triples of state numbers."""
 
-    def __init__(self, states: list, transitions: list, initial: int = 0,
-                 domains: DomainContext = EMPTY_DOMAINS):
+    def __init__(self, states: list, transitions: list, domains: DomainContext = EMPTY_DOMAINS):
         self.states = states
         self.transitions = transitions
-        self.initial = initial
         self.domains = domains
-        self._tau_cache = {}
-
-    def is_tau(self, label: sem.Label) -> bool:
-        if label.kind != sem.OUT:
-            return False
-        if label.pred not in self._tau_cache:
-            self._tau_cache[label.pred] = pr.is_ff(label.pred, self.domains)
-        return self._tau_cache[label.pred]
 
 
 def reach(initial, successors, label_key, state_key, bounds: ExploreBounds = DEFAULT_BOUNDS):
@@ -397,7 +387,7 @@ def explore(
         ids, transitions = reach(0, steps.__getitem__, pretty_label, lambda i: text(found[i]),
                                  bounds)
         states = [found[i] for i in ids]
-    return Lts(states, transitions, 0, domains)
+    return Lts(states, transitions, domains)
 
 
 def auto_universe(
@@ -420,74 +410,15 @@ def auto_universe(
     return alphabet_fixpoint(walk, grow, base, bounds.max_states)
 
 
-def weak_closure(lts: Lts):
-    """For each state, the set of states reachable by zero or more
-    silent moves."""
-    tau_next = {i: set() for i in range(len(lts.states))}
-    for src, lab, dst in lts.transitions:
-        if lts.is_tau(lab):
-            tau_next[src].add(dst)
-    closure = []
-    for start in range(len(lts.states)):
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in tau_next[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        closure.append(frozenset(seen))
-    return tuple(closure)
-
-
-def inverse_closure(closure) -> list:
-    """For each state, in increasing order, the states whose weak closure
-    holds it: its predecessors by zero or more silent moves."""
-    pre = [[] for _ in closure]
-    for s, reach_s in enumerate(closure):
-        for t in reach_s:
-            pre[t].append(s)
-    return pre
-
-
-def reduction_over(lts: Lts, pred, weak: bool = False):
-    """State pairs connected by an output whose predicate is equivalent
-    to the given one; the weak variant closes both sides under silent
-    moves."""
-    base = set()
-    equiv_cache = {}
-    for src, lab, dst in lts.transitions:
-        if lab.kind != sem.OUT:
-            continue
-        if lab.pred not in equiv_cache:
-            equiv_cache[lab.pred] = pr.equiv(lab.pred, pred, lts.domains)
-        if equiv_cache[lab.pred]:
-            base.add((src, dst))
-    if not weak:
-        return base
-    closure = weak_closure(lts)
-    pre = inverse_closure(closure)
-    out = set()
-    for src, dst in base:
-        for s in pre[src]:
-            for t in closure[dst]:
-                out.add((s, t))
-    return out
-
-
 def aut_text(lts: Lts) -> str:
     """The Aldebaran text of an LTS; each distinct label is printed once."""
 
     @cache
     def text(lab):
-        return ("tau" if lts.is_tau(lab) else pretty_label(lab)).replace('"', "'")
+        silent = lab.kind == sem.OUT and pr.is_ff(lab.pred, lts.domains)
+        return ("tau" if silent else pretty_label(lab)).replace('"', "'")
 
     lines = [f"des (0,{len(lts.transitions)},{len(lts.states)})"]
     lines += [f'({src},"{text(lab)}",{dst})' for src, lab, dst in lts.transitions]
     return "\n".join(lines) + "\n"
 
-
-def export_aut(lts: Lts, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(aut_text(lts))

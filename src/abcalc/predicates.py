@@ -51,22 +51,6 @@ from .terms import (  # the tree and subst_pred are re-exported
 _ORDER_OPS = ("<", "<=", ">", ">=")
 
 
-def conj(a: Predicate, b: Predicate) -> Predicate:
-    if isinstance(a, Tt):
-        return b
-    if isinstance(b, Tt):
-        return a
-    return And(a, b)
-
-
-def disj(a: Predicate, b: Predicate) -> Predicate:
-    if isinstance(a, Ff):
-        return b
-    if isinstance(b, Ff):
-        return a
-    return Or(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Satisfaction (two-valued: an atom whose operand fails to evaluate is
 # unsatisfied, so a negation over it holds).
@@ -200,12 +184,6 @@ class DomainContext(Node):
             if a == attr:
                 return vs
         return None
-
-    def merged(self, other: "DomainContext") -> "DomainContext":
-        d = {a: vs for a, vs in self.items}
-        for a, vs in other.items:
-            d.setdefault(a, vs)
-        return DomainContext.of(d)
 
 
 EMPTY_DOMAINS = DomainContext()

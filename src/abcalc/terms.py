@@ -73,14 +73,6 @@ def values_equal(v: Value, w: Value) -> bool:
     return v == w
 
 
-def is_value(v) -> bool:
-    try:
-        value_key(v)
-    except TypeError:
-        return False
-    return True
-
-
 def pretty_value(v) -> str:
     """A value in the concrete syntax."""
     if isinstance(v, bool):
@@ -235,15 +227,8 @@ class AttrEnv(Node):
     def restrict(self, iface: frozenset) -> "AttrEnv":
         return AttrEnv(tuple((a, v) for a, v in self.items if a in iface))
 
-    def domain(self) -> frozenset:
-        return frozenset(a for a, _ in self.items)
-
     def as_dict(self) -> dict:
         return dict(self.items)
-
-
-def restrict_env(env: AttrEnv, iface: frozenset) -> AttrEnv:
-    return env.restrict(iface)
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +494,6 @@ def _consts(names, values) -> dict:
     return {name: Const(v) for name, v in zip(names, values)}
 
 
-def _vars(exprs) -> frozenset:
-    return frozenset(x.name for e in exprs for x in expr_leaves(e) if isinstance(x, Var))
-
-
-def pred_vars(pred: Predicate) -> frozenset:
-    return _vars(side for a in atoms(pred) for side in (a.left, a.right))
-
-
 # ---------------------------------------------------------------------------
 # Processes
 
@@ -568,27 +545,6 @@ class Call(Node):
 Process = Inact | Out | In | Upd | Aware | Choice | ParP | Call
 
 ZERO = Inact()
-
-
-def free_vars(p: Process, bound: frozenset = frozenset()) -> frozenset:
-    if isinstance(p, Inact):
-        return frozenset()
-    if isinstance(p, Out):
-        fv = _vars(p.exprs) | pred_vars(p.pred)
-        return (fv - bound) | free_vars(p.cont, bound)
-    if isinstance(p, In):
-        fv = pred_vars(p.pred) - bound - frozenset(p.vars)
-        return fv | free_vars(p.cont, bound | frozenset(p.vars))
-    if isinstance(p, Upd):
-        fv = _vars(e for _, e in p.assigns)
-        return (fv - bound) | free_vars(p.cont, bound)
-    if isinstance(p, Aware):
-        return (pred_vars(p.pred) - bound) | free_vars(p.proc, bound)
-    if isinstance(p, (Choice, ParP)):
-        return free_vars(p.left, bound) | free_vars(p.right, bound)
-    if isinstance(p, Call):
-        return _vars(p.args) - bound
-    raise TypeError(f"not a process: {p!r}")
 
 
 def substitute(p: Process, names, values) -> Process:

@@ -1,6 +1,7 @@
 """Bisimilarity against the engine it replaced: two edge builders (the
-strong one keeps every transition, the weak one lists the saturated
-moves and then drops repeated ``(class, target)`` pairs), a refinement
+strong one keeps every transition, the weak one saturates with its own
+silent closure, lists the saturated moves and then drops repeated
+``(class, target)`` pairs), a refinement
 that keeps a copy of the whole block map per round and stops when a
 round leaves the map as it was, and a recursive witness extractor.  The
 universe handling and the label classes are the engine's own, so the
@@ -18,11 +19,10 @@ from abcalc.lts import (
     ExploreBounds,
     auto_universe,
     explore,
-    inverse_closure,
     merge_labels,
-    weak_closure,
 )
-from abcalc.predicates import EMPTY_DOMAINS, FF, Not
+from abcalc import semantics as sem
+from abcalc.predicates import EMPTY_DOMAINS, FF, DomainContext, Not, is_ff
 from abcalc.syntax import parse_abc, pretty_label
 from abcalc.systems import network
 from abcalc.terms import AttrEnv, Aware, Choice, Const, In, Leaf, Out, ParP, Upd
@@ -46,6 +46,37 @@ def old_strong_edges(lts, offset, class_of):
     for src, lab, dst in lts.transitions:
         edges[offset + src].append((class_of[lab], offset + dst, lab))
     return edges
+
+
+def weak_closure(lts):
+    """For each state, the set of states reachable by zero or more
+    silent moves."""
+    tau_next = {i: set() for i in range(len(lts.states))}
+    for src, lab, dst in lts.transitions:
+        if lab.kind == sem.OUT and is_ff(lab.pred, lts.domains):
+            tau_next[src].add(dst)
+    closure = []
+    for start in range(len(lts.states)):
+        seen = {start}
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for nxt in tau_next[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        closure.append(frozenset(seen))
+    return tuple(closure)
+
+
+def inverse_closure(closure) -> list:
+    """For each state, in increasing order, the states whose weak closure
+    holds it: its predecessors by zero or more silent moves."""
+    pre = [[] for _ in closure]
+    for s, reach_s in enumerate(closure):
+        for t in reach_s:
+            pre[t].append(s)
+    return pre
 
 
 def old_weak_edges(lts, offset, class_of):
@@ -319,7 +350,7 @@ def test_family_pairs_match_old_engine(mode, k):
             continue
         m1, m2 = models[a], models[b]
         agree(mode, m1.component, m2.component, {**m1.defs, **m2.defs},
-              domains=m1.domains.merged(m2.domains))
+              domains=DomainContext.of({**dict(m2.domains.items), **dict(m1.domains.items)}))
 
 
 @pytest.mark.parametrize("mode", sorted(CHECKS))

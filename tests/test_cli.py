@@ -80,6 +80,14 @@ class TestSteps:
         rc, out, _ = run(capsys, "steps", HANDSHAKE)
         assert rc == 0 and "a!(x)" in out
 
+    @pytest.mark.parametrize("mode", ["none", "declared"])
+    def test_bpi_steps_follow_the_universe_flag(self, capsys, mode):
+        # a .bpi file declares no universe: only auto adds input steps
+        _, auto, _ = run(capsys, "steps", "--universe", "auto", HANDSHAKE)
+        rc, out, _ = run(capsys, "steps", "--universe", mode, HANDSHAKE)
+        assert rc == 0 and out == "a!(x)  ->  b(y).nil || b!(x).nil\n"
+        assert {line for line in auto.splitlines() if "?" not in line} == {out.rstrip()}
+
     def test_no_steps(self, capsys):
         rc, out, _ = run(capsys, "steps", ZERO, "--universe", "none")
         assert rc == 0 and "(no steps)" in out
@@ -357,6 +365,16 @@ class TestCorpus:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("ok  ") == 8
+
+    def test_json_is_only_json(self, capsys, tmp_path):
+        rc, out, _ = run(capsys, "corpus", "--json")
+        results = json.loads(out)["results"]
+        assert rc == 0 and len(results) == 8 and all(r["ok"] for r in results)
+        # written to a file, the JSON leaves stdout to the text
+        target = tmp_path / "corpus.json"
+        rc, out, _ = run(capsys, "corpus", "--json", str(target))
+        assert rc == 0 and out.count("ok  ") == 8
+        assert json.loads(target.read_text())["results"] == results
 
 
 @pytest.mark.parametrize("flag", ["--max-states", "--max-depth"])

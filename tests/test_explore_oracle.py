@@ -128,7 +128,7 @@ def old_explore(comp, defs, mode, bounds, domains):
     try:
         universe = old_auto_universe(comp, defs, bounds, domains) if mode == "auto" else ()
         states, transitions = old_reach(canonical(comp), old_successors(defs, universe), bounds)
-        return aut_text(Lts(states, transitions, 0, domains)), universe
+        return aut_text(Lts(states, transitions, domains)), universe
     except BoundExceeded as exc:
         return str(exc)
 
@@ -179,8 +179,9 @@ def old_correspondence(p, bounds):
             report.violations.append(("unmatched-target-step", cur, extra[0]))
         tgt_barbs = frozenset(lab.values[0] for lab, _ in ref.system_out_steps(comp, defs)
                               if isinstance(lab.pred, Tt) and lab.values)
-        if bp.bpi_barbs(cur) != tgt_barbs:
-            report.violations.append(("barb-mismatch", cur, bp.bpi_barbs(cur), tgt_barbs))
+        src_barbs = frozenset(lab[1] for lab, _ in ref.bpi_steps(cur) if lab != bp.TAU)
+        if src_barbs != tgt_barbs:
+            report.violations.append(("barb-mismatch", cur, src_barbs, tgt_barbs))
     return report
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from abcalc import bpi as bp
 from abcalc import lts as L
+from abcalc import predicates as pr
 from abcalc import semantics as sem
 from abcalc.cli import main
 from abcalc.semantics import IN, Label
@@ -106,7 +107,7 @@ class TestOncePerLocalState:
         monkeypatch.setattr(L, "pretty_label", lambda lab: printed.append(lab) or real(lab))
         text = L.aut_text(lts)
         assert text.startswith("des (0,")
-        shown = {lab for _, lab, _ in lts.transitions if not lts.is_tau(lab)}
+        shown = {lab for _, lab, _ in lts.transitions if not pr.is_ff(lab.pred, lts.domains)}
         assert len(printed) == len(shown) == 8
 
 

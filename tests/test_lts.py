@@ -1,8 +1,9 @@
-"""Bounded exploration, universes, weak closure, reductions, and the
-Aldebaran export."""
+"""Bounded exploration, universes, the silent closure that weak
+bisimilarity saturates with, and the Aldebaran text."""
 
 import pytest
 
+from abcalc import equivalence as eq
 from abcalc import predicates as pr
 from abcalc import semantics as sem
 from abcalc.lts import (
@@ -11,13 +12,10 @@ from abcalc.lts import (
     auto_universe,
     aut_text,
     explore,
-    export_aut,
     fingerprint,
     merge_labels,
-    reduction_over,
-    weak_closure,
 )
-from abcalc.predicates import Atom, FF, TT
+from abcalc.predicates import Atom, TT
 from abcalc.semantics import IN, Label
 from abcalc.syntax import parse_process
 from abcalc.terms import Attr, AttrEnv, Const, Leaf, ParC, ZERO
@@ -98,12 +96,21 @@ class TestUniverse:
         assert fingerprint(u1) != fingerprint(())
 
 
+def weak_closure(lts):
+    """For each state, the targets of its silent weak moves in
+    ``check-bisim --weak``: the states that zero or more silent steps reach."""
+    labels = {id(lab): lab for _, lab, _ in lts.transitions}
+    classes = eq._label_classes(labels.values(), lts.domains)
+    moves = eq._moves(lts, 0, {key: classes[lab] for key, lab in labels.items()}, weak=True)
+    return [frozenset(t for cls, t in m if cls == eq._TAU) for m in moves]
+
+
 class TestWeakClosure:
     def test_tau_chain(self):
         c = leaf('()@ff.()@ff.("v")@tt.0')
         lts = explore(c)
         closure = weak_closure(lts)
-        assert closure[lts.initial] == frozenset({0, 1, 2})
+        assert closure[0] == frozenset({0, 1, 2})
 
     def test_no_taus_is_identity(self):
         net = network()
@@ -121,28 +128,6 @@ class TestWeakClosure:
                     assert closure[t] <= closure[s]
 
 
-class TestReduction:
-    def test_ff_reduction_is_tau_set(self):
-        c = leaf('()@ff.("v")@tt.()@ff.0')
-        lts = explore(c)
-        taus = {(s, d) for s, lab, d in lts.transitions if lts.is_tau(lab)}
-        assert reduction_over(lts, FF) == taus
-
-    def test_weak_reduction_absorbs_taus(self):
-        c = leaf('()@ff.("v")@tt.0')
-        lts = explore(c)
-        strong = reduction_over(lts, TT)
-        weak = reduction_over(lts, TT, weak=True)
-        assert strong <= weak
-        assert (lts.initial, 2) in weak and (lts.initial, 2) not in strong
-
-    def test_reduction_up_to_pred_equivalence(self):
-        c = leaf('("v")@(a != 10).0')
-        lts = explore(c)
-        got = reduction_over(lts, pr.Not(Atom("==", Attr("a"), Const(10))))
-        assert got == {(0, 1)}
-
-
 class TestAutExport:
     def test_header_and_quoting(self):
         c = leaf('("v")@tt.0')
@@ -155,10 +140,3 @@ class TestAutExport:
     def test_tau_label_text(self):
         lts = explore(leaf("()@ff.0"))
         assert '(0,"tau",1)' in aut_text(lts)
-
-    def test_roundtrip_to_file(self, tmp_path):
-        net = network()
-        lts = explore(net["N"], net["defs"], domains=net["domains"])
-        p = tmp_path / "n.aut"
-        export_aut(lts, p)
-        assert p.read_text() == aut_text(lts)

@@ -13,8 +13,6 @@ from abcalc.predicates import (
     Or,
     TT,
     close,
-    conj,
-    disj,
     equiv,
     find_witness,
     implies,
@@ -101,11 +99,6 @@ class TestCloseAndSubst:
         p = Atom("==", Var("x"), Const(1))
         assert subst_pred(p, ("x",), (1,)) == Atom("==", Const(1), Const(1))
         assert subst_pred(p, {"y": 2}) == p
-
-    def test_conj_disj_units(self):
-        p = A("==", "a", 1)
-        assert conj(TT, p) == p and conj(p, TT) == p
-        assert disj(FF, p) == p and disj(p, FF) == p
 
 
 class TestSolver:
@@ -207,14 +200,6 @@ class TestInstantiate:
 
 
 class TestDomainContext:
-    def test_lookup_and_merge(self):
-        d1 = DomainContext.of({"a": {1}})
-        d2 = DomainContext.of({"a": {2}, "b": {3}})
-        m = d1.merged(d2)
-        assert m.get("a") == frozenset({1})  # left wins
-        assert m.get("b") == frozenset({3})
-        assert m.get("zz") is None
-
     def test_domains_compare_by_value(self):
         ones, trues = DomainContext.of({"a": {1}}), DomainContext.of({"a": {True}})
         assert ones != trues and ones == DomainContext.of({"a": {1}})

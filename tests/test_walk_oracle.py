@@ -56,13 +56,14 @@ from abcalc.terms import (
     Var,
     ZERO,
     canonical,
+    flatten,
     substitute,
     subst_pred,
     value_key,
 )
 
 from abcalc import bpi as bp
-from abcalc.bpi import BCall, BIn, BNil, BOut, BPar, BRec, BSum, BTau, free_names
+from abcalc.bpi import BCall, BIn, BNil, BOut, BPar, BRec, BSum, BTau
 
 from abcalc.lts import BoundExceeded, ExploreBounds
 
@@ -550,6 +551,11 @@ def ref_subst_names(p, mapping):
     if isinstance(p, BCall):
         return BCall(p.name, tuple(look(a) for a in p.args))
     raise TypeError(f"not a bpi process: {p!r}")
+
+
+def free_names(p, bound=frozenset()):
+    """The names free in ``p``, a term with parallel operands or not."""
+    return frozenset().union(*[bp._free(g, bound, {}) for g in flatten(p, BPar)[1]])
 
 
 def ref_avoid_capture(binders, body, mapping):
