@@ -21,7 +21,6 @@ from .terms import (
     AttrEnv,
     Call,
     Choice,
-    Component,
     Const,
     In,
     Inact,
@@ -32,8 +31,6 @@ from .terms import (
     Record,
     Tt,
     Var,
-    atoms,
-    expr_leaves,
     flatten,
     rebuild,
 )
@@ -94,10 +91,6 @@ class UnboundRecursionVariable(Exception):
 
 
 class EncodingError(Exception):
-    pass
-
-
-class NonInjectiveChannelMap(EncodingError):
     pass
 
 
@@ -405,93 +398,58 @@ def _name_expr(name: str, bound: frozenset):
     return Var(name) if name in bound else Const(name)
 
 
-def _names_in_proc(p) -> set:
-    """All string constants and variable names in an encoded process."""
-    out = set()
-
-    def add(exprs):
-        for e in exprs:
-            for x in expr_leaves(e):
-                if isinstance(x, Const) and isinstance(x.value, str):
-                    out.add(x.value)
-                elif isinstance(x, Var):
-                    out.add(x.name)
-
-    def walk(proc):
-        if isinstance(proc, (Out, In)):
-            for a in atoms(proc.pred):
-                add((a.left, a.right))
-        if isinstance(proc, Out):
-            add(proc.exprs)
-            walk(proc.cont)
-        elif isinstance(proc, In):
-            out.update(proc.vars)
-            walk(proc.cont)
-        elif isinstance(proc, Choice):
-            walk(proc.left)
-            walk(proc.right)
-        elif isinstance(proc, Call):
-            add(proc.args)
-        elif not isinstance(proc, Inact):
-            raise TypeError(f"unexpected node in encoded process: {proc!r}")
-
-    walk(p)
-    return out
-
-
-def encode_proc(g: BpiProcess, bound: frozenset, defs: dict):
+def encode_proc(g: BpiProcess, bound: frozenset, defs: dict) -> tuple:
+    """The translation of a sequential term, and the names that it
+    mentions, collected as it is built: channels, values, binders and call
+    arguments, but not the bodies of recursions, which go to ``defs``.  An
+    input's channel variable is the first ``_y<i>`` that its continuation,
+    its channel and its binders do not mention."""
     if isinstance(g, BNil):
-        return Inact()
+        return Inact(), set()
     if isinstance(g, BTau):
-        return Out((), FF, encode_proc(g.cont, bound, defs))
+        cont, names = encode_proc(g.cont, bound, defs)
+        return Out((), FF, cont), names
     if isinstance(g, BOut):
-        exprs = (_name_expr(g.chan, bound),) + tuple(_name_expr(n, bound) for n in g.names)
-        return Out(exprs, TT, encode_proc(g.cont, bound, defs))
+        cont, names = encode_proc(g.cont, bound, defs)
+        names.update((g.chan, *g.names))
+        return Out(tuple([_name_expr(n, bound) for n in (g.chan, *g.names)]), TT, cont), names
     if isinstance(g, BIn):
-        cont = encode_proc(g.cont, bound | frozenset(g.vars), defs)
-        avoid = _names_in_proc(cont) | set(g.vars) | {g.chan}
-        i = 0
-        while f"_y{i}" in avoid:
-            i += 1
-        y = f"_y{i}"
-        guard = Atom("==", Var(y), _name_expr(g.chan, bound))
-        return In(guard, (y,) + tuple(g.vars), cont)
+        cont, names = encode_proc(g.cont, bound | frozenset(g.vars), defs)
+        names.update((g.chan, *g.vars))
+        y = next(n for n in map("_y{}".format, count()) if n not in names)
+        names.add(y)
+        return In(Atom("==", Var(y), _name_expr(g.chan, bound)), (y, *g.vars), cont), names
     if isinstance(g, BSum):
-        return Choice(encode_proc(g.left, bound, defs), encode_proc(g.right, bound, defs))
+        left, names = encode_proc(g.left, bound, defs)
+        right, more = encode_proc(g.right, bound, defs)
+        if len(more) > len(names):
+            names, more = more, names
+        names |= more
+        return Choice(left, right), names
     if isinstance(g, BRec):
         outer = sorted(_free(g.body, frozenset(g.params), {}) & bound)
         if outer:
             raise EncodingError(f"recursion {g.name} uses {outer[0]}, a name bound outside it")
-        body = encode_proc(g.body, frozenset(g.params), defs)
-        entry = (tuple(g.params), body)
+        entry = (tuple(g.params), encode_proc(g.body, frozenset(g.params), defs)[0])
         if g.name in defs and defs[g.name] != entry:
             raise EncodingError(f"recursion name {g.name} reused with a different body")
         defs[g.name] = entry
-        return Call(g.name, tuple(_name_expr(a, bound) for a in g.args))
-    if isinstance(g, BCall):
-        return Call(g.name, tuple(_name_expr(a, bound) for a in g.args))
-    raise TypeError(f"not a sequential bpi term: {g!r}")
+    elif not isinstance(g, BCall):
+        raise TypeError(f"not a sequential bpi term: {g!r}")
+    # a rec, like a call, becomes a call of its definition
+    return Call(g.name, tuple([_name_expr(a, bound) for a in g.args])), set(g.args)
 
 
-def encode(p: BpiProcess, channel_map=None):
+def encode(p: BpiProcess):
     """Translate a closed broadcast term into a component (empty attribute
     environment and interface) plus the process definitions it needs."""
-    if channel_map is not None:
-        if len(set(channel_map.values())) != len(channel_map):
-            raise NonInjectiveChannelMap("channel renaming must be injective")
-        p = subst_names(p, dict(channel_map))
     defs: dict = {}
-    comp = _encode_comp(p, defs)
-    return comp, defs
-
-
-def _encode_comp(p: BpiProcess, defs: dict) -> Component:
     shape, operands = flatten(p, BPar)
-    return rebuild(_abc_shape(shape), [_encode_leaf(g, defs) for g in operands])
+    return rebuild(_abc_shape(shape), [_encode_leaf(g, defs) for g in operands]), defs
 
 
 def _encode_leaf(g: BpiProcess, defs: dict) -> Leaf:
-    return Leaf(AttrEnv(), frozenset(), encode_proc(g, frozenset(), defs))
+    return Leaf(AttrEnv(), frozenset(), encode_proc(g, frozenset(), defs)[0])
 
 
 def _abc_shape(shape: tuple) -> tuple:
@@ -581,7 +539,7 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
         leaf_id = cache(lambda g: target.intern(leaf(g)))
         encoded = [tuple([leaf_id(g) for g in q]) for q in states]
     except EncodingError:
-        _encode_comp(p, {})  # where the term's own translation fails, say it in its names
+        encode(p)  # where the term's own translation fails, say it in its names
         raise
     abc_label = cache(lambda lab: target.label(_abc_label(lab)))
     abc_universe = [abc_label(msg) for msg in universe]

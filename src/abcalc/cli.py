@@ -251,13 +251,11 @@ def cmd_check_bisim(args) -> int:
     c2 = _require_component(m2, args.right)
     defs, domains = _merge_contexts(m1, m2)
     check_domains((c1, c2), domains)
-    universe = None
-    if cfg.universe_mode != "auto":
-        u1, _ = _universe(m1, c1, cfg)
-        u2, _ = _universe(m2, c2, cfg)
-        universe = L.merge_labels(u1, u2, domains)
+    # ``auto`` closes both sides from the labels that the two files declare
+    declared = L.merge_labels(m1.universe, m2.universe, domains)
+    universe = {"auto": None, "declared": declared, "none": ()}[cfg.universe_mode]
     check = eq.strong_bisim if args.strong else eq.weak_bisim
-    verdict = check(c1, c2, defs, universe, domains, cfg.bounds)
+    verdict = check(c1, c2, defs, universe, domains, cfg.bounds, base=declared)
     lines = [
         ("equivalent" if verdict.equivalent else "not equivalent")
         + (" (inconclusive: bounds hit)" if verdict.inconclusive else ""),

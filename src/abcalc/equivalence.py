@@ -150,21 +150,23 @@ def _moves(lts: Lts, offset: int, class_of, weak: bool):
 
 
 def strong_bisim(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
-                 bounds=DEFAULT_BOUNDS) -> Verdict:
-    return _bisim(c1, c2, defs, universe, domains, bounds, weak=False)
+                 bounds=DEFAULT_BOUNDS, base=()) -> Verdict:
+    return _bisim(c1, c2, defs, universe, domains, bounds, base, weak=False)
 
 
 def weak_bisim(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
-               bounds=DEFAULT_BOUNDS) -> Verdict:
-    return _bisim(c1, c2, defs, universe, domains, bounds, weak=True)
+               bounds=DEFAULT_BOUNDS, base=()) -> Verdict:
+    return _bisim(c1, c2, defs, universe, domains, bounds, base, weak=True)
 
 
-def _bisim(c1, c2, defs, universe, domains, bounds, weak) -> Verdict:
+def _bisim(c1, c2, defs, universe, domains, bounds, base, weak) -> Verdict:
+    """Without a ``universe``, both sides close one from the labels of
+    ``base``, as ``auto_universe`` does, and the two are merged."""
     defs = defs or {}
     k1 = k2 = None
     try:
         if universe is None:
-            (u1, k1), (u2, k2) = (auto_universe(c, defs, bounds, domains) for c in (c1, c2))
+            (u1, k1), (u2, k2) = (auto_universe(c, defs, bounds, domains, base) for c in (c1, c2))
             universe = merge_labels(u1, u2, domains)
             # a side closed under the merged universe is numbered, not stepped again
             k1, k2 = (k1 if u1 == universe else None), (k2 if u2 == universe else None)

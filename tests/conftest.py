@@ -19,6 +19,7 @@ from abcalc.terms import (
     Attr,
     AttrEnv,
     Aware,
+    Call,
     Choice,
     Const,
     In,
@@ -138,11 +139,16 @@ def random_recv_guard(rng: random.Random, var: str):
     return Atom("==", SelfAttr("d"), Const(rng.randint(1, 3)))
 
 
-def random_process(rng: random.Random, depth: int = 3):
+def random_process(rng: random.Random, depth: int = 3, calls: tuple = ()):
+    """A random process over the attributes d and e.  Given ``calls``, names
+    of one-parameter definitions, an end that would be 0 calls one of them
+    half the time, with a constant; without, no draw is made for it."""
     if depth == 0 or rng.random() < 0.3:
+        if calls and rng.random() < 0.5:
+            return Call(rng.choice(calls), (Const(rng.randint(1, 3)),))
         return Inact()
     shape = rng.random()
-    cont = lambda: random_process(rng, depth - 1)
+    cont = lambda: random_process(rng, depth - 1, calls)
     if shape < 0.3:
         exprs = tuple(Const(rng.randint(1, 3)) for _ in range(rng.randint(0, 2)))
         return Out(exprs, random_guard(rng), cont())
@@ -163,21 +169,37 @@ def random_process(rng: random.Random, depth: int = 3):
     return ParP(cont(), cont())
 
 
-def random_leaf(rng: random.Random, depth: int = 3) -> Leaf:
+def random_leaf(rng: random.Random, depth: int = 3, calls: tuple = ()) -> Leaf:
     env = {"d": rng.randint(1, 3), "e": rng.randint(1, 3)}
     iface = frozenset(rng.sample(["d", "e"], rng.randint(0, 2)))
-    return Leaf(AttrEnv.of(env), iface, random_process(rng, depth))
+    return Leaf(AttrEnv.of(env), iface, random_process(rng, depth, calls))
 
 
-def random_component(rng: random.Random, depth: int = 2, restrict: float = 0.0):
+def random_definitions(rng: random.Random, count: int = 3) -> dict:
+    """Definitions ``D0(p)``, ``D1(p)``, ... whose bodies use ``p`` free: as
+    an output value, in an awareness guard and as the argument of a call.
+    A body calls only later definitions, so every run through them ends."""
+    defs, p = {}, Var("p")
+    for i in range(count):
+        later = tuple(f"D{j}" for j in range(i + 1, count))
+        then = Call(rng.choice(later), (p,)) if later else Inact()
+        guard = Atom(rng.choice(("==", "!=")), SelfAttr("d"), p)
+        offer = Aware(guard, Out((p, Const(rng.randint(1, 3))), random_guard(rng), then))
+        defs[f"D{i}"] = (("p",), Choice(offer, random_process(rng, 2, later)))
+    return defs
+
+
+def random_component(rng: random.Random, depth: int = 2, restrict: float = 0.0,
+                     calls: tuple = ()):
     """A random tree of leaves; left-, right- and mixed-nested ``||``.  With
     ``restrict``, each node is wrapped, with that probability, in a
-    restrictOut or restrictIn of ``RESTRICTION_POOL``."""
+    restrictOut or restrictIn of ``RESTRICTION_POOL``; ``calls`` goes to
+    ``random_process``."""
     if depth == 0 or rng.random() < 0.6:
-        comp = random_leaf(rng)
+        comp = random_leaf(rng, calls=calls)
     else:
-        comp = ParC(random_component(rng, depth - 1, restrict),
-                    random_component(rng, depth - 1, restrict))
+        comp = ParC(random_component(rng, depth - 1, restrict, calls),
+                    random_component(rng, depth - 1, restrict, calls))
     if restrict and rng.random() < restrict:
         comp = rng.choice((ResOut, ResIn))(comp, random_restriction(rng))
     return comp

@@ -15,7 +15,6 @@ from abcalc.bpi import (
     BSum,
     BTau,
     EncodingError,
-    NonInjectiveChannelMap,
     TAU,
     UnboundRecursionVariable,
     bpi_steps,
@@ -28,6 +27,7 @@ from abcalc.bpi import (
     subst_names,
     _unfold,
 )
+from abcalc.cli import main
 from abcalc.lts import ExploreBounds
 from abcalc.systems import corpus_path
 from abcalc.terms import Call, Choice, In, Inact, Leaf, Out, ParC, Const, Var
@@ -171,10 +171,38 @@ class TestEncoding:
             encode(p)
 
     def test_channel_map(self):
-        comp, _ = encode(parse_bpi("a!(v).nil"), channel_map={"a": "chan1"})
+        # a channel renaming is a substitution of the term before encoding
+        comp, _ = encode(subst_names(parse_bpi("a!(v).nil"), {"a": "chan1"}))
         assert comp.proc.exprs[0] == Const("chan1")
-        with pytest.raises(NonInjectiveChannelMap):
-            encode(parse_bpi("a!(v).b!(w).nil"), channel_map={"a": "c", "b": "c"})
+
+
+# The exact translations of terms whose inputs nest or whose names look like
+# channel variables: an input's channel variable is the first ``_y<i>`` that
+# its continuation (not a recursion body), its channel and its binders do
+# not mention.
+FRESH_NAMES = {
+    "a(x).b(y).c!(x, y).nil":
+        'system: comp { iface: []; env: {}; run: '
+        '(_y1 == "a")(_y1, x).(_y0 == "b")(_y0, y).("c", x, y)@tt.0 };',
+    "_y0(x).nil || a!(_y1).nil":
+        'system: comp { iface: []; env: {}; run: (_y1 == "_y0")(_y1, x).0 } '
+        '|| comp { iface: []; env: {}; run: ("a", "_y1")@tt.0 };',
+    "a(_y0).b!(_y0).nil":
+        'system: comp { iface: []; env: {}; run: (_y1 == "a")(_y1, _y0).("b", _y0)@tt.0 };',
+    "a(x).(rec A(_y1).b(z).A(_y1))(x)":
+        'def A(_y1) = (_y0 == "b")(_y0, z).A(_y1);\n'
+        'system: comp { iface: []; env: {}; run: (_y0 == "a")(_y0, x).A(x) };',
+}
+
+
+@pytest.mark.parametrize("term", FRESH_NAMES)
+def test_fresh_channel_variables(term, tmp_path, capsys):
+    path = tmp_path / "t.bpi"
+    path.write_text(term + "\n")
+    assert main(["translate", str(path)]) == 0
+    assert capsys.readouterr().out == FRESH_NAMES[term] + "\n"
+    assert main(["verify-encoding", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
 
 
 class TestCorrespondence:

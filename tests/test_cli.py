@@ -231,6 +231,24 @@ class TestCheckBisim:
         assert want["universe_size"] == 1
         assert {k: json.loads(out)[k] for k in want} == want
 
+    @pytest.mark.parametrize("declares", ["left", "right"])
+    def test_auto_universe_starts_from_declared_blocks(self, capsys, tmp_path, declares):
+        # only the declared message reaches A's input: nothing emits "z"
+        block = 'universe { msg {} @ tt ("z"); }\n'
+        a, b = tmp_path / "a.abc", tmp_path / "b.abc"
+        a.write_text('comp A { iface: []; env: {}; run: (tt)(y).("got")@tt.0 }\n'
+                     + (block if declares == "left" else ""))
+        b.write_text("comp B { iface: []; env: {}; run: 0 }\n"
+                     + (block if declares == "right" else ""))
+        sizes = {}
+        for mode in ("declared", "auto"):
+            rc, out, _ = run(capsys, "check-bisim", "--weak", "--universe", mode,
+                             "--json", "-", str(a), str(b))
+            verdict = json.loads(out)
+            assert rc == 1 and verdict["equivalent"] is False and verdict["witness"], mode
+            sizes[mode] = verdict["universe_size"]
+        # auto adds the harvested ("got") to the declared ("z")
+        assert sizes == {"declared": 1, "auto": 2}
 
     def test_domains_differing_by_value_type(self, capsys, tmp_path):
         paths = []

@@ -10,6 +10,7 @@ import pytest
 
 from abcalc import bpi as bp
 from abcalc import predicates as pr
+from abcalc import semantics as sem
 from abcalc.lts import abc_walk
 from abcalc.syntax import parse_abc
 from abcalc.systems import network
@@ -17,7 +18,7 @@ from abcalc.terms import (AttrEnv, Const, DomainViolation, In, Inact, Leaf, Out,
                           ResOut, RestrictionFn, Var, canonical)
 
 import composition_reference as ref
-from conftest import PROBE_MESSAGES, random_bpi, random_component
+from conftest import PROBE_MESSAGES, random_bpi, random_component, random_definitions
 
 
 def reachable(walk, steps, limit=25):
@@ -32,17 +33,18 @@ def reachable(walk, steps, limit=25):
     return seen
 
 
-def assert_component_steps_match(comp):
-    walk = abc_walk(comp, {})
+def assert_component_steps_match(comp, defs=None):
+    defs = defs or {}
+    walk = abc_walk(comp, defs)
     for state in reachable(walk, walk.outs):
         tree = walk.tree(state)
         assert tree == canonical(tree)
         got = [(lab, walk.tree(succ)) for lab, succ in walk.outs(state)]
-        want = [(lab, canonical(succ)) for lab, succ in ref.system_out_steps(tree, {})]
+        want = [(lab, canonical(succ)) for lab, succ in ref.system_out_steps(tree, defs)]
         assert got == want, tree
         for msg in PROBE_MESSAGES + tuple(dict.fromkeys(lab.as_input() for lab, _ in got)):
             got_in = [walk.tree(succ) for succ in walk.ins(state, msg)]
-            want_in = [canonical(succ) for succ in ref.system_in_step(tree, msg, {})]
+            want_in = [canonical(succ) for succ in ref.system_in_step(tree, msg, defs)]
             assert got_in == want_in, (tree, msg)
 
 
@@ -76,6 +78,23 @@ def test_right_and_mixed_nested_components(rng):
             right = ParC(leaf, right)
         assert_component_steps_match(right)
         assert_component_steps_match(random_component(rng, 3))
+
+
+def test_components_calling_parametrised_definitions(monkeypatch):
+    """Leaves that call definitions whose bodies use their parameter free,
+    so that resolving a call substitutes the argument into the body."""
+    rng, substituted, real = random.Random(53), [], sem._resolve
+
+    def resolve(call, defs, env):
+        proc = real(call, defs, env)
+        substituted.append(proc != defs[call.name][1])
+        return proc
+
+    monkeypatch.setattr(sem, "_resolve", resolve)
+    for _ in range(200):
+        defs = random_definitions(rng)
+        assert_component_steps_match(random_component(rng, 2, calls=tuple(defs)), defs)
+    assert sum(substituted) > 100 and all(substituted)
 
 
 def test_restrict_out_between_two_parallel_levels():

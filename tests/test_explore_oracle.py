@@ -29,7 +29,8 @@ from abcalc.systems import corpus_path, network
 from abcalc.terms import Choice, In, Inact, Leaf, Out, Tt, canonical
 
 import composition_reference as ref
-from conftest import chains_abc, emitters_abc, random_bpi, random_component
+from conftest import (chains_abc, emitters_abc, random_bpi, random_component,
+                      random_definitions)
 
 # ---------------------------------------------------------------------------
 # The replaced pipeline
@@ -158,8 +159,8 @@ def old_correspondence(p, bounds):
     for src, lab, dst in transitions:
         steps[src].append((lab, states[dst]))
     for cur, bsteps in zip(states, steps):
-        defs = {}
-        comp = canonical(bp._encode_comp(cur, defs))
+        comp, defs = bp.encode(cur)
+        comp = canonical(comp)
         asteps = list(ref.system_out_steps(comp, defs))
         for lab in universe:
             msg = bp._abc_label(lab)
@@ -170,7 +171,7 @@ def old_correspondence(p, bounds):
             report.violations.append(("transition-count", cur, len(bsteps), len(asteps)))
         remaining = list(asteps)
         for lab, nxt in bsteps:
-            want = (bp._abc_label(lab), canonical(bp._encode_comp(nxt, dict(defs))))
+            want = (bp._abc_label(lab), canonical(bp.encode(nxt)[0]))
             if want in remaining:
                 remaining.remove(want)
             else:
@@ -227,6 +228,16 @@ def test_random_components_match_old_pipeline(rng, mode):
         for bounds in SMALL_BOUNDS:
             assert new_explore(c, {}, mode, bounds, EMPTY_DOMAINS) == \
                 old_explore(c, {}, mode, bounds, EMPTY_DOMAINS)
+
+
+@pytest.mark.parametrize("mode", ["none", "auto"])
+def test_components_calling_definitions_match_old_pipeline(rng, mode):
+    for _ in range(100):
+        defs = random_definitions(rng)
+        c = random_component(rng, calls=tuple(defs))
+        for bounds in SMALL_BOUNDS:
+            assert new_explore(c, defs, mode, bounds, EMPTY_DOMAINS) == \
+                old_explore(c, defs, mode, bounds, EMPTY_DOMAINS)
 
 
 @pytest.mark.parametrize("mode", ["none", "auto"])

@@ -1,9 +1,9 @@
 """The module graph of the package: every import sits at module top, the
 imports within the package follow one layer order (so they form no
 cycle), and each module can be the first one imported.  Also: each tree
-shape of expressions, predicates and broadcast terms is walked in one
-place, and no module keeps mutable state, so every memo lives as long as
-the call that made it."""
+shape of expressions, predicates, processes and broadcast terms is walked
+only in the places listed here, and no module keeps mutable state, so
+every memo lives as long as the call that made it."""
 
 import ast
 import json
@@ -253,6 +253,14 @@ def _check_walks(nodes: set, allowed: set, helpers: str):
     assert not allowed - found, f"no longer walks: {', '.join(sorted(allowed - found))}"
 
 
+# The same for attribute-based processes: one rebuild (``terms._rewrite``,
+# behind substitution and canonical forms), the output and input steps, and
+# the printer.  The encoding of broadcast terms builds processes but reads
+# none back.
+PROCESS_WALKS = {"terms._rewrite", "semantics._proc_outs", "semantics._proc_ins",
+                 "syntax.pretty_process"}
+PROCESS_NODES = {"Out", "In", "Upd", "Aware", "Choice", "ParP", "Call", "Inact"}
+
 # The same for the skeleton of a state, the ``||`` and restriction nodes
 # above its leaves: the canonical form of a component and the printer of
 # broadcast terms.  ``terms.flatten`` reads a skeleton and ``terms.rebuild``
@@ -274,6 +282,10 @@ def test_one_walk_per_tree_shape():
 
 def test_one_walk_per_bpi_shape():
     _check_walks(BPI_NODES, BPI_WALKS, "bpi._free and bpi._rewrite")
+
+
+def test_one_walk_per_process_shape():
+    _check_walks(PROCESS_NODES, PROCESS_WALKS, "terms._rewrite")
 
 
 def test_one_walk_per_skeleton():

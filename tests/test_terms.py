@@ -30,15 +30,17 @@ from abcalc.terms import (
     Var,
     ZERO,
     apply_updates,
+    atoms,
     canonical,
     eval_expr,
+    expr_leaves,
     substitute,
     value_key,
     values_equal,
 )
 from abcalc.predicates import DomainContext
 
-from conftest import random_bpi, random_component, random_process
+from conftest import random_bpi, random_component, random_definitions, random_process
 
 
 class TestValues:
@@ -269,11 +271,30 @@ class TestSubstitute:
             substitute(Inact(), ("x", "y"), (1,))
 
     def test_closed_after_substitution(self, rng):
-        # a random process is closed: its one variable, x, is bound by each
-        # input that uses it, so substituting x is the identity
+        # each definition body uses its parameter free, and only that; its
+        # inputs bind x, which their guards and continuations use
         for _ in range(50):
-            p = random_process(rng)
-            assert substitute(p, ("x",), (1,)) == p
+            for params, body in random_definitions(rng).values():
+                assert free_vars(body) == {"p"}
+                closed = substitute(body, params, (2,))
+                assert closed != body and free_vars(closed) == set()
+
+
+def free_vars(p) -> set:
+    """The variables free in a process, read here rather than through the
+    rewrite in ``terms``: an input's binders scope its guard and its
+    continuation."""
+    out, todo = set(), [(p, frozenset())]
+    while todo:
+        q, bound = todo.pop()
+        bound |= set(getattr(q, "vars", ()))
+        exprs = [*getattr(q, "exprs", ()), *getattr(q, "args", ()),
+                 *(e for _, e in getattr(q, "assigns", ()))]
+        exprs += [e for a in atoms(getattr(q, "pred", TT)) for e in (a.left, a.right)]
+        out |= {x.name for e in exprs for x in expr_leaves(e) if isinstance(x, Var)} - bound
+        todo += [(getattr(q, f), bound) for f in ("cont", "proc", "left", "right")
+                 if hasattr(q, f)]
+    return out
 
 
 class TestApplyUpdates:
