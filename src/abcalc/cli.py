@@ -96,8 +96,9 @@ def _write(path: str, text: str):
 
 def _load_model(path: str):
     try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
     try:
         if path.endswith(".bpi"):
@@ -368,26 +369,116 @@ COMMANDS = (
 )
 
 
+# The options behind each argument name of ``COMMANDS``, one entry per
+# option, in the order they are added: (argument name, option strings,
+# kind, default).  A kind is "positional"; "switch" (store_true);
+# "either", one switch of a required pair that exclude each other;
+# "file or stdout", an optional value that is "-" when none follows; str
+# or int, one value of that type; or a tuple of the values allowed.
+# ``_add_argument`` builds argparse's arguments from it and ``_plain_args``
+# reads a plain command line with it.
+ARGUMENTS = (
+    ("file", ("file",), "positional", None),
+    ("left", ("left",), "positional", None),
+    ("right", ("right",), "positional", None),
+    ("output", ("-o", "--output"), str, None),
+    ("weak", ("--weak",), "switch", False),
+    ("mode", ("--strong",), "either", False),
+    ("mode", ("--weak",), "either", False),
+    ("json", ("--json",), "file or stdout", None),
+    ("bounds", ("--max-states",), int, L.DEFAULT_BOUNDS.max_states),
+    ("bounds", ("--max-depth",), int, L.DEFAULT_BOUNDS.max_depth),
+    ("universe", ("--universe",), ("auto", "declared", "none"), "auto"),
+)
+
+
+def _specs(arguments):
+    """The entries of ``ARGUMENTS`` behind ``arguments``, in order, each
+    with its destination: the last option string without its dashes."""
+    return [(flags[-1].lstrip("-").replace("-", "_"), flags, kind, default)
+            for argument in arguments
+            for name, flags, kind, default in ARGUMENTS if name == argument]
+
+
 def _add_argument(p: argparse.ArgumentParser, name: str):
-    """Add to ``p`` the argument that ``COMMANDS`` calls ``name``."""
-    if name in ("file", "left", "right"):
-        p.add_argument(name)
-    elif name == "output":
-        p.add_argument("-o", "--output", default=None)
-    elif name == "weak":
-        p.add_argument("--weak", action="store_true")
-    elif name == "mode":
-        mode = p.add_mutually_exclusive_group(required=True)
-        mode.add_argument("--strong", action="store_true")
-        mode.add_argument("--weak", action="store_true")
-    elif name == "json":
-        p.add_argument("--json", nargs="?", const="-", default=None, metavar="FILE",
-                       help="emit a JSON verdict (to FILE, or stdout)")
-    elif name == "bounds":
-        p.add_argument("--max-states", type=int, default=L.DEFAULT_BOUNDS.max_states)
-        p.add_argument("--max-depth", type=int, default=L.DEFAULT_BOUNDS.max_depth)
-    elif name == "universe":
-        p.add_argument("--universe", choices=("auto", "declared", "none"), default="auto")
+    """Add to ``p`` the arguments that ``COMMANDS`` calls ``name``."""
+    group = None
+    for _, flags, kind, default in _specs((name,)):
+        if kind == "positional":
+            p.add_argument(*flags)
+        elif kind == "either":
+            group = group or p.add_mutually_exclusive_group(required=True)
+            group.add_argument(*flags, action="store_true")
+        elif kind == "switch":
+            p.add_argument(*flags, action="store_true")
+        elif kind == "file or stdout":
+            p.add_argument(*flags, nargs="?", const="-", default=default, metavar="FILE",
+                           help="emit a JSON verdict (to FILE, or stdout)")
+        elif kind is int:
+            p.add_argument(*flags, type=int, default=default)
+        elif isinstance(kind, tuple):
+            p.add_argument(*flags, choices=kind, default=default)
+        else:
+            p.add_argument(*flags, default=default)
+
+
+def _is_option(token: str) -> bool:
+    """A token that argparse might read as an option: it starts with a
+    dash and is not the lone dash.  (Negative numbers are among them.)"""
+    return token.startswith("-") and token != "-"
+
+
+def _plain_args(argv: list):
+    """The namespace that ``build_parser().parse_args(argv)`` gives a plain
+    command line, read without building a parser: a subcommand named
+    exactly, then its positionals and its options spelt in full, each
+    option at most once, with a valid value where one is taken.  None for
+    anything else (help, an abbreviation, ``--opt=value``, ``--``, a
+    negative number, a repeated or conflicting option, a bad value, too
+    many or too few positionals), which argparse reads, so that argparse
+    writes every usage line, help text and error."""
+    entry = next((e for e in COMMANDS if argv and e[0] == argv[0]), None)
+    if entry is None:
+        return None
+    command, fn, _, arguments = entry
+    specs = _specs(arguments)
+    options = {flag: spec for spec in specs if spec[2] != "positional" for flag in spec[1]}
+    values = {dest: default for dest, _, _, default in specs}
+    positionals, seen, i = [], set(), 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not _is_option(token):
+            positionals.append(token)
+            continue
+        spec = options.get(token)
+        if spec is None or spec[0] in seen:
+            return None
+        dest, _, kind, _ = spec
+        seen.add(dest)
+        if kind in ("switch", "either"):
+            values[dest] = True
+        elif i == len(argv) or _is_option(argv[i]):
+            if kind != "file or stdout":
+                return None
+            values[dest] = "-"
+        else:
+            token = argv[i]
+            i += 1
+            if kind is int:
+                try:
+                    token = int(token)
+                except ValueError:
+                    return None
+            elif isinstance(kind, tuple) and token not in kind:
+                return None
+            values[dest] = token
+    wanted = [dest for dest, _, kind, _ in specs if kind == "positional"]
+    either = [dest for dest, _, kind, _ in specs if kind == "either"]
+    if len(positionals) != len(wanted) or either and len(seen.intersection(either)) != 1:
+        return None
+    values.update(zip(wanted, positionals))
+    return argparse.Namespace(command=command, fn=fn, **values)
 
 
 def build_parser(command: str = None) -> argparse.ArgumentParser:
@@ -412,11 +503,12 @@ def build_parser(command: str = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser(argv[0] if argv else None)
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
     except CliError as exc:

@@ -377,6 +377,25 @@ class TestIllFormedInput:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("raw", [b"\xff", b"comp C { \xc3( }\n", b"\xef\xbb\xbf\xfe"],
+                         ids=["ff", "truncated-sequence", "bom-then-fe"])
+@pytest.mark.parametrize("argv", [
+    ("parse", "{abc}"), ("parse", "{bpi}"), ("steps", "{abc}"), ("steps", "{bpi}"),
+    ("explore", "{abc}"), ("barbs", "--weak", "{abc}"),
+    ("check-bisim", "--weak", NETWORK, "{abc}"), ("check-bisim", "--strong", "{abc}", NETWORK),
+    ("translate", "{bpi}"), ("verify-encoding", "{bpi}"),
+])
+def test_input_that_is_not_utf8(capsys, tmp_path, raw, argv):
+    """A model file that is not UTF-8 is refused like an unreadable one."""
+    for suffix in ("abc", "bpi"):
+        (tmp_path / f"bad.{suffix}").write_bytes(raw)
+    rc, out, err = run(capsys, *(a.format(abc=tmp_path / "bad.abc", bpi=tmp_path / "bad.bpi")
+                                 for a in argv))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    assert "codec can't decode" in err
+
+
 class TestCorpus:
     def test_all_green(self, capsys):
         rc, out, _ = run(capsys, "corpus")

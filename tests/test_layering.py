@@ -119,6 +119,47 @@ def test_startup_leaves_out_openssl():
     assert result.stdout.strip() == "[]"
 
 
+PLAIN_CALLS = """
+import argparse, contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+made = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+from abcalc.cli import main
+from abcalc.systems import corpus_path
+
+net, term = str(corpus_path("network.abc")), str(corpus_path("handshake.bpi"))
+tmp = tempfile.TemporaryDirectory()
+out = str(Path(tmp.name) / "out")
+calls = [["parse", net, "--json"], ["steps", net, "--universe", "declared"],
+         ["explore", "--json", "-", net, "-o", out + ".aut", "--max-states", "500"],
+         ["barbs", net, "--weak"], ["check-bisim", "--strong", net, net, "--max-depth", "50"],
+         ["translate", term, "--output", out + ".abc"], ["verify-encoding", "--json", "-", term],
+         ["corpus"]]
+codes = []
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+tmp.cleanup()
+json.dump([codes, len(made), "locale" in sys.modules], sys.stdout)
+"""
+
+
+def test_plain_calls_build_no_parser():
+    """A well-formed call of each subcommand is read without argparse's
+    parser, so argparse looks up no message and ``locale`` stays out."""
+    result = subprocess.run([sys.executable, "-c", PLAIN_CALLS], cwd=PACKAGE.parent,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0] * 8, 0, False]
+
+
 # More Node classes of field shapes already seen: 4 fields, 2 fields with a
 # default, 1 by-value field, none.
 MORE_NODES = """
