@@ -8,31 +8,46 @@ refinement over labels quotiented by label equivalence, all silent
 outputs in one class.  The weak variant refines over the saturated
 transition relation, built from that class: a visible step may be padded
 with silent moves on both sides and a silent step is matched by zero or
-more silent moves.  It saturates only when branching bisimilarity, which
-is finer, does not relate the two initial states.
+more silent moves.
+
+A weak check is decided first by branching bisimilarity, which is finer
+and needs no saturation, on closures that are never numbered.
+Bisimilarity is preserved by parallel composition, so each leaf may give
+way to a branching-bisimilar one first: the closures are those of the
+quotient products (``_stand_ins``) when some leaf moves silently and the
+leaves close small enough, else those of the systems themselves.  Only
+a check that the branching pass leaves negative or undecided numbers the
+systems and saturates.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from functools import cache
+from math import prod
 
 from . import predicates as pr
 from . import semantics as sem
 from .lts import (
     BoundExceeded,
     DEFAULT_BOUNDS,
+    DISCARDS,
     ExploreBounds,
     Lts,
     abc_walk,
     auto_universe,
+    closure_under,
     explore,
     fingerprint,
     label_equiv,
+    leaf_closure,
     merge_labels,
     reach,
     state_text,
 )
 from .predicates import DomainContext, EMPTY_DOMAINS
 from .syntax import pretty_label
-from .terms import Component, Record
+from .terms import ArityMismatch, Component, DomainViolation, Record
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +105,18 @@ class Verdict(Record):
 
 
 _TAU = "tau"
+
+# The errors of a model that a step raises, and a leaf nested too deep for
+# the recursion limit.  A closure on the decision path that meets one is
+# dropped: the numbered path meets it again, if it can arise, and says it.
+# The leaf closure stops long before the limit (``_ANSWERS_PER_POSITION``)
+# unless a model's own leaves start near it.
+_MODEL_ERRORS = (DomainViolation, sem.UnboundProcessName, ArityMismatch, RecursionError)
+
+# The answers that the leaf closure may work out per position of the two
+# systems: a leaf at the end of a long chain, or one that grows with each
+# message, ends the reduction after this many.
+_ANSWERS_PER_POSITION = 32
 
 
 def _label_classes(labels, domains):
@@ -161,38 +188,233 @@ def weak_bisim(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
 
 def _bisim(c1, c2, defs, universe, domains, bounds, base, weak) -> Verdict:
     """Without a ``universe``, both sides close one from the labels of
-    ``base``, as ``auto_universe`` does, and the two are merged."""
-    defs = defs or {}
-    k1 = k2 = None
+    ``base``, as ``auto_universe`` does, and the two are merged.  A weak
+    check goes to ``_decide`` first and numbers the systems only when
+    branching bisimilarity does not relate them there."""
+    comps, defs, closures = (c1, c2), defs or {}, (None, None)
     try:
-        if universe is None:
-            (u1, k1), (u2, k2) = (auto_universe(c, defs, bounds, domains, base) for c in (c1, c2))
-            universe = merge_labels(u1, u2, domains)
-            # a side closed under the merged universe is numbered, not stepped again
-            k1, k2 = (k1 if u1 == universe else None), (k2 if u2 == universe else None)
-        l1 = explore(c1, defs, universe, bounds, domains, k1)
-        l2 = explore(c2, defs, universe, bounds, domains, k2)
+        if weak:
+            related, universe, closures = _decide(comps, defs, universe, domains, bounds, base)
+            if related:
+                return Verdict(True, universe)
+        elif universe is None:
+            universe, closures = _closed(comps, (None, None), defs, None, domains, bounds, base)
+        l1, l2 = (explore(c, defs, universe, bounds, domains, k) for c, k in zip(comps, closures))
     except BoundExceeded as exc:
         return Verdict(False, universe or (),
                        inconclusive=True, reason=f"inconclusive under bounds: {exc}")
 
-    # an exploration keeps one object per label, so the classes of a side's
-    # labels are looked up by object, comparing no fields
-    objects = {id(lab): lab for lts in (l1, l2) for _, lab, _ in lts.transitions}
-    classes = _label_classes(dict.fromkeys(objects.values()), domains)
-    class_of = {key: classes[lab] for key, lab in objects.items()}
-
+    class_of = _classes_by_object((lab for lts in (l1, l2) for _, lab, _ in lts.transitions),
+                                  domains)
     n1 = len(l1.states)
-    if weak:
-        branching = _branching_blocks((l1, l2), class_of)
-        if branching[0] == branching[n1]:
-            return Verdict(True, universe)
     moves = _moves(l1, 0, class_of, weak) + _moves(l2, n1, class_of, weak)
     history = list(_refine(len(moves), lambda blocks: (
         frozenset((cls, blocks[t]) for cls, t in m) for m in moves)))
     if history[-1][0] == history[-1][n1]:
         return Verdict(True, universe)
     return Verdict(False, universe, witness=_extract_witness(0, n1, moves, history, n1))
+
+
+def _decide(comps, defs, universe, domains, bounds, base) -> tuple:
+    """Whether branching bisimilarity relates the two systems, decided on
+    closures that are never numbered; the universe; and the closures that
+    ``explore`` numbers when it does not.  When ``_stand_ins`` gives a map,
+    the closures decided on are those of the quotient products, which hit
+    no bound, and ``explore`` walks the systems afresh.  Else they are the
+    systems' own, and a closure dropped or deeper than ``max_depth`` is
+    left to ``explore``, which meets the bound or error as it always has."""
+    walks = [abc_walk(c, defs, domains) for c in comps]
+    stand_ins = _stand_ins(walks, base if universe is None else universe, bounds, domains)
+    if stand_ins is not None:
+        quotients = [abc_walk(c, defs, domains, stand_ins) for c in comps]
+        universe, closures = _closed(comps, quotients, defs, universe, domains, bounds, base)
+        return _related(closures, domains), universe, (None, None)
+    universe, closures = _closed(comps, walks, defs, universe, domains, bounds, base)
+    if None in closures or max(_depth(steps) for _, steps, _ in closures) > bounds.max_depth:
+        return False, universe, closures
+    return _related(closures, domains), universe, closures
+
+
+def _closed(comps, walks, defs, universe, domains, bounds, base) -> tuple:
+    """The universe, and the closure of each of ``walks`` under it, or None
+    where ``explore`` is to walk the side afresh.  Without a ``universe``,
+    each side closes its own from ``base`` (``auto_universe``, whose bound
+    and model errors are raised, and which makes a walk for an entry of
+    None), and the closures are extended to the merged one."""
+    if universe is None:
+        (u1, k1), (u2, k2) = (auto_universe(c, defs, bounds, domains, base, w)
+                              for c, w in zip(comps, walks))
+        universe = merge_labels(u1, u2, domains)
+        return universe, [_extended(k, u, universe, bounds) for k, u in ((k1, u1), (k2, u2))]
+    return universe, [_fixed(w, universe, bounds) for w in walks]
+
+
+def _extended(closure, had, universe, bounds):
+    """A side's closure under its own universe ``had``, extended to the
+    merged ``universe``, or closed again under it when ``had`` holds a
+    label that the merge dropped for an equivalent one (see ``_fixed``)."""
+    if had == universe:
+        return closure
+    return _fixed(closure[2], universe, bounds, (had, closure) if set(had) <= set(universe)
+                  else None)
+
+
+def _fixed(walk, universe, bounds, resume=None):
+    """``closure_under``, or None when it meets a bound or a model error:
+    ``explore`` then walks the side from its initial state and meets it
+    where it arises, or a bound before it."""
+    try:
+        return closure_under(walk, universe, bounds, resume)
+    except (BoundExceeded, *_MODEL_ERRORS):
+        return None
+
+
+def _related(closures, domains) -> bool:
+    """Whether branching bisimilarity relates the initial states of two
+    closures."""
+    class_of = _classes_by_object((lab for _, steps, _ in closures for out in steps
+                                   for lab, _ in out), domains)
+    size, edges = _union([(len(states), ((s, lab, t) for s, out in enumerate(steps)
+                                         for lab, t in out)) for states, steps, _ in closures],
+                         class_of)
+    blocks = _branching_blocks(size, edges)
+    return blocks[0] == blocks[len(closures[0][0])]
+
+
+def _stand_ins(walks, base, bounds, domains) -> dict | None:
+    """The map from each leaf of ``walks`` to the leaf that stands for it in
+    the quotient products, or None to decide on the systems themselves.
+
+    A stand-in drops inert silent steps, so it is looked for only when a
+    leaf that the initial leaves reach by their own outputs moves silently
+    (``_moves_silently``).  The leaf-level systems (``leaf_closure``, with
+    the messages of ``base``) are then minimised together under branching
+    bisimilarity, labels compared exactly and silent outputs in one class.
+    A leaf maps to a bottom member of its block, the first one with no
+    inert silent step, so that no step behind an inert one is lost.
+
+    The map is used only when it is not the identity and every bound and
+    error of the systems is known not to arise: no restriction node, no
+    model error in the leaf closure, every silent output changing its leaf
+    alone, a bottom member in every block, and at each position so few
+    leaves reachable from the initial one that their product bounds the
+    states of the system within ``max_states`` and its depth within
+    ``max_depth``.  A quotient product has at most as many leaves at a
+    position as there are blocks reachable from its initial leaf, so no
+    bound can be hit on it either.  Each leaf of a walk is reachable from
+    some initial one, and counts of at least 1 whose product is at most L
+    sum to at most L + positions - 1, where L is min(``max_states``,
+    ``max_depth`` + 1): the closure ends as soon as a walk holds more
+    leaves than that, or when it has worked out ``_ANSWERS_PER_POSITION``
+    answers per position, so that leaves which grow without end cost
+    little and stay far from the recursion limit."""
+    if any(node is not None and node[1] is not None for walk in walks for node in walk.shape):
+        return None  # a restriction changes what a leaf sends and hears
+    most = min(bounds.max_states, bounds.max_depth + 1)
+    caps = [most + len(walk.initial) - 1 for walk in walks]
+    silent = cache(lambda lab: pr.is_ff(lab.pred, domains))
+    if not _moves_silently(walks, caps, silent):
+        return None
+    budget = _ANSWERS_PER_POSITION * sum(len(walk.initial) for walk in walks)
+    try:
+        closed = leaf_closure(walks, base, caps, budget)
+    except _MODEL_ERRORS:
+        return None
+    if closed is None:
+        return None
+    msgs, edges = closed
+    for walk, steps in zip(walks, edges):
+        succ = [[] for _ in walk.leaves]
+        for s, _, t in steps:
+            succ[s].append(t)
+        size = prod(len(_reachable(leaf, succ)) for leaf in walk.initial)
+        if size > bounds.max_states or size - 1 > bounds.max_depth:
+            return None
+    mute = [msg for msg in msgs if msg.kind == sem.IN and silent(msg)]
+    if any(walk.answer(leaf, msg) is not DISCARDS
+           for walk in walks for msg in mute for leaf in range(len(walk.leaves))):
+        return None  # a silent output that some leaf hears
+    exact = {}
+    class_of = {id(lab): _TAU if lab.kind == sem.OUT and silent(lab) else exact.setdefault(
+        lab, len(exact)) for steps in edges for _, lab, _ in steps}
+    size, union = _union([(len(walk.leaves), steps) for walk, steps in zip(walks, edges)],
+                         class_of)
+    blocks = _branching_blocks(size, union)
+    inert = [False] * size
+    for s, cls, t in union:
+        inert[s] = inert[s] or (cls == _TAU and blocks[s] == blocks[t])
+    bottom = {}
+    for v in range(size):
+        if not inert[v]:
+            bottom.setdefault(blocks[v], v)
+    if len(bottom) < len(set(blocks)):
+        return None  # a block of silent cycles, whose leaves would all stay
+    leaves = [leaf for walk in walks for leaf in walk.leaves]
+    stand_ins = {leaf: leaves[bottom[blocks[v]]] for v, leaf in enumerate(leaves)}
+    return None if all(k is v for k, v in stand_ins.items()) else stand_ins
+
+
+def _moves_silently(walks, caps, silent) -> bool:
+    """Whether a leaf that the initial leaves reach by their own outputs
+    moves silently, looking at no more leaves of a walk than its entry of
+    ``caps``.  These steps are worked out once and shared with the walk's
+    exploration."""
+    for walk, cap in zip(walks, caps):
+        todo = list(dict.fromkeys(walk.initial))
+        seen = set(todo)
+        while todo and len(seen) <= cap:
+            for lab, nxt in walk.moves(todo.pop()):
+                if silent(lab):
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return False
+
+
+def _depth(steps) -> int:
+    """The most steps from state 0 to a state of a closure, by a
+    breadth-first search over the successor indices of its steps."""
+    depth, queue = [0] + [-1] * (len(steps) - 1), deque([0])
+    while queue:
+        s = queue.popleft()
+        for _, t in steps[s]:
+            if depth[t] < 0:
+                depth[t] = depth[s] + 1
+                queue.append(t)
+    return max(depth)
+
+
+def _reachable(start, succ) -> set:
+    """The nodes reachable from ``start`` by zero or more edges."""
+    seen, todo = {start}, [start]
+    while todo:
+        for nxt in succ[todo.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
+def _classes_by_object(labels, domains) -> dict:
+    """The class of each of ``labels`` by the ``id`` of its object: an
+    exploration keeps one object per label, so classes are looked up
+    comparing no fields."""
+    objects = {id(lab): lab for lab in labels}
+    classes = _label_classes(dict.fromkeys(objects.values()), domains)
+    return {key: classes[lab] for key, lab in objects.items()}
+
+
+def _union(systems, class_of) -> tuple:
+    """The number of states of ``systems``, each a number of states and its
+    ``(state, label, state)`` steps, numbered one after another, and their
+    ``(state, class, state)`` edges; ``class_of`` maps the ``id`` of each
+    label object to its class."""
+    edges, offset = [], 0
+    for count, steps in systems:
+        edges += [(offset + s, class_of[id(lab)], offset + t) for s, lab, t in steps]
+        offset += count
+    return offset, edges
 
 
 def _refine(size: int, signatures):
@@ -210,17 +432,13 @@ def _refine(size: int, signatures):
         blocks, count = new, len(renum)
 
 
-def _branching_blocks(ltss, class_of) -> list:
-    """The block of each state of the union of ``ltss`` (numbered one after
-    another) under branching bisimilarity, which is finer than weak and
-    needs no saturation (Groote & Vaandrager 1990).  Silent cycles are
+def _branching_blocks(size: int, edges) -> list:
+    """The block of each of ``size`` states under branching bisimilarity,
+    given their ``(state, class, state)`` edges, which is finer than weak
+    and needs no saturation (Groote & Vaandrager 1990).  Silent cycles are
     collapsed, then signatures are refined over inert silent moves, those
     into the mover's own block (Blom & Orzan 2003)."""
-    edges, offset = [], 0
-    for lts in ltss:
-        edges += [(offset + s, class_of[id(lab)], offset + t) for s, lab, t in lts.transitions]
-        offset += len(lts.states)
-    silent = [[] for _ in range(offset)]
+    silent = [[] for _ in range(size)]
     for s, cls, t in edges:
         if cls == _TAU:
             silent[s].append(t)

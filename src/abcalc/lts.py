@@ -8,6 +8,8 @@ universe, by default the closure of the emitted non-silent outputs.
 ``reach`` and ``alphabet_fixpoint`` do all exploration, of components
 and of broadcast terms alike; ``reach`` numbers the closure's states,
 and a ``Walk`` gives the states as leaf-id vectors and composes their steps.
+``leaf_closure`` closes walks at leaf level, each distinct leaf once, for
+the quotient products that weak bisimilarity is decided on.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ def reach(initial, successors, label_key, state_key, bounds: ExploreBounds = DEF
     return states, transitions
 
 
-def alphabet_fixpoint(walk, grow, base, max_states: int) -> tuple:
+def alphabet_fixpoint(walk, grow, base, max_states: int, resume=None,
+                      max_depth: float = float("inf")) -> tuple:
     """Grow the universe from ``base`` until it holds every label that
     ``grow(universe, outputs)`` takes from the outputs of the states that
     ``walk`` reaches under it.  Semi-naive: each state's outputs are taken
@@ -126,21 +129,40 @@ def alphabet_fixpoint(walk, grow, base, max_states: int) -> tuple:
     ends; past ``max_states`` states it raises BoundExceeded.  Returns the
     universe and the closure ``(states, steps, walk)``: the states in
     discovery order, each one's ``(label, successor index)`` pairs and the
-    walk."""
-    universe, new = tuple(base), ()
-    states, index, steps, queue, met = [walk.initial], {walk.initial: 0}, [[]], deque([0]), set()
-    depth = [0]  # the steps from the initial state to each state, as found
+    walk.
+
+    For a ``grow`` that keeps ``base`` as it is, ``max_depth`` stops the
+    walk: a state found more than ``max_depth`` steps from the initial one
+    is kept but not expanded, so that ``reach`` on the closure hits the
+    depth bound where it would on the walk.  ``resume`` is then a universe
+    whose labels ``base`` holds and the closure of ``walk`` under it: that
+    closure is extended in place, the labels new in ``base`` taken on its
+    states as new labels are.  Its states' depths are not known, so a state
+    found more than ``max_depth`` steps from them raises BoundExceeded, and
+    so does one past ``max_states``; the depth a bound error then reports
+    counts from the states it adds."""
+    universe, met = tuple(base), set()
+    if resume is None:
+        new, states, steps, queue = (), [walk.initial], [[]], deque([0])
+    else:
+        had, (states, steps, _) = set(resume[0]), resume[1]
+        new, queue = [lab for lab in universe if lab not in had], deque()
+    index = {state: i for i, state in enumerate(states)}
+    depth = [0] * len(states)  # the steps from the initial state to each state, as found
 
     def visit(src, lab, succ):
         dst = index.get(succ)
         if dst is None:
             if len(states) >= max_states:
                 raise BoundExceeded(f"state bound {max_states} hit", len(queue), max(depth))
+            if depth[src] >= max_depth and resume is not None:
+                raise BoundExceeded(f"depth bound {max_depth} hit", len(queue), max(depth))
             dst = index[succ] = len(states)
             states.append(succ)
             steps.append([])
             depth.append(depth[src] + 1)
-            queue.append(dst)
+            if depth[src] < max_depth:
+                queue.append(dst)
         steps[src].append((lab, dst))
 
     while True:
@@ -166,6 +188,14 @@ def alphabet_fixpoint(walk, grow, base, max_states: int) -> tuple:
         new, universe = [lab for lab in grown if lab not in old], grown
 
 
+def closure_under(walk, universe, bounds: ExploreBounds, resume=None) -> tuple:
+    """The closure of ``walk`` under the fixed ``universe`` within
+    ``bounds``, or ``resume``'s closure extended to it (see
+    ``alphabet_fixpoint``)."""
+    return alphabet_fixpoint(walk, lambda have, outputs: have, universe, bounds.max_states,
+                             resume, bounds.max_depth)[1]
+
+
 # An answer table's entry for a leaf that can only discard the message:
 # the leaf stays as it is and adds nothing to the step.
 DISCARDS = object()
@@ -187,13 +217,14 @@ class Walk:
     successor.  A message is the label of the input step it causes, and
     ``hear(label)`` the one an output delivers to the other leaves, or None.
     Leaves pass ``canon`` before they get an id, and labels ``label``, so
-    that lookups compare objects, not fields."""
+    that lookups compare objects, not fields.  ``moves`` and ``answer`` give
+    one leaf's steps, as ids, for ``leaf_closure``."""
 
     def __init__(self, tree, canon, leaf_outs, leaf_ins, hear, binary=ParC):
         self.shape, leaves = flatten(tree, binary)
         self.leaves, self._ids, self._labels, self._outs, self._answers = [], {}, {}, {}, {}
         self._canon, self._leaf_outs, self._leaf_ins = canon, leaf_outs, leaf_ins
-        self._hear = cache(lambda lab: self.label(hear(lab)))
+        self.hear = cache(lambda lab: self.label(hear(lab)))
         self._restrict = cache(lambda lab, fn: self.label(lab.restrict(fn)))
         self._routes = cache(self._route)
         self._plans = [{} for _ in leaves]  # position -> leaf id -> output plan
@@ -262,22 +293,41 @@ class Walk:
             asks.append((k, self._answers.setdefault(heard, {}), heard))
         return asks
 
+    def moves(self, leaf: int) -> tuple:
+        """A leaf's output steps ``(label, successor id)``, worked out once."""
+        moves = self._outs.get(leaf)
+        if moves is None:
+            moves = self._outs[leaf] = tuple([(self.label(lab), self.intern(nxt)) for lab, nxt
+                                              in self._leaf_outs(self.leaves[leaf])])
+        return moves
+
+    def answer(self, leaf: int, msg):
+        """A leaf's answer to ``msg``, as an answer table holds it."""
+        table = self._answers.setdefault(msg, {})
+        got = table.get(leaf)
+        return self._ask(table, leaf, msg) if got is None else got
+
+    def _ask(self, table, leaf: int, msg):
+        """Work out a leaf's answer to ``msg`` and enter it in ``table``: its
+        successor ids, itself last when it can discard, or ``DISCARDS`` when
+        that is all it can do."""
+        accepts, can_discard = self._leaf_ins(self.leaves[leaf], msg)
+        got = tuple([self.intern(nxt) for nxt in accepts] + ([leaf] if can_discard else []))
+        got = table[leaf] = DISCARDS if got == (leaf,) else got
+        return got
+
     def _plan(self, i: int, leaf: int) -> tuple:
         """The output plan of ``leaf`` at position ``i``: each of its moves
         as ``(label, successor, asks)``, the label after every restrictOut
         on the leaf's route and the asks of every leaf that hears it, in the
         order they are asked."""
-        moves = self._outs.get(leaf)
-        if moves is None:
-            moves = self._outs[leaf] = tuple([(self.label(lab), self.intern(nxt)) for lab, nxt
-                                              in self._leaf_outs(self.leaves[leaf])])
         plan = []
-        for label, nxt in moves:
+        for label, nxt in self.moves(leaf):
             asks = []
             for fn, group in self._routes(i):
                 if fn is not None:
                     label = self._restrict(label, fn)
-                elif (msg := self._hear(label)) is not None:
+                elif (msg := self.hear(label)) is not None:
                     asks += self._asks(group, msg)
             plan.append((label, nxt, tuple(asks)))
         plan = self._plans[i][leaf] = tuple(plan)
@@ -292,9 +342,7 @@ class Walk:
             leaf = state[k]
             got = table.get(leaf)
             if got is None:
-                accepts, can_discard = self._leaf_ins(self.leaves[leaf], msg)
-                got = tuple([self.intern(nxt) for nxt in accepts] + ([leaf] if can_discard else []))
-                got = table[leaf] = DISCARDS if got == (leaf,) else got
+                got = self._ask(table, leaf, msg)
             if got is not DISCARDS:
                 if not got:
                     return None
@@ -349,11 +397,60 @@ def _fill(state, i, leaf, factors) -> list:
     return out
 
 
-def abc_walk(comp: Component, defs, domains: DomainContext = EMPTY_DOMAINS) -> Walk:
+def leaf_closure(walks, base, caps, budget: int) -> tuple | None:
+    """The leaf-level transition systems of ``walks``, closed together by a
+    loop over distinct leaves: each leaf's steps, and its answer to every
+    message, which is a label of ``base`` or what a leaf's step delivers
+    (``Walk.hear``), silent ones included.  An answer is a step labelled by
+    the message, a discard is a self-loop, and a leaf that can do neither
+    has no step on it.  Returns the messages and, for each walk, the
+    ``(leaf, label, leaf)`` steps of its leaves, as its ids; or None as
+    soon as a walk holds more leaves than its entry of ``caps``, or before
+    more than ``budget`` answers would be worked out in all."""
+    msgs = list(dict.fromkeys(base))
+    known, edges = set(msgs), [[] for _ in walks]
+    answered = [[] for _ in walks]  # for each leaf of each walk: the messages it answered
+    busy = True
+    while busy:
+        busy = False
+        for walk, cap, steps, done in zip(walks, caps, edges, answered):
+            leaf = 0
+            while leaf < len(walk.leaves):
+                if leaf == len(done):
+                    done.append(0)
+                    for lab, nxt in walk.moves(leaf):
+                        steps.append((leaf, lab, nxt))
+                        heard = walk.hear(lab)
+                        if heard is not None and heard not in known:
+                            known.add(heard)
+                            msgs.append(heard)
+                budget -= len(msgs) - done[leaf]
+                if budget < 0:
+                    return None
+                for msg in msgs[done[leaf]:]:
+                    got = walk.answer(leaf, msg)
+                    steps += ([(leaf, msg, leaf)] if got is DISCARDS else
+                              [(leaf, msg, nxt) for nxt in got])
+                    busy = True
+                done[leaf] = len(msgs)
+                if len(walk.leaves) > cap:
+                    return None
+                leaf += 1
+    return msgs, edges
+
+
+def abc_walk(comp: Component, defs, domains: DomainContext = EMPTY_DOMAINS,
+             stand_ins=None) -> Walk:
     """The walk of a component's exploration, over canonical leaves.
     ``canonical`` renames each leaf on its own, so a tree of canonical
-    leaves is canonical."""
-    return Walk(comp, canonical, lambda leaf: sem.component_out_steps(leaf, defs, domains),
+    leaves is canonical.  Given ``stand_ins``, a map between canonical
+    leaves, each leaf becomes the one it maps to: the walk of a quotient."""
+    canon = canonical
+    if stand_ins:
+        def canon(leaf):
+            leaf = canonical(leaf)
+            return stand_ins.get(leaf, leaf)
+    return Walk(comp, canon, lambda leaf: sem.component_out_steps(leaf, defs, domains),
                 lambda leaf, msg: sem.component_in_step(leaf, msg, defs, domains),
                 sem.Label.as_input)
 
@@ -396,17 +493,19 @@ def auto_universe(
     bounds: ExploreBounds = DEFAULT_BOUNDS,
     domains: DomainContext = EMPTY_DOMAINS,
     base=(),
+    walk: Walk = None,
 ) -> tuple:
     """Shared-alphabet closure: harvest emitted output labels as inputs
     until nothing new appears.  Silent outputs are never harvested.
     Returns the universe and the closure that ``explore`` numbers: its
-    states, their steps and the walk that found them."""
+    states, their steps and the walk that found them, ``walk`` when one of
+    ``comp`` is given."""
+    walk = walk or abc_walk(comp, defs or {}, domains)
 
     def grow(have, outputs):
         heard = [walk.label(lab.as_input()) for lab in outputs if not pr.is_ff(lab.pred, domains)]
         return merge_labels(have, sorted(heard, key=pretty_label), domains)
 
-    walk = abc_walk(comp, defs or {}, domains)
     return alphabet_fixpoint(walk, grow, base, bounds.max_states)
 
 

@@ -12,20 +12,22 @@ import sys
 import pytest
 
 from abcalc import equivalence as eq
+from abcalc import predicates as pr
 from abcalc.equivalence import Verdict, strong_bisim, weak_bisim
 from abcalc.lts import (
     BoundExceeded,
     DEFAULT_BOUNDS,
     ExploreBounds,
+    Walk,
     auto_universe,
     explore,
     merge_labels,
 )
 from abcalc import semantics as sem
 from abcalc.predicates import EMPTY_DOMAINS, FF, DomainContext, Not, is_ff
-from abcalc.syntax import parse_abc, pretty_label
+from abcalc.syntax import parse_abc, pretty_label, pretty_pred
 from abcalc.systems import network
-from abcalc.terms import AttrEnv, Aware, Choice, Const, In, Leaf, Out, ParP, Upd
+from abcalc.terms import AttrEnv, Aware, Choice, Const, DomainViolation, In, Leaf, Out, ParP, Upd
 
 from conftest import (
     emitters_abc,
@@ -235,9 +237,10 @@ def certified(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
         return False
     _, l1, l2 = explored
     classes = old_label_classes((l1, l2), domains)
-    class_of = {id(lab): classes[lab] for lts in (l1, l2) for _, lab, _ in lts.transitions}
-    blocks = eq._branching_blocks((l1, l2), class_of)
     n1 = len(l1.states)
+    edges = [(offset + s, classes[lab], offset + t)
+             for offset, lts in ((0, l1), (n1, l2)) for s, lab, t in lts.transitions]
+    blocks = eq._branching_blocks(n1 + len(l2.states), edges)
     if blocks[0] != blocks[n1]:
         return False
     assert_weak_bisimulation((l1, l2), classes, blocks)
@@ -277,6 +280,16 @@ def tau_leaves_abc(k: int, plain: bool = False) -> str:
     lines = [f'comp L{i} {{ iface: []; env: {{id = "l{i}"}}; run: {run} }}' for i in range(k)]
     lines.append("system: " + " || ".join(f"L{i}" for i in range(k)) + ";")
     return "\n".join(lines) + "\n"
+
+
+def silent_prefix_abc(k: int, run: str, env: str = "") -> str:
+    """One component that takes k silent steps, then runs ``run``."""
+    return f"comp C {{ iface: []; env: {{{env}}}; run: {'()@ff.' * k}{run} }}\n"
+
+
+# an inert silent step hides the visible outputs behind it: a leaf that
+# stood for its block by the smallest id would lose them
+HIDDEN = ("(3, 1)@ff.(1, 3)@(d != 3).()@(e == 1).0", "d = 2, e = 1")
 
 
 def prefixed_pair(rng):
@@ -334,17 +347,22 @@ def test_network_pairs_match_old_engine(mode, pair):
 
 
 @pytest.mark.parametrize("mode", sorted(CHECKS))
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_family_pairs_match_old_engine(mode, k):
     models = {
         "emitters": parse_abc(emitters_abc(k)),
         "fewer emitters": parse_abc(emitters_abc(k - 1)) if k > 1 else None,
         "tau leaves": parse_abc(tau_leaves_abc(k)),
         "plain leaves": parse_abc(tau_leaves_abc(k, plain=True)),
+        "tau input": parse_abc(silent_prefix_abc(k, '(tt)(x).("a")@tt.0')),
+        "input": parse_abc(silent_prefix_abc(0, '(tt)(x).("a")@tt.0')),
+        "tau hidden": parse_abc(silent_prefix_abc(k - 1, *HIDDEN)),
+        "nil": parse_abc(silent_prefix_abc(0, "0", HIDDEN[1])),
     }
     pairs = [("emitters", "emitters"), ("emitters", "fewer emitters"),
              ("tau leaves", "plain leaves"), ("plain leaves", "tau leaves"),
-             ("tau leaves", "emitters")]
+             ("tau leaves", "emitters"), ("tau input", "input"), ("input", "tau input"),
+             ("tau hidden", "nil"), ("tau leaves", "tau input")]
     for a, b in pairs:
         if models[b] is None:
             continue
@@ -448,6 +466,216 @@ def test_tau_leaves_need_no_saturation(saturations):
     m1, m2 = parse_abc(tau_leaves_abc(3)), parse_abc(tau_leaves_abc(3, plain=True))
     got = agree("weak", m1.component, m2.component, {**m1.defs, **m2.defs})
     assert got["equivalent"] and got["branching"] and not saturations
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tau_leaves_are_decided_on_quotient_products(outs_calls, saturations, k):
+    """Each silent leaf gives way to its plain form, so each side's closure
+    steps the 2^k states of the plain product, not the 4^k of its own."""
+    m1, m2 = parse_abc(tau_leaves_abc(k)), parse_abc(tau_leaves_abc(k, plain=True))
+    assert weak_bisim(m1.component, m2.component, {**m1.defs, **m2.defs}).equivalent
+    assert len(outs_calls) == 2 * 2 ** k and not saturations
+
+
+@pytest.fixture
+def outs_calls(monkeypatch):
+    """A list that gets one entry per call of ``Walk.outs``."""
+    calls, outs = [], Walk.outs
+    monkeypatch.setattr(Walk, "outs", lambda walk, state: calls.append(state) or outs(walk, state))
+    return calls
+
+
+@pytest.fixture
+def leaf_closures(monkeypatch):
+    """A list with one entry per call of ``lts.leaf_closure`` from
+    ``equivalence``: what it returned, or the error it raised."""
+    calls, closure = [], eq.leaf_closure
+
+    def spy(*args):
+        try:
+            calls.append(closure(*args))
+        except Exception as exc:
+            calls.append(exc)
+            raise
+        return calls[-1]
+
+    monkeypatch.setattr(eq, "leaf_closure", spy)
+    return calls
+
+
+SENDER = 'comp S { iface: []; env: {}; run: ("a")@tt.("b")@tt.0 }\n'
+LATE = ('domain k in {0, 1};\n' + SENDER
+        + 'comp R { iface: []; env: {k = 0}; '
+        + 'run: ()@ff.(x == "b")(x).(y == "a")(y).[k := 5]0 }\n'
+        + "system: S || R;\n")
+
+
+def test_no_leaf_closure_without_a_silent_output(leaf_closures):
+    """No leaf that the initial ones reach by their outputs moves silently,
+    so no leaf has an inert silent step to drop: emitters are decided on
+    the systems themselves, and so are models whose leaf closure would
+    meet a domain error, count without end or nest deeper without end."""
+    counter = ('def R = (x == "a")(x).[k := this.k + 1] R;\n'
+               'comp C { iface: []; env: {k = 0}; run: R }\n')
+    once = 'comp S { iface: []; env: {}; run: ("a")@tt.0 }\n'
+    for left, right in [(emitters_abc(3), emitters_abc(3)),
+                        (counter + once + "system: C || S;\n", once + "system: S;\n"),
+                        (LATE.replace("()@ff.", ""), SENDER + "system: S;\n"),
+                        ('def G = (y == "a")(y).(G | 0);\n' + SENDER
+                         + 'comp R { iface: []; env: {}; run: (x == "b")(x).G }\n'
+                         + "system: S || R;\n", SENDER + "system: S;\n")]:
+        m1, m2 = parse_abc(left), parse_abc(right)
+        agree("weak", m1.component, m2.component, {**m1.defs, **m2.defs}, (), m1.domains)
+    assert not leaf_closures
+
+
+def test_a_model_error_on_an_undelivered_message_keeps_the_leaves(leaf_closures):
+    """R leaves its declared domain after "b" and then "a".  The product
+    sends "a" before "b", so under no universe it never gets there, but
+    the leaf closure does: the check goes on unreduced and says what the
+    old engine says."""
+    m1, m2 = parse_abc(LATE), parse_abc(SENDER + "system: S;\n")
+    assert agree("weak", m1.component, m2.component, universe=(),
+                  domains=m1.domains)["equivalent"]
+    assert len(leaf_closures) == 1 and isinstance(leaf_closures[0], DomainViolation)
+    # under the closed universe the product receives "b" and then "a" too
+    errors = []
+    for check in (lambda: weak_bisim(m1.component, m2.component, domains=m1.domains),
+                  lambda: old_bisim(m1.component, m2.component, domains=m1.domains, weak=True)):
+        with pytest.raises(DomainViolation) as error:
+            check()
+        errors.append((str(error.value), error.value.leaf))
+    assert errors[0] == errors[1]
+
+
+@pytest.fixture
+def answers(monkeypatch):
+    """A list that gets one entry per answer that a leaf works out."""
+    calls, step = [], sem.component_in_step
+    monkeypatch.setattr(sem, "component_in_step", lambda *a: calls.append(1) or step(*a))
+    return calls
+
+
+def test_a_growing_leaf_ends_the_leaf_closure_within_its_budget(leaf_closures, answers):
+    """After a silent step and "b", G nests one level deeper with each "a"
+    it hears.  The product sends "a" before "b", but the leaf closure
+    delivers both: it stops after its budget of answers for the three
+    positions, far from the recursion limit, and the check goes on
+    unreduced."""
+    m1 = parse_abc('def G = (y == "a")(y).(G | 0);\n' + SENDER
+                   + 'comp R { iface: []; env: {}; run: ()@ff.(x == "b")(x).G }\n'
+                   + "system: S || R;\n")
+    m2 = parse_abc(SENDER + "system: S;\n")
+    assert weak_bisim(m1.component, m2.component, m1.defs, ()).equivalent
+    assert leaf_closures == [None]
+    assert len(answers) <= 3 * eq._ANSWERS_PER_POSITION + 10
+
+
+@pytest.mark.parametrize("bounds", [DEFAULT_BOUNDS, ExploreBounds(max_depth=10)])
+def test_an_unbounded_leaf_closure_ends_early(leaf_closures, answers, bounds):
+    """The counter's leaves count without end under "a", but the product
+    delivers it once: the leaf closure stops after its budget of answers,
+    or as soon as a walk holds more than ``max_depth + 1`` leaves and one
+    for the other position, and the check goes on unreduced."""
+    m1 = parse_abc('def R = (x == "a")(x).[k := this.k + 1] R;\n'
+                   'comp C { iface: []; env: {k = 0}; run: R }\n'
+                   'comp S { iface: []; env: {}; run: ()@ff.("a")@tt.0 }\nsystem: C || S;\n')
+    m2 = parse_abc('comp S { iface: []; env: {}; run: ("a")@tt.0 }\nsystem: S;\n')
+    assert weak_bisim(m1.component, m2.component, m1.defs, (), bounds=bounds).equivalent
+    assert leaf_closures == [None]
+    cap = min(3 * eq._ANSWERS_PER_POSITION, 2 * (bounds.max_depth + 3))
+    assert len(answers) <= cap + 10
+
+
+def test_a_deep_silent_chain_under_a_fixed_universe_walks_as_before(outs_calls):
+    """A counter that steps silently without end, against 0, under no
+    universe: the check is inconclusive at the depth bound.  The decision
+    path stops its walk at that depth and ``explore`` numbers what it found,
+    so the states are stepped no more often than by the old engine, which
+    walked the counter once (and 0 not at all)."""
+    m1 = parse_abc('def T = ()@ff.[k := this.k + 1] T;\n'
+                   'comp C { iface: []; env: {k = 0}; run: T }\n')
+    m2 = parse_abc("comp Z { iface: []; env: {}; run: 0 }\n")
+    got = weak_bisim(m1.component, m2.component, m1.defs, ()).as_dict()
+    new = len(outs_calls)
+    outs_calls.clear()
+    assert got == old_bisim(m1.component, m2.component, m1.defs, (), weak=True).as_dict()
+    assert got["inconclusive"] and "depth bound" in got["reason"]
+    assert new <= len(outs_calls) + 1
+
+
+@pytest.mark.parametrize("mode", sorted(CHECKS))
+@pytest.mark.parametrize("bounds", [ExploreBounds(5, 1000), ExploreBounds(100, 3)])
+def test_a_bound_in_an_extended_closure_keeps_its_message(outs_calls, mode, bounds):
+    """The counter's own universe is empty; the sender's "a" extends it,
+    and the extended closure runs into a bound.  The message is the one a
+    breadth-first walk of the counter gives, as before.  The extension
+    stops ``max_depth`` steps past the closure it extends, so the counter
+    is stepped at most twice as often as by the old engine."""
+    m1 = parse_abc('comp S { iface: []; env: {}; run: ("a")@tt.0 }\n')
+    m2 = parse_abc('def R = (x == "a")(x).[k := this.k + 1] R;\n'
+                   'comp C { iface: []; env: {k = 0}; run: R }\n')
+    check, weak = CHECKS[mode]
+    got = check(m1.component, m2.component, m2.defs, bounds=bounds).as_dict()
+    new = len(outs_calls)
+    outs_calls.clear()
+    assert got["inconclusive"]
+    assert got == old_bisim(m1.component, m2.component, m2.defs, bounds=bounds,
+                            weak=weak).as_dict()
+    assert new <= 2 * len(outs_calls)
+
+
+@pytest.mark.parametrize("mode", sorted(CHECKS))
+def test_a_label_the_merge_drops_is_closed_again(mode):
+    """The two sides emit equivalent labels with different guards, and the
+    merged universe keeps the first side's: the second side's own closure
+    holds a label the merge dropped, so it is closed again under the merged
+    universe, on the quotient product as on the system."""
+    guarded = ('domain role in {{"a", "b"}};\n'
+               'comp G {{ iface: [role]; env: {{role = "a"}}; run: {run} }}\n')
+    m1 = parse_abc(guarded.format(run='()@ff.("x")@(role == "b").0'))
+    m2 = parse_abc(guarded.format(run='("x")@(!(role != "b")).0'))
+    got = agree(mode, m1.component, m2.component, domains=m1.domains)
+    assert got["equivalent"] == (mode == "weak") and got["universe_size"] == 1
+
+
+def test_a_block_of_silent_cycles_keeps_the_leaves(monkeypatch):
+    """Both sides hold a leaf that loops silently before it sends "b", and
+    no leaf without that loop is in its block to stand for it: the check
+    is decided unreduced, although the silent prefix could have gone."""
+    maps, stand_ins = [], eq._stand_ins
+    monkeypatch.setattr(eq, "_stand_ins", lambda *a: maps.append(stand_ins(*a)) or maps[-1])
+    loop = 'def A = ()@ff.A + ("b")@tt.0;\ncomp L { iface: []; env: {}; run: A }\n'
+    m1 = parse_abc(loop + 'comp S { iface: []; env: {}; run: ()@ff.("a")@tt.0 }\n'
+                   "system: L || S;\n")
+    m2 = parse_abc(loop + 'comp S { iface: []; env: {}; run: ("a")@tt.0 }\nsystem: L || S;\n')
+    assert agree("weak", m1.component, m2.component, m1.defs)["equivalent"]
+    assert maps == [None]
+
+
+@pytest.mark.parametrize("pair", [("N_closed", "T"), ("N_CP2", "T_CP2")])
+def test_restricted_skeletons_decide_unreduced(leaf_closures, pair):
+    net = network()
+    agree("weak", net[pair[0]], net[pair[1]], net["defs"], domains=net["domains"])
+    assert not leaf_closures
+
+
+def test_a_silent_output_that_a_leaf_hears_keeps_the_leaves(monkeypatch, leaf_closures):
+    """A solver that took the guard k == 1 for false would make H's output
+    silent, but R still hears it and goes on to "got".  At leaf level H is
+    a silent step to 0, so H would give way to 0 and "got" would be lost:
+    the check goes on unreduced instead and tells the systems apart."""
+    is_ff = pr.is_ff
+    monkeypatch.setattr(pr, "is_ff", lambda p, d=EMPTY_DOMAINS: pretty_pred(p) == "k == 1"
+                        or is_ff(p, d))
+    hearer = 'comp R { iface: [k]; env: {k = 1}; run: (x == "hi")(x).("got")@tt.0 }\n'
+    m1 = parse_abc('comp H { iface: []; env: {}; run: ("hi")@(k == 1).0 }\n' + hearer
+                   + "system: H || R;\n")
+    m2 = parse_abc(hearer + "system: R;\n")
+    for universe in (None, ()):
+        got = weak_bisim(m1.component, m2.component, universe=universe)
+        assert not got.equivalent and got.witness[-1]["label"] == '{k = 1}@tt!("got")'
+    assert len(leaf_closures) == 2 and all(leaf_closures)
 
 
 def test_components_against_reachability(rng):

@@ -1,7 +1,8 @@
-"""Golden outputs of the command line on the bundled corpus: every call
-below runs ``cli.main`` in-process, from the corpus directory, and its
-exit code, stdout and stderr must equal what ``tests/golden/`` records.
-A refactor that leaves these files as they are changed no output.
+"""Golden outputs of the command line on the bundled corpus and on the
+model families of ``tests/golden/families/``: every call below runs
+``cli.main`` in-process, from the directory of its models, and its exit
+code, stdout and stderr must equal what ``tests/golden/`` records.  A
+refactor that leaves these files as they are changed no output.
 
 To record the outputs again, after a change that is meant to alter them:
 ``PYTHONPATH=src python tests/test_golden.py``."""
@@ -21,12 +22,34 @@ from abcalc.systems import CORPUS_DIR
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FILES = sorted(p.name for p in CORPUS_DIR.iterdir() if p.suffix in (".abc", ".bpi"))
 MODELS = [f for f in FILES if f.endswith(".abc")]
+FAMILIES = GOLDEN / "families"
+# pairs of family models, each checked in both modes: silent prefixes
+# against none (tau-leaves k=1..4, a silent step before an input, silent
+# and visible outputs whose inert silent step hides visible ones),
+# emitters, guards stated through De Morgan and a changed guard
+FAMILY_PAIRS = ([[f"tau-k{k}.abc", f"plain-k{k}.abc"] for k in range(1, 5)]
+                + [["tau-input.abc", "input.abc"], ["tau-guards.abc", "nil.abc"],
+                   ["emitters-k3.abc", "emitters-k3.abc"], ["emitters-k3.abc", "emitters-k2.abc"],
+                   ["guarded-k3.abc", "guarded-k3-demorgan.abc"],
+                   ["guarded-k3.abc", "guarded-k3-changed.abc"]])
+# pairs under other options: bounds that the product hits, a message that
+# the product never delivers, and leaves with infinitely many successors,
+# one of them nested deeper with each
+FAMILY_CALLS = [["--max-states", "50", "tau-k3.abc", "plain-k3.abc"],
+                ["--max-depth", "3", "tau-k3.abc", "plain-k3.abc"],
+                ["--universe", "none", "sender-late.abc", "sender.abc"],
+                ["--universe", "auto", "sender-late.abc", "sender.abc"],
+                ["--universe", "none", "counter.abc", "once.abc"],
+                ["--universe", "none", "sender-deep.abc", "sender.abc"]]
 
 
 def calls_of(name: str) -> list:
     """The calls recorded in one golden file: every command on one corpus
     file (those that refuse its kind of file included), or the commands
     that take no file or two."""
+    if name == "families":
+        return [["check-bisim", mode, "--json", "-", *args] for args in FAMILY_PAIRS + FAMILY_CALLS
+                for mode in ("--weak", "--strong")]
     if name == "pairs":
         return [["corpus"]] + [["check-bisim", mode, a, b] for a in MODELS for b in MODELS
                                for mode in ("--weak", "--strong")]
@@ -38,13 +61,13 @@ def calls_of(name: str) -> list:
     return calls
 
 
-GROUPS = FILES + ["pairs"]
+GROUPS = FILES + ["pairs", "families"]
 
 
-def run(argv: list) -> dict:
+def run(argv: list, where: Path = CORPUS_DIR) -> dict:
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    os.chdir(CORPUS_DIR)
+    os.chdir(where)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -54,7 +77,8 @@ def run(argv: list) -> dict:
 
 
 def record(group: str) -> dict:
-    return {" ".join(argv): run(argv) for argv in calls_of(group)}
+    where = FAMILIES if group == "families" else CORPUS_DIR
+    return {" ".join(argv): run(argv, where) for argv in calls_of(group)}
 
 
 @pytest.mark.parametrize("group", GROUPS)
