@@ -12,7 +12,7 @@ from functools import cache
 from itertools import count
 
 from . import semantics as sem
-from .lts import DEFAULT_BOUNDS, Walk, abc_walk, alphabet_fixpoint, reach
+from .lts import DEFAULT_BOUNDS, Walk, abc_walk, alphabet_fixpoint, reach, unstepped
 from .syntax import Parser, UnguardedRecursion, layout
 from .terms import (
     FF,
@@ -479,7 +479,7 @@ def harvest_bpi_universe(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> tuple:
     values)`` until no new one appears.  Returns the universe and the
     closure: its states, their steps and the walk that found them."""
     return alphabet_fixpoint(
-        _walk(p, canon_bpi),
+        unstepped(_walk(p, canon_bpi)),
         lambda have, outs: tuple(sorted({*have, *(("in", *o[1:]) for o in outs if o != TAU)})),
         (),
         bounds.max_states,

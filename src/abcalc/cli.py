@@ -119,12 +119,12 @@ def _require_component(model, path):
 
 
 def _universe(model, comp, cfg: RunConfig):
-    """The universe, and under ``auto`` the closure that computed it."""
-    if cfg.universe_mode == "none":
-        return (), None
-    if cfg.universe_mode == "declared":
-        return model.universe, None
-    return L.auto_universe(comp, model.defs, cfg.bounds, model.domains, base=model.universe)
+    """The universe, and a closure under it: under ``auto`` the one that
+    computed it, else the unstepped one."""
+    if cfg.universe_mode == "auto":
+        return L.auto_universe(comp, model.defs, cfg.bounds, model.domains, base=model.universe)
+    universe = model.universe if cfg.universe_mode == "declared" else ()
+    return universe, L.unstepped(L.abc_walk(comp, model.defs, model.domains))
 
 
 def _merge_contexts(m1, m2):
@@ -192,8 +192,7 @@ def cmd_steps(args) -> int:
         ]
     else:
         comp = _require_component(model, args.file)
-        universe, closure = _universe(model, comp, cfg)
-        walk = L.abc_walk(comp, model.defs, model.domains) if closure is None else closure[2]
+        universe, (_, _, walk) = _universe(model, comp, cfg)
         rows = [{"label": label, "target": target} for label, target in
                 sorted((pretty_label(lab), pretty_component(walk.tree(q)))
                        for lab, q in walk.steps(walk.initial, universe))]

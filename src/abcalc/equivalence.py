@@ -17,12 +17,16 @@ way to a branching-bisimilar one first: the closures are those of the
 quotient products (``_stand_ins``) when some leaf moves silently and the
 leaves close small enough, else those of the systems themselves.  Only
 a check that the branching pass leaves negative or undecided numbers the
-systems and saturates.
+systems and saturates.  A closure that a bound or a model error stops is
+kept where it stops and decides nothing: numbering it steps only the
+states it left, and meets the bound or the error where a breadth-first
+walk would.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import suppress
 from functools import cache
 from math import prod
 
@@ -35,8 +39,8 @@ from .lts import (
     ExploreBounds,
     Lts,
     abc_walk,
+    alphabet_fixpoint,
     auto_universe,
-    closure_under,
     explore,
     fingerprint,
     label_equiv,
@@ -44,6 +48,7 @@ from .lts import (
     merge_labels,
     reach,
     state_text,
+    unstepped,
 )
 from .predicates import DomainContext, EMPTY_DOMAINS
 from .syntax import pretty_label
@@ -108,7 +113,8 @@ _TAU = "tau"
 
 # The errors of a model that a step raises, and a leaf nested too deep for
 # the recursion limit.  A closure on the decision path that meets one is
-# dropped: the numbered path meets it again, if it can arise, and says it.
+# kept where it stops: numbering it meets the error again, if it can
+# arise, and says it.
 # The leaf closure stops long before the limit (``_ANSWERS_PER_POSITION``)
 # unless a model's own leaves start near it.
 _MODEL_ERRORS = (DomainViolation, sem.UnboundProcessName, ArityMismatch, RecursionError)
@@ -149,19 +155,12 @@ def _moves(lts: Lts, offset: int, class_of, weak: bool):
         for src, lab, dst in lts.transitions:
             if class_of[id(lab)] == _TAU:
                 silent[src].add(dst)
-        after, before = [], [[] for _ in range(n)]  # tau-closure, and its inverse
-        for start in range(n):
-            seen, stack = {start}, [start]
-            while stack:
-                for nxt in silent[stack.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            # a copy may iterate in another order than ``seen``; the moves, and
-            # so the witnesses, follow the order of this frozenset
-            after.append(frozenset(seen))
+        # the tau-closure, and its inverse; the moves, and so the witnesses,
+        # follow the order of these frozensets
+        after, before = [frozenset(_reachable(s, silent)) for s in range(n)], [[] for _ in range(n)]
+        for s, seen in enumerate(after):
             for t in seen:
-                before[t].append(start)
+                before[t].append(s)
         moves = [dict.fromkeys((_TAU, offset + t) for t in after[s]) for s in range(n)]
     else:
         after = before = [(s,) for s in range(n)]
@@ -188,17 +187,24 @@ def weak_bisim(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
 
 def _bisim(c1, c2, defs, universe, domains, bounds, base, weak) -> Verdict:
     """Without a ``universe``, both sides close one from the labels of
-    ``base``, as ``auto_universe`` does, and the two are merged.  A weak
-    check goes to ``_decide`` first and numbers the systems only when
-    branching bisimilarity does not relate them there."""
-    comps, defs, closures = (c1, c2), defs or {}, (None, None)
+    ``base``, as ``auto_universe`` does, and the two are merged; a strong
+    check under a fixed universe closes neither.  A weak check is decided
+    first by branching bisimilarity on closures that are never numbered:
+    those of the quotient products when ``_stand_ins`` gives a map, else
+    the sides' own.  Only when that does not relate them does ``explore``
+    number each side: its closure, or after a quotient the side's unstepped
+    one, stepping what the closure left."""
+    comps, defs = (c1, c2), defs or {}
+    walks = [abc_walk(c, defs, domains) for c in comps]
+    closures = [unstepped(walk) for walk in walks]
     try:
-        if weak:
-            related, universe, closures = _decide(comps, defs, universe, domains, bounds, base)
-            if related:
+        stand_ins = weak and _stand_ins(walks, universe, base, bounds, domains)
+        quotients = stand_ins and [abc_walk(c, defs, domains, stand_ins) for c in comps]
+        if weak or universe is None:
+            universe, decided = _closed(quotients or walks, universe, domains, bounds, base)
+            if weak and _related(decided, domains, bounds.max_depth):
                 return Verdict(True, universe)
-        elif universe is None:
-            universe, closures = _closed(comps, (None, None), defs, None, domains, bounds, base)
+            closures = closures if quotients else decided
         l1, l2 = (explore(c, defs, universe, bounds, domains, k) for c, k in zip(comps, closures))
     except BoundExceeded as exc:
         return Verdict(False, universe or (),
@@ -215,63 +221,47 @@ def _bisim(c1, c2, defs, universe, domains, bounds, base, weak) -> Verdict:
     return Verdict(False, universe, witness=_extract_witness(0, n1, moves, history, n1))
 
 
-def _decide(comps, defs, universe, domains, bounds, base) -> tuple:
-    """Whether branching bisimilarity relates the two systems, decided on
-    closures that are never numbered; the universe; and the closures that
-    ``explore`` numbers when it does not.  When ``_stand_ins`` gives a map,
-    the closures decided on are those of the quotient products, which hit
-    no bound, and ``explore`` walks the systems afresh.  Else they are the
-    systems' own, and a closure dropped or deeper than ``max_depth`` is
-    left to ``explore``, which meets the bound or error as it always has."""
-    walks = [abc_walk(c, defs, domains) for c in comps]
-    stand_ins = _stand_ins(walks, base if universe is None else universe, bounds, domains)
-    if stand_ins is not None:
-        quotients = [abc_walk(c, defs, domains, stand_ins) for c in comps]
-        universe, closures = _closed(comps, quotients, defs, universe, domains, bounds, base)
-        return _related(closures, domains), universe, (None, None)
-    universe, closures = _closed(comps, walks, defs, universe, domains, bounds, base)
-    if None in closures or max(_depth(steps) for _, steps, _ in closures) > bounds.max_depth:
-        return False, universe, closures
-    return _related(closures, domains), universe, closures
-
-
-def _closed(comps, walks, defs, universe, domains, bounds, base) -> tuple:
-    """The universe, and the closure of each of ``walks`` under it, or None
-    where ``explore`` is to walk the side afresh.  Without a ``universe``,
-    each side closes its own from ``base`` (``auto_universe``, whose bound
-    and model errors are raised, and which makes a walk for an entry of
-    None), and the closures are extended to the merged one."""
+def _closed(walks, universe, domains, bounds, base) -> tuple:
+    """The universe, and a closure of each of ``walks`` under it (``_fixed``).
+    Without a ``universe``, each side closes its own from ``base``
+    (``auto_universe``, whose bound and model errors are raised), and the
+    closures are extended to the merged one.  The second side is closed
+    only when the first closed completely: numbering a closure that holds
+    an unstepped state raises, so the second would never be numbered."""
+    sides = [(unstepped(walk), None) for walk in walks]
     if universe is None:
-        (u1, k1), (u2, k2) = (auto_universe(c, defs, bounds, domains, base, w)
-                              for c, w in zip(comps, walks))
-        universe = merge_labels(u1, u2, domains)
-        return universe, [_extended(k, u, universe, bounds) for k, u in ((k1, u1), (k2, u2))]
-    return universe, [_fixed(w, universe, bounds) for w in walks]
+        (u1, k1), (u2, k2) = (auto_universe(None, None, bounds, domains, base, w) for w in walks)
+        universe, sides = merge_labels(u1, u2, domains), [(k1, u1), (k2, u2)]
+    closures = []
+    for closure, had in sides:
+        if had != universe:
+            closure = (unstepped(closure[2]) if closures and None in closures[0][1]
+                       else _fixed(closure, universe, bounds, had))
+        closures.append(closure)
+    return universe, closures
 
 
-def _extended(closure, had, universe, bounds):
-    """A side's closure under its own universe ``had``, extended to the
-    merged ``universe``, or closed again under it when ``had`` holds a
-    label that the merge dropped for an equivalent one (see ``_fixed``)."""
-    if had == universe:
-        return closure
-    return _fixed(closure[2], universe, bounds, (had, closure) if set(had) <= set(universe)
-                  else None)
+def _fixed(closure, universe, bounds, had) -> tuple:
+    """``closure`` extended in place to the fixed ``universe`` and kept
+    where a bound or a model error stops it: ``explore`` steps what it left
+    and meets the same.  Its stepped states have taken the labels of
+    ``had``, none when that is None; when ``had`` holds a label that the
+    merge dropped for an equivalent one, the side is closed again from its
+    initial state."""
+    if not set(had or ()) <= set(universe):
+        closure, had = unstepped(closure[2]), None
+    with suppress(BoundExceeded, *_MODEL_ERRORS):
+        alphabet_fixpoint(closure, lambda have, outputs: have, universe, bounds.max_states,
+                          had or (), bounds.max_depth)
+    return closure
 
 
-def _fixed(walk, universe, bounds, resume=None):
-    """``closure_under``, or None when it meets a bound or a model error:
-    ``explore`` then walks the side from its initial state and meets it
-    where it arises, or a bound before it."""
-    try:
-        return closure_under(walk, universe, bounds, resume)
-    except (BoundExceeded, *_MODEL_ERRORS):
-        return None
-
-
-def _related(closures, domains) -> bool:
+def _related(closures, domains, max_depth) -> bool:
     """Whether branching bisimilarity relates the initial states of two
-    closures."""
+    closures; never for a closure that holds an unstepped state or is
+    deeper than ``max_depth``, since numbering it raises."""
+    if max(_depth(steps) for _, steps, _ in closures) > max_depth:
+        return False
     class_of = _classes_by_object((lab for _, steps, _ in closures for out in steps
                                    for lab, _ in out), domains)
     size, edges = _union([(len(states), ((s, lab, t) for s, out in enumerate(steps)
@@ -281,14 +271,15 @@ def _related(closures, domains) -> bool:
     return blocks[0] == blocks[len(closures[0][0])]
 
 
-def _stand_ins(walks, base, bounds, domains) -> dict | None:
+def _stand_ins(walks, universe, base, bounds, domains) -> dict | None:
     """The map from each leaf of ``walks`` to the leaf that stands for it in
     the quotient products, or None to decide on the systems themselves.
 
     A stand-in drops inert silent steps, so it is looked for only when a
     leaf that the initial leaves reach by their own outputs moves silently
     (``_moves_silently``).  The leaf-level systems (``leaf_closure``, with
-    the messages of ``base``) are then minimised together under branching
+    the messages of ``universe``, or of ``base`` when the universe is to be
+    closed) are then minimised together under branching
     bisimilarity, labels compared exactly and silent outputs in one class.
     A leaf maps to a bottom member of its block, the first one with no
     inert silent step, so that no step behind an inert one is lost.
@@ -316,10 +307,9 @@ def _stand_ins(walks, base, bounds, domains) -> dict | None:
     if not _moves_silently(walks, caps, silent):
         return None
     budget = _ANSWERS_PER_POSITION * sum(len(walk.initial) for walk in walks)
-    try:
-        closed = leaf_closure(walks, base, caps, budget)
-    except _MODEL_ERRORS:
-        return None
+    closed = None
+    with suppress(*_MODEL_ERRORS):
+        closed = leaf_closure(walks, base if universe is None else universe, caps, budget)
     if closed is None:
         return None
     msgs, edges = closed
@@ -372,12 +362,15 @@ def _moves_silently(walks, caps, silent) -> bool:
     return False
 
 
-def _depth(steps) -> int:
+def _depth(steps) -> float:
     """The most steps from state 0 to a state of a closure, by a
-    breadth-first search over the successor indices of its steps."""
+    breadth-first search over the successor indices of its steps; infinite
+    when the closure holds an unstepped state."""
     depth, queue = [0] + [-1] * (len(steps) - 1), deque([0])
     while queue:
         s = queue.popleft()
+        if steps[s] is None:
+            return float("inf")
         for _, t in steps[s]:
             if depth[t] < 0:
                 depth[t] = depth[s] + 1

@@ -6,8 +6,11 @@ An input universe makes the environment finite: besides the autonomous
 output moves, every state also reacts to each input label of the
 universe, by default the closure of the emitted non-silent outputs.
 ``reach`` and ``alphabet_fixpoint`` do all exploration, of components
-and of broadcast terms alike; ``reach`` numbers the closure's states,
-and a ``Walk`` gives the states as leaf-id vectors and composes their steps.
+and of broadcast terms alike, and a ``Walk`` gives the states as leaf-id
+vectors and composes their steps.  A closure ``(states, steps, walk)`` is
+all they pass between them (``unstepped``): ``alphabet_fixpoint`` extends
+one in place, and ``explore`` numbers one with ``reach``, stepping
+through its walk only the states that it left unstepped.
 ``leaf_closure`` closes walks at leaf level, each distinct leaf once, for
 the quotient products that weak bisimilarity is decided on.
 """
@@ -118,82 +121,82 @@ def reach(initial, successors, label_key, state_key, bounds: ExploreBounds = DEF
     return states, transitions
 
 
-def alphabet_fixpoint(walk, grow, base, max_states: int, resume=None,
+def unstepped(walk) -> tuple:
+    """The closure of ``walk`` that holds its initial state, not yet
+    stepped: ``(states, steps, walk)``, the states in discovery order and
+    each one's ``(label, successor index)`` pairs, or None for a state not
+    yet stepped."""
+    return [walk.initial], [None], walk
+
+
+def alphabet_fixpoint(closure, grow, base, max_states: int, had=(),
                       max_depth: float = float("inf")) -> tuple:
     """Grow the universe from ``base`` until it holds every label that
     ``grow(universe, outputs)`` takes from the outputs of the states that
-    ``walk`` reaches under it.  Semi-naive: each state's outputs are taken
-    once, ``grow`` sees only the output labels new in a round, a new
-    label's inputs are taken only on the states already seen, and a new
-    state gets the whole universe.  Each state is visited once, so the loop
-    ends; past ``max_states`` states it raises BoundExceeded.  Returns the
-    universe and the closure ``(states, steps, walk)``: the states in
-    discovery order, each one's ``(label, successor index)`` pairs and the
-    walk.
+    ``closure`` reaches under it, extending the closure in place; its
+    stepped states have taken the labels of ``had``.  Semi-naive: each
+    state's outputs are taken once, ``grow`` sees only the output labels
+    new in a round, a new label's inputs are taken only on the states
+    already stepped, and an unstepped state gets the whole universe.  Each
+    state is stepped once, so the loop ends; past ``max_states`` states it
+    raises BoundExceeded.  A state's steps are entered whole: a state whose
+    stepping an error interrupts is left unstepped, and so is each state
+    held that had not yet taken the new labels.  Returns the universe and
+    the closure.
 
-    For a ``grow`` that keeps ``base`` as it is, ``max_depth`` stops the
-    walk: a state found more than ``max_depth`` steps from the initial one
-    is kept but not expanded, so that ``reach`` on the closure hits the
-    depth bound where it would on the walk.  ``resume`` is then a universe
-    whose labels ``base`` holds and the closure of ``walk`` under it: that
-    closure is extended in place, the labels new in ``base`` taken on its
-    states as new labels are.  Its states' depths are not known, so a state
-    found more than ``max_depth`` steps from them raises BoundExceeded, and
-    so does one past ``max_states``; the depth a bound error then reports
-    counts from the states it adds."""
-    universe, met = tuple(base), set()
-    if resume is None:
-        new, states, steps, queue = (), [walk.initial], [[]], deque([0])
-    else:
-        had, (states, steps, _) = set(resume[0]), resume[1]
-        new, queue = [lab for lab in universe if lab not in had], deque()
+    For a ``grow`` that keeps ``base`` as it is, a state found more than
+    ``max_depth`` steps from the initial one, or from the stepped states
+    held, is kept unstepped, so that ``explore`` meets the depth bound
+    where a breadth-first walk would.  Counted from the states held, a
+    depth is never more than the one from the initial state."""
+    states, steps, walk = closure
+    universe, met, had = tuple(base), set(), set(had)
+    new = [lab for lab in universe if lab not in had]
     index = {state: i for i, state in enumerate(states)}
-    depth = [0] * len(states)  # the steps from the initial state to each state, as found
+    depth = [0] * len(states)  # the steps from the states held to each state, as found
+    queue = deque([i for i, out in enumerate(steps) if out is None])
 
-    def visit(src, lab, succ):
+    def visit(src, succ) -> int:
         dst = index.get(succ)
         if dst is None:
             if len(states) >= max_states:
                 raise BoundExceeded(f"state bound {max_states} hit", len(queue), max(depth))
-            if depth[src] >= max_depth and resume is not None:
-                raise BoundExceeded(f"depth bound {max_depth} hit", len(queue), max(depth))
             dst = index[succ] = len(states)
             states.append(succ)
-            steps.append([])
+            steps.append(None)
             depth.append(depth[src] + 1)
             if depth[src] < max_depth:
                 queue.append(dst)
-        steps[src].append((lab, dst))
+        return dst
 
     while True:
-        for src in range(len(states)):
-            for msg in new:
-                for succ in walk.ins(states[src], msg):
-                    visit(src, msg, succ)
+        held = len(states)
+        try:
+            for src in range(held if new else 0):
+                if steps[src] is not None:
+                    steps[src] += [(msg, visit(src, succ))
+                                   for msg in new for succ in walk.ins(states[src], msg)]
+        except Exception:  # the states held from ``src`` on miss labels of ``new``
+            steps[src:held] = [None] * (held - src)
+            raise
         fresh = []
         while queue:
             src = queue.popleft()
+            out = []
             for lab, succ in walk.outs(states[src]):
                 if lab not in met:
                     met.add(lab)
                     fresh.append(lab)
-                visit(src, lab, succ)
+                out.append((lab, visit(src, succ)))
             for msg in universe:
                 for succ in walk.ins(states[src], msg):
-                    visit(src, msg, succ)
+                    out.append((msg, visit(src, succ)))
+            steps[src] = out
         grown = grow(universe, fresh)
         if len(grown) == len(universe):
-            return grown, (states, steps, walk)
+            return grown, closure
         old = set(universe)
         new, universe = [lab for lab in grown if lab not in old], grown
-
-
-def closure_under(walk, universe, bounds: ExploreBounds, resume=None) -> tuple:
-    """The closure of ``walk`` under the fixed ``universe`` within
-    ``bounds``, or ``resume``'s closure extended to it (see
-    ``alphabet_fixpoint``)."""
-    return alphabet_fixpoint(walk, lambda have, outputs: have, universe, bounds.max_states,
-                             resume, bounds.max_depth)[1]
 
 
 # An answer table's entry for a leaf that can only discard the message:
@@ -472,19 +475,32 @@ def explore(
     closure=None,
 ) -> Lts:
     """Breadth-first exploration with deterministic state numbering: each
-    state's steps sorted by printed label and successor.  Given the closure
-    that computed ``universe``, it numbers the closure's states."""
-    if closure is None:
-        walk = abc_walk(comp, defs or {}, domains)
-        states, transitions = reach(walk.initial, lambda state: walk.steps(state, universe),
-                                    pretty_label, state_text(walk), bounds)
-    else:
-        found, steps, walk = closure
-        text = state_text(walk)
-        ids, transitions = reach(0, steps.__getitem__, pretty_label, lambda i: text(found[i]),
-                                 bounds)
-        states = [found[i] for i in ids]
-    return Lts(states, transitions, domains)
+    state's steps sorted by printed label and successor.  It numbers the
+    states of ``closure``, a closure under ``universe`` (by default the
+    unstepped one of ``comp``), and steps through the closure's walk only
+    the states that it left unstepped: ``reach`` sorts each state's steps
+    itself, so a bound or a model error is met where a breadth-first walk
+    meets it."""
+    found, steps, walk = closure or unstepped(abc_walk(comp, defs or {}, domains))
+    successors = steps.__getitem__
+    if None in steps:
+        index = {state: i for i, state in enumerate(found)}
+
+        def successors(i):
+            if steps[i] is None:
+                out = []
+                for lab, succ in walk.steps(found[i], universe):
+                    j = index.setdefault(succ, len(found))
+                    if j == len(found):
+                        found.append(succ)
+                        steps.append(None)
+                    out.append((lab, j))
+                steps[i] = out
+            return steps[i]
+
+    text = state_text(walk)
+    ids, transitions = reach(0, successors, pretty_label, lambda i: text(found[i]), bounds)
+    return Lts([found[i] for i in ids], transitions, domains)
 
 
 def auto_universe(
@@ -506,7 +522,7 @@ def auto_universe(
         heard = [walk.label(lab.as_input()) for lab in outputs if not pr.is_ff(lab.pred, domains)]
         return merge_labels(have, sorted(heard, key=pretty_label), domains)
 
-    return alphabet_fixpoint(walk, grow, base, bounds.max_states)
+    return alphabet_fixpoint(unstepped(walk), grow, base, bounds.max_states)
 
 
 def aut_text(lts: Lts) -> str:

@@ -8,6 +8,8 @@ universe handling and the label classes are the engine's own, so the
 two must agree on the whole verdict: equivalence, universe and witness."""
 
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +21,13 @@ from abcalc.lts import (
     DEFAULT_BOUNDS,
     ExploreBounds,
     Walk,
+    alphabet_fixpoint,
     auto_universe,
     explore,
     merge_labels,
 )
 from abcalc import semantics as sem
+from abcalc.cli import main
 from abcalc.predicates import EMPTY_DOMAINS, FF, DomainContext, Not, is_ff
 from abcalc.syntax import parse_abc, pretty_label, pretty_pred
 from abcalc.systems import network
@@ -479,9 +483,11 @@ def test_tau_leaves_are_decided_on_quotient_products(outs_calls, saturations, k)
 
 @pytest.fixture
 def outs_calls(monkeypatch):
-    """A list that gets one entry per call of ``Walk.outs``."""
+    """A list that gets one entry per call of ``Walk.outs``: the walk and
+    the state."""
     calls, outs = [], Walk.outs
-    monkeypatch.setattr(Walk, "outs", lambda walk, state: calls.append(state) or outs(walk, state))
+    monkeypatch.setattr(Walk, "outs", lambda walk, state: calls.append((walk, state))
+                        or outs(walk, state))
     return calls
 
 
@@ -610,8 +616,9 @@ def test_a_bound_in_an_extended_closure_keeps_its_message(outs_calls, mode, boun
     """The counter's own universe is empty; the sender's "a" extends it,
     and the extended closure runs into a bound.  The message is the one a
     breadth-first walk of the counter gives, as before.  The extension
-    stops ``max_depth`` steps past the closure it extends, so the counter
-    is stepped at most twice as often as by the old engine."""
+    keeps a state more than ``max_depth`` steps past the closure it extends
+    unstepped, and numbering steps only the states it left, so the counter
+    is stepped no more often than by the old engine."""
     m1 = parse_abc('comp S { iface: []; env: {}; run: ("a")@tt.0 }\n')
     m2 = parse_abc('def R = (x == "a")(x).[k := this.k + 1] R;\n'
                    'comp C { iface: []; env: {k = 0}; run: R }\n')
@@ -622,7 +629,86 @@ def test_a_bound_in_an_extended_closure_keeps_its_message(outs_calls, mode, boun
     assert got["inconclusive"]
     assert got == old_bisim(m1.component, m2.component, m2.defs, bounds=bounds,
                             weak=weak).as_dict()
-    assert new <= 2 * len(outs_calls)
+    assert new <= len(outs_calls)
+
+
+# an extension whose new label "x" each of the four states of B's own
+# closure takes: the state bound stops it before it has reached them all
+LATE_LABEL = (parse_abc('comp S { iface: []; env: {}; run: ("x")@tt.0 }\n'),
+              parse_abc('comp R { iface: []; env: {}; run: (y == "x")(y).0 }\n'
+                        'comp B { iface: []; env: {}; run: ("b")@tt.("b")@tt.("b")@tt.0 }\n'
+                        "system: R || B;\n"))
+
+
+def test_an_extension_cut_short_leaves_whole_steps():
+    """The held states that had not yet taken the new label read as
+    unstepped, like the one whose stepping the bound interrupted; every
+    other state holds all its steps under the merged universe."""
+    (u1, _), (u2, closure) = (auto_universe(m.component) for m in LATE_LABEL)
+    universe = merge_labels(u1, u2)
+    assert len(closure[0]) == 4 and len(universe) == 2
+    with pytest.raises(BoundExceeded):
+        alphabet_fixpoint(closure, lambda have, outputs: have, universe, 6, u2)
+    states, steps, walk = closure
+    assert steps[2:4] == [None, None] and steps[0] is not None
+    for state, out in zip(states, steps):
+        if out is not None:
+            assert sorted((pretty_label(lab), states[t]) for lab, t in out) == \
+                sorted((pretty_label(lab), succ) for lab, succ in walk.steps(state, universe))
+
+
+@pytest.mark.parametrize("mode", sorted(CHECKS))
+def test_a_bound_while_an_extension_takes_its_new_labels(outs_calls, mode):
+    """The merged universe's "x" is taken on B's states when the state
+    bound stops the extension: the verdict is the old engine's, and as
+    only the states that the extension left are stepped again, the states
+    are stepped no more often than by the old engine."""
+    (m1, m2), bounds = LATE_LABEL, ExploreBounds(max_states=6)
+    check, weak = CHECKS[mode]
+    got = check(m1.component, m2.component, bounds=bounds).as_dict()
+    new = len(outs_calls)
+    outs_calls.clear()
+    assert got["inconclusive"] and "state bound 6" in got["reason"]
+    assert got == old_bisim(m1.component, m2.component, bounds=bounds, weak=weak).as_dict()
+    assert new <= len(outs_calls)
+
+
+@pytest.fixture
+def walks_made(monkeypatch):
+    """A list that gets one entry per ``Walk`` built."""
+    calls, init = [], Walk.__init__
+    monkeypatch.setattr(Walk, "__init__", lambda walk, *args, **kwargs:
+                        calls.append(1) or init(walk, *args, **kwargs))
+    return calls
+
+
+FAMILIES = Path(__file__).resolve().parent / "golden" / "families"
+
+
+@pytest.mark.parametrize("call, walks, outs", [
+    ("--weak --universe none --max-states 50 tau-k3 plain-k3", 2, 43),
+    ("--weak --universe none --max-states 200 tau-k4 plain-k4", 2, 166),
+    ("--weak --universe none --max-states 20 emitters-k3 emitters-k3", 2, 14),
+    ("--weak --universe none --max-depth 3 tau-k3 plain-k3", 2, 20),
+    ("--strong --universe none --max-states 50 tau-k3 plain-k3", 2, 38),
+    ("--strong --universe none --max-depth 3 tau-k3 plain-k3", 2, 11),
+    ("--weak --universe none overflow once", 2, 3),
+    ("--weak --universe none --max-states 3 overflow once", 2, 3),
+])
+def test_one_walk_per_side(walks_made, outs_calls, capsys, call, walks, outs):
+    """A closure that a bound or a model error stops is kept where it
+    stopped, and numbering it steps only the states it left: one ``Walk``
+    per side, each state stepped once but the one whose stepping was
+    interrupted, and the second side not closed at all, since numbering
+    the first raises.  Under the fixed universe a strong check numbers the
+    unstepped sides, as the old engine walked them."""
+    *options, left, right = call.split()
+    assert main(["check-bisim", *options, str(FAMILIES / f"{left}.abc"),
+                 str(FAMILIES / f"{right}.abc")]) == 2
+    assert len(walks_made) <= walks and len(outs_calls) <= outs
+    again = [key for key, n in Counter(outs_calls).items() if n > 1]
+    assert len(again) == len(outs_calls) - len(set(outs_calls))  # none stepped thrice
+    assert len(again) == len({id(walk) for walk, _ in again})
 
 
 @pytest.mark.parametrize("mode", sorted(CHECKS))

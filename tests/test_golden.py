@@ -41,6 +41,10 @@ FAMILY_CALLS = [["--max-states", "50", "tau-k3.abc", "plain-k3.abc"],
                 ["--universe", "auto", "sender-late.abc", "sender.abc"],
                 ["--universe", "none", "counter.abc", "once.abc"],
                 ["--universe", "none", "sender-deep.abc", "sender.abc"]]
+# a system whose second silent step leaves its declared domain, against
+# ("a")@tt.0: every check stops with the same error, wherever it meets it
+ERROR_CALLS = [["--weak", "--universe", "none"], ["--strong", "--universe", "none"], ["--weak"],
+               ["--weak", "--universe", "none", "--max-states", "3"]]
 
 
 def calls_of(name: str) -> list:
@@ -50,6 +54,8 @@ def calls_of(name: str) -> list:
     if name == "families":
         return [["check-bisim", mode, "--json", "-", *args] for args in FAMILY_PAIRS + FAMILY_CALLS
                 for mode in ("--weak", "--strong")]
+    if name == "errors":
+        return [["check-bisim", *args, "overflow.abc", "once.abc"] for args in ERROR_CALLS]
     if name == "pairs":
         return [["corpus"]] + [["check-bisim", mode, a, b] for a in MODELS for b in MODELS
                                for mode in ("--weak", "--strong")]
@@ -61,7 +67,7 @@ def calls_of(name: str) -> list:
     return calls
 
 
-GROUPS = FILES + ["pairs", "families"]
+GROUPS = FILES + ["pairs", "families", "errors"]
 
 
 def run(argv: list, where: Path = CORPUS_DIR) -> dict:
@@ -77,7 +83,7 @@ def run(argv: list, where: Path = CORPUS_DIR) -> dict:
 
 
 def record(group: str) -> dict:
-    where = FAMILIES if group == "families" else CORPUS_DIR
+    where = FAMILIES if group in ("families", "errors") else CORPUS_DIR
     return {" ".join(argv): run(argv, where) for argv in calls_of(group)}
 
 

@@ -341,10 +341,13 @@ def test_replaced_composition_stays_gone():
 
 # Helpers that no command reached, deleted with the tests that were their
 # only callers; weak saturation is built in ``equivalence._moves`` from the
-# silent label class.
+# silent label class.  A closure is extended by ``alphabet_fixpoint`` alone
+# and decided on in ``equivalence._bisim``, so the helpers of a second
+# closure path stay gone too.
 UNUSED = {"weak_closure", "inverse_closure", "is_tau", "reduction_over", "export_aut",
           "free_vars", "pred_vars", "_vars", "is_value", "restrict_env", "conj", "disj",
-          "merged", "domain", "free_names", "bpi_barbs"}
+          "merged", "domain", "free_names", "bpi_barbs", "closure_under", "_decide",
+          "_extended"}
 
 
 def test_unused_helpers_stay_gone():
