@@ -110,9 +110,21 @@ def _load_model(path: str):
         raise CliError(f"{path}: {exc}")
 
 
+def _component_files(*paths):
+    """Refuse a .bpi file where a component model is expected, before any
+    file is read."""
+    for path in paths:
+        if path.endswith(".bpi"):
+            raise CliError(f"{path}: a .bpi term is not a component model (translate it first)")
+
+
+def _bpi_file(command: str, path: str):
+    """Refuse, before it is read, a file that is not a broadcast term."""
+    if not path.endswith(".bpi"):
+        raise CliError(f"{command} expects a .bpi file")
+
+
 def _require_component(model, path):
-    if path.endswith(".bpi"):
-        raise CliError(f"{path}: a .bpi term is not a component model (translate it first)")
     if model.component is None:
         raise CliError(f"{path}: no system component (add a comp block or system:)")
     return model.component
@@ -211,6 +223,7 @@ def _bpi_label_text(lab) -> str:
 
 def cmd_explore(args) -> int:
     cfg = _config(args)
+    _component_files(args.file)
     model = _load_model(args.file)
     comp = _require_component(model, args.file)
     universe, closure = _universe(model, comp, cfg)
@@ -236,6 +249,7 @@ def cmd_explore(args) -> int:
 
 def cmd_barbs(args) -> int:
     cfg = _config(args)
+    _component_files(args.file)
     model = _load_model(args.file)
     comp = _require_component(model, args.file)
     preds = eq.barbs(comp, model.defs, model.domains, weak=args.weak, bounds=cfg.bounds)
@@ -246,6 +260,7 @@ def cmd_barbs(args) -> int:
 
 def cmd_check_bisim(args) -> int:
     cfg = _config(args)
+    _component_files(args.left, args.right)
     m1, m2 = _load_model(args.left), _load_model(args.right)
     c1 = _require_component(m1, args.left)
     c2 = _require_component(m2, args.right)
@@ -275,9 +290,8 @@ def cmd_check_bisim(args) -> int:
 
 def cmd_translate(args) -> int:
     cfg = _config(args)
+    _bpi_file("translate", args.file)
     term = _load_model(args.file)
-    if not args.file.endswith(".bpi"):
-        raise CliError("translate expects a .bpi file")
     comp, defs = bp.encode(term)
     model = Model(component=comp, defs=defs)
     text = pretty_model(model)
@@ -292,9 +306,8 @@ def cmd_translate(args) -> int:
 
 def cmd_verify_encoding(args) -> int:
     cfg = _config(args)
+    _bpi_file("verify-encoding", args.file)
     term = _load_model(args.file)
-    if not args.file.endswith(".bpi"):
-        raise CliError("verify-encoding expects a .bpi file")
     report = bp.correspondence_check(term, cfg.bounds)
     human = (
         f"{'ok' if report.ok else 'VIOLATION'}: {report.states_checked} states, "

@@ -17,9 +17,10 @@ the quotient products that weak bisimilarity is decided on.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from functools import cache
 from itertools import accumulate, product
+from operator import itemgetter
 
 try:  # hashlib would load OpenSSL, which takes longer than any digest here
     from _sha256 import sha256
@@ -204,6 +205,17 @@ def alphabet_fixpoint(closure, grow, base, max_states: int, had=(),
 DISCARDS = object()
 
 
+class _Answers(dict):
+    """The answer table of one message: a leaf id maps to its successor
+    ids, or to ``DISCARDS``.  ``deaf`` holds the leaf ids that map to
+    ``DISCARDS``."""
+
+    __slots__ = ("deaf",)
+
+    def __init__(self):
+        self.deaf = set()
+
+
 class Walk:
     """The states of one exploration as vectors of leaf ids over one fixed
     skeleton.  A step never changes the ``||`` and restriction nodes of a
@@ -212,7 +224,11 @@ class Walk:
     leaf's steps and its answer to each message are worked out once, as ids,
     and so is each plan: for a leaf at a position, its moves with their
     labels as they leave the skeleton and the answer table of every leaf
-    that hears them, so that composing a step only looks answers up.
+    that hears them, so that composing a step only looks answers up.  Most
+    leaves that hear a message discard it: for each message the walk keeps
+    the leaves whose answer it has worked out as ``DISCARDS``, and a step
+    whose hearers all hear one message and are all among them is composed
+    with one set test, without asking each hearer.
 
     ``leaf_outs(leaf)`` gives a leaf's ``(label, successor)`` steps and
     ``leaf_ins(leaf, msg)`` its answer to a message, ``(accepts,
@@ -225,13 +241,14 @@ class Walk:
 
     def __init__(self, tree, canon, leaf_outs, leaf_ins, hear, binary=ParC):
         self.shape, leaves = flatten(tree, binary)
-        self.leaves, self._ids, self._labels, self._outs, self._answers = [], {}, {}, {}, {}
+        self.leaves, self._ids, self._labels, self._outs = [], {}, {}, {}
+        self._answers = defaultdict(_Answers)  # message heard -> its answer table
         self._canon, self._leaf_outs, self._leaf_ins = canon, leaf_outs, leaf_ins
         self.hear = cache(lambda lab: self.label(hear(lab)))
         self._restrict = cache(lambda lab, fn: self.label(lab.restrict(fn)))
         self._routes = cache(self._route)
         self._plans = [{} for _ in leaves]  # position -> leaf id -> output plan
-        self._heard = {}  # message from the environment -> its asks
+        self._heard = {}  # message from the environment -> its asks and their deaf test
         self.initial = tuple([self.intern(leaf) for leaf in leaves])
         # each node's subtree: where it ends in the skeleton, and its leaves
         n = len(self.shape)
@@ -293,8 +310,19 @@ class Walk:
             heard = msg
             for fn in fns:
                 heard = self._restrict(heard, fn)
-            asks.append((k, self._answers.setdefault(heard, {}), heard))
+            asks.append((k, self._answers[heard], heard))
         return asks
+
+    def _deaf_test(self, asks) -> tuple:
+        """When every leaf of ``asks`` hears one message: the deaf set of its
+        answer table, and a getter of the asked positions' leaves as a
+        tuple (the first position twice, so that one position gives a
+        tuple too).  ``(None, None)`` when there is no ask or two hear
+        different messages."""
+        if not asks or any(msg is not asks[0][2] for _, _, msg in asks):
+            return None, None
+        at = [k for k, _, _ in asks]
+        return asks[0][1].deaf, itemgetter(*at, at[0])
 
     def moves(self, leaf: int) -> tuple:
         """A leaf's output steps ``(label, successor id)``, worked out once."""
@@ -306,24 +334,28 @@ class Walk:
 
     def answer(self, leaf: int, msg):
         """A leaf's answer to ``msg``, as an answer table holds it."""
-        table = self._answers.setdefault(msg, {})
+        table = self._answers[msg]
         got = table.get(leaf)
         return self._ask(table, leaf, msg) if got is None else got
 
     def _ask(self, table, leaf: int, msg):
         """Work out a leaf's answer to ``msg`` and enter it in ``table``: its
         successor ids, itself last when it can discard, or ``DISCARDS`` when
-        that is all it can do."""
+        that is all it can do, and then the leaf joins the table's deaf
+        set."""
         accepts, can_discard = self._leaf_ins(self.leaves[leaf], msg)
         got = tuple([self.intern(nxt) for nxt in accepts] + ([leaf] if can_discard else []))
-        got = table[leaf] = DISCARDS if got == (leaf,) else got
+        if got == (leaf,):
+            got = DISCARDS
+            table.deaf.add(leaf)
+        table[leaf] = got
         return got
 
     def _plan(self, i: int, leaf: int) -> tuple:
         """The output plan of ``leaf`` at position ``i``: each of its moves
-        as ``(label, successor, asks)``, the label after every restrictOut
-        on the leaf's route and the asks of every leaf that hears it, in the
-        order they are asked."""
+        as ``(label, successor, asks, deaf, hearers)``, the label after
+        every restrictOut on the leaf's route, the asks of every leaf that
+        hears it, in the order they are asked, and their ``_deaf_test``."""
         plan = []
         for label, nxt in self.moves(leaf):
             asks = []
@@ -332,7 +364,7 @@ class Walk:
                     label = self._restrict(label, fn)
                 elif (msg := self.hear(label)) is not None:
                     asks += self._asks(group, msg)
-            plan.append((label, nxt, tuple(asks)))
+            plan.append((label, nxt, tuple(asks), *self._deaf_test(asks)))
         plan = self._plans[i][leaf] = tuple(plan)
         return plan
 
@@ -354,23 +386,34 @@ class Walk:
 
     def outs(self, state) -> list:
         """A state's output steps ``(label, successor)``: leaf by leaf, left
-        to right, each step of the leaf and then each way it is answered."""
+        to right, each step of the leaf and then each way it is answered.
+        When every hearer is known to discard, only the sender moves."""
         steps, plans = [], self._plans
         for i, leaf in enumerate(state):
             plan = plans[i].get(leaf)
             if plan is None:
                 plan = self._plan(i, leaf)
-            for label, nxt, asks in plan:
+            for label, nxt, asks, deaf, hearers in plan:
+                if deaf is not None and deaf.issuperset(hearers(state)):
+                    succ = list(state)  # as ``_fill`` would, with one call less per step
+                    succ[i] = nxt
+                    steps.append((label, tuple(succ)))
+                    continue
                 factors = self._answer(state, asks)
                 if factors is not None:
                     steps += [(label, succ) for succ in _fill(state, i, nxt, factors)]
         return steps
 
     def ins(self, state, msg) -> list:
-        """A state's successors when the environment sends ``msg``."""
-        asks = self._heard.get(msg)
-        if asks is None:
-            asks = self._heard[msg] = self._asks(self._env, self.label(msg))
+        """A state's successors when the environment sends ``msg``: the
+        state itself when every leaf is known to discard it."""
+        heard = self._heard.get(msg)
+        if heard is None:
+            asks = self._asks(self._env, self.label(msg))
+            heard = self._heard[msg] = (asks, *self._deaf_test(asks))
+        asks, deaf, hearers = heard
+        if deaf is not None and deaf.issuperset(hearers(state)):
+            return [state]
         factors = self._answer(state, asks)
         return [] if factors is None else _fill(state, None, None, factors)
 

@@ -377,6 +377,27 @@ class TestIllFormedInput:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("translate", "{abc}"), "translate expects a .bpi file"),
+    (("verify-encoding", "{abc}"), "verify-encoding expects a .bpi file"),
+    (("explore", "{bpi}"), "{bpi}: a .bpi term is not a component model (translate it first)"),
+    (("barbs", "{bpi}"), "{bpi}: a .bpi term is not a component model (translate it first)"),
+    (("check-bisim", "--weak", "{bpi}", "{abc}"),
+     "{bpi}: a .bpi term is not a component model (translate it first)"),
+    (("check-bisim", "--strong", "{abc}", "{bpi}"),
+     "{bpi}: a .bpi term is not a component model (translate it first)"),
+])
+def test_a_file_of_the_wrong_kind_is_refused_before_it_is_parsed(capsys, tmp_path, argv,
+                                                                  message):
+    """A malformed file of the wrong kind gets the kind's diagnostic, not a
+    parse error in the grammar of the other kind."""
+    paths = {"abc": tmp_path / "bad.abc", "bpi": tmp_path / "bad.bpi"}
+    for path in paths.values():
+        path.write_text("comp ( || !\n")
+    rc, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (rc, out, err) == (2, "", f"error: {message.format(**paths)}\n")
+
+
 @pytest.mark.parametrize("raw", [b"\xff", b"comp C { \xc3( }\n", b"\xef\xbb\xbf\xfe"],
                          ids=["ff", "truncated-sequence", "bom-then-fe"])
 @pytest.mark.parametrize("argv", [

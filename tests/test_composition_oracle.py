@@ -108,6 +108,41 @@ def test_restrict_out_between_two_parallel_levels():
         assert_component_steps_match(ParC(c, ResOut(ParC(b, a), fn)))
 
 
+TWINS = """comp X { iface: []; env: {}; run: (1)@tt.0 + (tt)(x).(x)@tt.0 }
+comp D { iface: []; env: {}; run: (x == 2)(x).0 }
+"""
+
+
+@pytest.mark.parametrize("system", ["X || X || D", "X || (D || X)", "D || X || X"])
+def test_a_leaf_hears_its_twin(system):
+    """Two positions hold one leaf id, and each takes what the other sends,
+    while D, asked too, discards it.  The hearers of a step are its
+    positions, not its leaf ids: leaving out the sender's id would leave
+    out its twin."""
+    model = parse_abc(TWINS + f"system: {system};\n")
+    walk = abc_walk(model.component, model.defs)
+    assert len(set(walk.initial)) == 2
+    assert_component_steps_match(model.component, model.defs)
+    assert sum(lab.values == (1,) for lab, _ in walk.outs(walk.initial)) == 2
+
+
+def test_hearers_that_hear_different_messages():
+    """Under a restrictIn or a restrictOut, one leaf id hears a message in
+    two forms: it takes the message as sent, and discards it once the
+    restriction (false) is added.  Neither form's discards stand for the
+    other's."""
+    send = Leaf(AttrEnv(), frozenset(), Out((Const(1),), pr.TT, Inact()))
+    hear = Leaf(AttrEnv(), frozenset(), In(pr.TT, ("x",), Out((Var("x"),), pr.TT, Inact())))
+    fff = RestrictionFn("fff", pr.FF)
+    for comp in (ParC(send, ParC(hear, ResIn(hear, fff))),
+                 ParC(ParC(ResIn(hear, fff), hear), send),
+                 ParC(ResOut(ParC(send, hear), fff), hear),
+                 ParC(hear, ResOut(ParC(hear, send), fff))):
+        assert_component_steps_match(comp)
+        walk = abc_walk(comp, {})
+        assert len(set(walk.initial)) == 2 and len(walk.outs(walk.initial)) == 1
+
+
 REFUSAL = """domain d in {2};
 comp S { iface: []; env: {}; run: (1)@tt.0 }
 comp R { iface: []; env: {}; run: (tt)(x).[e := x + "a"]0 }

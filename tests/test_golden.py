@@ -41,6 +41,10 @@ FAMILY_CALLS = [["--max-states", "50", "tau-k3.abc", "plain-k3.abc"],
                 ["--universe", "auto", "sender-late.abc", "sender.abc"],
                 ["--universe", "none", "counter.abc", "once.abc"],
                 ["--universe", "none", "sender-deep.abc", "sender.abc"]]
+# weak only: the depth bounds either side of the real depth of tau-leaves
+# k=3, 9, which the product of reachable leaves (4^3 - 1 = 63) overstates
+DEPTH_EDGES = [["--max-depth", "9", "tau-k3.abc", "plain-k3.abc"],
+               ["--max-depth", "8", "tau-k3.abc", "plain-k3.abc"]]
 # a system whose second silent step leaves its declared domain, against
 # ("a")@tt.0: every check stops with the same error, wherever it meets it
 ERROR_CALLS = [["--weak", "--universe", "none"], ["--strong", "--universe", "none"], ["--weak"],
@@ -52,8 +56,9 @@ def calls_of(name: str) -> list:
     file (those that refuse its kind of file included), or the commands
     that take no file or two."""
     if name == "families":
-        return [["check-bisim", mode, "--json", "-", *args] for args in FAMILY_PAIRS + FAMILY_CALLS
-                for mode in ("--weak", "--strong")]
+        return ([["check-bisim", mode, "--json", "-", *args] for args in FAMILY_PAIRS + FAMILY_CALLS
+                 for mode in ("--weak", "--strong")]
+                + [["check-bisim", "--weak", "--json", "-", *args] for args in DEPTH_EDGES])
     if name == "errors":
         return [["check-bisim", *args, "overflow.abc", "once.abc"] for args in ERROR_CALLS]
     if name == "pairs":

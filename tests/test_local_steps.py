@@ -52,6 +52,25 @@ class TestOncePerLocalState:
         assert len(outs) == len(set(outs)) == 15
         assert len(ins) == len(set(ins)) == 15 * 5
 
+    def test_hearers_known_to_discard_are_not_asked_again(self, monkeypatch, capsys, tmp_path):
+        """A message whose hearers all hear it alike and have all discarded
+        it before never reaches the per-position loop: one set test
+        composes the step."""
+        scans, known_deaf, real = [], [], L.Walk._answer
+
+        def answer(walk, state, asks):
+            scans.append(asks)
+            if asks and len({id(msg) for _, _, msg in asks}) == 1 and all(
+                    table.get(state[k]) is L.DISCARDS for k, table, _ in asks):
+                known_deaf.append((state, asks[0][2]))
+            return real(walk, state, asks)
+
+        monkeypatch.setattr(L.Walk, "_answer", answer)
+        rc, out, _ = run(capsys, tmp_path, "emitters.abc", emitters_abc(5),
+                         "explore", "--universe", "auto")
+        assert rc == 0 and out.startswith("des (0,2025,243)")
+        assert scans and not known_deaf, f"{len(known_deaf)} steps asked known-deaf hearers"
+
     def test_encoding_once_per_sequential_term(self, monkeypatch):
         term = bp.parse_bpi(RELAY_K5)
         top, depth = [], [0]
