@@ -518,10 +518,11 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
     """Walk the broadcast transition system and, at every reachable state,
     require a label-preserving bijection between its transitions and the
     transitions of its translation, with matching barbs."""
-    universe, (found, closure, walk) = harvest_bpi_universe(p, bounds)
+    universe, closure = harvest_bpi_universe(p, bounds)
+    found, _, walk = closure
     # numbered in ``bpi_steps`` order: tau and outputs as found, then inputs
-    ids, transitions = reach(0, closure.__getitem__, lambda lab: lab[1:] if lab[0] == "in" else (),
-                             lambda i: 0, bounds)
+    ids, transitions = reach(closure, lambda q: walk.steps(q, universe),
+                             lambda lab: lab[1:] if lab[0] == "in" else (), lambda q: 0, bounds)
     states = [found[i] for i in ids]
     report = CorrespondenceReport(len(states), len(transitions), universe)
     steps = [[] for _ in states]

@@ -133,10 +133,11 @@ def _require_component(model, path):
 def _universe(model, comp, cfg: RunConfig):
     """The universe, and a closure under it: under ``auto`` the one that
     computed it, else the unstepped one."""
+    walk = L.abc_walk(comp, model.defs, model.domains)
     if cfg.universe_mode == "auto":
-        return L.auto_universe(comp, model.defs, cfg.bounds, model.domains, base=model.universe)
+        return L.auto_universe(walk, cfg.bounds, model.domains, model.universe)
     universe = model.universe if cfg.universe_mode == "declared" else ()
-    return universe, L.unstepped(L.abc_walk(comp, model.defs, model.domains))
+    return universe, L.unstepped(walk)
 
 
 def _merge_contexts(m1, m2):
@@ -227,7 +228,7 @@ def cmd_explore(args) -> int:
     model = _load_model(args.file)
     comp = _require_component(model, args.file)
     universe, closure = _universe(model, comp, cfg)
-    lts = L.explore(comp, model.defs, universe, cfg.bounds, model.domains, closure)
+    lts = L.explore(closure, universe, cfg.bounds, model.domains)
     text = L.aut_text(lts)
     if args.output:
         _write(args.output, text)
@@ -337,7 +338,8 @@ def cmd_corpus(args) -> int:
         results.append((name, bool(ok)))
 
     net = systems.network()
-    lts = L.explore(net["N"], net["defs"], (), cfg.bounds, net["domains"])
+    walk = L.abc_walk(net["N"], net["defs"], net["domains"])
+    lts = L.explore(L.unstepped(walk), (), cfg.bounds, net["domains"])
     pi1 = net["pi1"]
     check("network explores", len(lts.states) == 10)
     check("network first emission is a client barb",

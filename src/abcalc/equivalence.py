@@ -17,10 +17,12 @@ way to a branching-bisimilar one first: the closures are those of the
 quotient products (``_stand_ins``) when some leaf moves silently and the
 leaves close small enough, else those of the systems themselves.  Only
 a check that the branching pass leaves negative or undecided numbers the
-systems and saturates.  A closure that a bound or a model error stops is
-kept where it stops and decides nothing: numbering it steps only the
-states it left, and meets the bound or the error where a breadth-first
-walk would.
+systems, ``explore(closure, universe, bounds, domains)`` on each side,
+and saturates.  A closure that a bound or a model error stops is kept
+where it stops and decides nothing: numbering it steps only the states
+it left, and meets the bound or the error where a breadth-first walk
+would.  Weak barbs are read from the states that ``reach`` numbers on a
+walk's unstepped closure, stepping silent outputs only.
 """
 
 from __future__ import annotations
@@ -75,8 +77,10 @@ def barbs(
     text = state_text(walk)
     states = [walk.initial]
     if weak:
-        states, _ = reach(walk.initial, lambda q: [st for st in walk.outs(q) if silent(st[0])],
-                          pretty_label, text, bounds)
+        closure = unstepped(walk)
+        order, _ = reach(closure, lambda q: [st for st in walk.outs(q) if silent(st[0])],
+                         pretty_label, text, bounds)
+        states = [closure[0][i] for i in order]
     reps = []
     for state in states:
         for lab, _ in sorted(walk.outs(state), key=lambda st: (pretty_label(st[0]), text(st[1]))):
@@ -205,7 +209,7 @@ def _bisim(c1, c2, defs, universe, domains, bounds, base, weak) -> Verdict:
             if weak and _related(decided, domains, bounds.max_depth):
                 return Verdict(True, universe)
             closures = closures if quotients else decided
-        l1, l2 = (explore(c, defs, universe, bounds, domains, k) for c, k in zip(comps, closures))
+        l1, l2 = (explore(k, universe, bounds, domains) for k in closures)
     except BoundExceeded as exc:
         return Verdict(False, universe or (),
                        inconclusive=True, reason=f"inconclusive under bounds: {exc}")
@@ -230,7 +234,7 @@ def _closed(walks, universe, domains, bounds, base) -> tuple:
     an unstepped state raises, so the second would never be numbered."""
     sides = [(unstepped(walk), None) for walk in walks]
     if universe is None:
-        (u1, k1), (u2, k2) = (auto_universe(None, None, bounds, domains, base, w) for w in walks)
+        (u1, k1), (u2, k2) = (auto_universe(w, bounds, domains, base) for w in walks)
         universe, sides = merge_labels(u1, u2, domains), [(k1, u1), (k2, u2)]
     closures = []
     for closure, had in sides:

@@ -8,9 +8,11 @@ universe, by default the closure of the emitted non-silent outputs.
 ``reach`` and ``alphabet_fixpoint`` do all exploration, of components
 and of broadcast terms alike, and a ``Walk`` gives the states as leaf-id
 vectors and composes their steps.  A closure ``(states, steps, walk)`` is
-all they pass between them (``unstepped``): ``alphabet_fixpoint`` extends
-one in place, and ``explore`` numbers one with ``reach``, stepping
-through its walk only the states that it left unstepped.
+all they pass between them (``unstepped``), and the only way into
+exploration: ``alphabet_fixpoint`` extends one in place, ``auto_universe``
+closes one of a walk, and ``reach`` numbers one on its own indices,
+stepping only the states that it left unstepped.  ``explore`` is one
+``reach`` over a closure.
 ``leaf_closure`` closes walks at leaf level, each distinct leaf once, for
 the quotient products that weak bisimilarity is decided on.
 """
@@ -93,33 +95,46 @@ class Lts(Record):
         self.domains = domains
 
 
-def reach(initial, successors, label_key, state_key, bounds: ExploreBounds = DEFAULT_BOUNDS):
-    """Breadth-first walk from ``initial``; ``successors(state)`` gives
-    ``(label, successor)`` pairs, taken in order of ``(label_key(label),
-    state_key(successor))``, each key computed once per label or state.
-    Returns the states in discovery order and the ``(source id, label,
-    target id)`` transitions."""
-    label_key, state_key = cache(label_key), cache(state_key)
-    states, index, depth, transitions = [initial], {initial: 0}, [0], []
-    queue = deque([0])
-    while queue:
-        src = queue.popleft()
-        steps = successors(states[src])
-        for lab, succ in sorted(steps, key=lambda st: (label_key(st[0]), state_key(st[1]))):
-            dst = index.get(succ)
+def reach(closure, step, label_key, state_key, bounds: ExploreBounds = DEFAULT_BOUNDS):
+    """Number the states of ``closure`` breadth first from its initial
+    state, each state's steps taken in order of ``(label_key(label),
+    state_key(successor))``, each key computed once per label or state.  A
+    state that the closure left unstepped is stepped into it by
+    ``step(state)``, its ``(label, successor)`` pairs, so a bound or an
+    error is met where a breadth-first walk meets it.  Returns the closure
+    indices in numbered order and the ``(source, label, target)``
+    transitions between numbers."""
+    states, steps, _ = closure
+    label_key, key = cache(label_key), cache(lambda i: state_key(states[i]))
+    order, number, depth, transitions = [0], [0] + [None] * (len(states) - 1), [0], []
+    index = None  # a state's closure index, built when a state is first stepped here
+    for src, i in enumerate(order):  # the numbered states not yet expanded are the queue
+        if steps[i] is None:
+            if index is None:
+                index = {state: j for j, state in enumerate(states)}
+            out = []
+            for lab, succ in step(states[i]):
+                j = index.setdefault(succ, len(states))
+                if j == len(states):
+                    states.append(succ)
+                    steps.append(None)
+                    number.append(None)
+                out.append((lab, j))
+            steps[i] = out
+        for lab, j in sorted(steps[i], key=lambda st: (label_key(st[0]), key(st[1]))):
+            dst = number[j]
             if dst is None:
-                if len(states) >= bounds.max_states:
-                    raise BoundExceeded(f"state bound {bounds.max_states} hit", len(queue),
-                                        depth[-1])
+                if len(order) >= bounds.max_states:
+                    raise BoundExceeded(f"state bound {bounds.max_states} hit",
+                                        len(order) - src - 1, depth[-1])
                 if depth[src] + 1 > bounds.max_depth:
-                    raise BoundExceeded(f"depth bound {bounds.max_depth} hit", len(queue),
-                                        depth[-1])
-                dst = index[succ] = len(states)
-                states.append(succ)
+                    raise BoundExceeded(f"depth bound {bounds.max_depth} hit",
+                                        len(order) - src - 1, depth[-1])
+                dst = number[j] = len(order)
+                order.append(j)
                 depth.append(depth[src] + 1)
-                queue.append(dst)
             transitions.append((src, lab, dst))
-    return states, transitions
+    return order, transitions
 
 
 def unstepped(walk) -> tuple:
@@ -509,57 +524,24 @@ def state_text(walk: Walk):
     return lambda state: "".join([p if p.__class__ is str else text(state[p]) for p in pieces])
 
 
-def explore(
-    comp: Component,
-    defs=None,
-    universe=(),
-    bounds: ExploreBounds = DEFAULT_BOUNDS,
-    domains: DomainContext = EMPTY_DOMAINS,
-    closure=None,
-) -> Lts:
+def explore(closure, universe=(), bounds: ExploreBounds = DEFAULT_BOUNDS,
+            domains: DomainContext = EMPTY_DOMAINS) -> Lts:
     """Breadth-first exploration with deterministic state numbering: each
     state's steps sorted by printed label and successor.  It numbers the
-    states of ``closure``, a closure under ``universe`` (by default the
-    unstepped one of ``comp``), and steps through the closure's walk only
-    the states that it left unstepped: ``reach`` sorts each state's steps
-    itself, so a bound or a model error is met where a breadth-first walk
-    meets it."""
-    found, steps, walk = closure or unstepped(abc_walk(comp, defs or {}, domains))
-    successors = steps.__getitem__
-    if None in steps:
-        index = {state: i for i, state in enumerate(found)}
-
-        def successors(i):
-            if steps[i] is None:
-                out = []
-                for lab, succ in walk.steps(found[i], universe):
-                    j = index.setdefault(succ, len(found))
-                    if j == len(found):
-                        found.append(succ)
-                        steps.append(None)
-                    out.append((lab, j))
-                steps[i] = out
-            return steps[i]
-
-    text = state_text(walk)
-    ids, transitions = reach(0, successors, pretty_label, lambda i: text(found[i]), bounds)
-    return Lts([found[i] for i in ids], transitions, domains)
+    states of ``closure``, a closure under ``universe``, and ``reach``
+    steps through the closure's walk the states that it left unstepped."""
+    states, _, walk = closure
+    order, transitions = reach(closure, lambda state: walk.steps(state, universe), pretty_label,
+                               state_text(walk), bounds)
+    return Lts([states[i] for i in order], transitions, domains)
 
 
-def auto_universe(
-    comp: Component,
-    defs=None,
-    bounds: ExploreBounds = DEFAULT_BOUNDS,
-    domains: DomainContext = EMPTY_DOMAINS,
-    base=(),
-    walk: Walk = None,
-) -> tuple:
+def auto_universe(walk: Walk, bounds: ExploreBounds = DEFAULT_BOUNDS,
+                  domains: DomainContext = EMPTY_DOMAINS, base=()) -> tuple:
     """Shared-alphabet closure: harvest emitted output labels as inputs
     until nothing new appears.  Silent outputs are never harvested.
-    Returns the universe and the closure that ``explore`` numbers: its
-    states, their steps and the walk that found them, ``walk`` when one of
-    ``comp`` is given."""
-    walk = walk or abc_walk(comp, defs or {}, domains)
+    Returns the universe and the closure of ``walk`` that ``explore``
+    numbers: its states, their steps and the walk."""
 
     def grow(have, outputs):
         heard = [walk.label(lab.as_input()) for lab in outputs if not pr.is_ff(lab.pred, domains)]

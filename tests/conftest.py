@@ -423,10 +423,10 @@ def random_bpi_rec(rng: random.Random, depth: int = 5, recs: tuple = ()):
 def law_universe(c1, c2, defs=None, domains=pr.EMPTY_DOMAINS):
     """Auto universes of both sides plus the fixed probe messages, so that
     input behaviour is actually exercised."""
-    from abcalc.lts import auto_universe, merge_labels
+    from abcalc.lts import abc_walk, auto_universe, merge_labels
 
-    u1, _ = auto_universe(c1, defs, domains=domains)
-    u2, _ = auto_universe(c2, defs, domains=domains)
+    u1, _ = auto_universe(abc_walk(c1, defs or {}, domains), domains=domains)
+    u2, _ = auto_universe(abc_walk(c2, defs or {}, domains), domains=domains)
     return merge_labels(merge_labels(u1, u2, domains), PROBE_MESSAGES, domains)
 
 

@@ -11,7 +11,7 @@ import pytest
 from abcalc import predicates as pr
 from abcalc.bpi import correspondence_check, encode, parse_bpi, pretty_bpi
 from abcalc.equivalence import barbs, label_equiv, strong_bisim, weak_bisim
-from abcalc.lts import ExploreBounds, aut_text, auto_universe, explore
+from abcalc.lts import ExploreBounds, abc_walk, aut_text, auto_universe, explore, unstepped
 from abcalc.predicates import And, Atom, DomainContext, Not
 from abcalc.semantics import IN, Label, OUT
 from abcalc.syntax import parse_predicate, parse_process, pretty_pred, pretty_process
@@ -97,7 +97,7 @@ def test_criterion_2_narrated_sequence():
     net = network()
     domains = net["domains"]
     pi1 = net["pi1"]
-    lts = explore(net["N"], net["defs"], (), domains=domains)
+    lts = explore(unstepped(abc_walk(net["N"], net["defs"], domains)), (), domains=domains)
 
     def kind(lab):
         if lab.kind != OUT:
@@ -461,8 +461,10 @@ def test_criterion_7_infrastructure(tmp_path):
         bad.append("aut export not byte-identical across runs")
 
     net = network()
-    a1 = aut_text(explore(net["N"], net["defs"], domains=net["domains"]))
-    a2 = aut_text(explore(net["N"], net["defs"], domains=net["domains"]))
+    a1 = aut_text(explore(unstepped(abc_walk(net["N"], net["defs"], net["domains"])),
+                          domains=net["domains"]))
+    a2 = aut_text(explore(unstepped(abc_walk(net["N"], net["defs"], net["domains"])),
+                          domains=net["domains"]))
     if a1 != a2:
         bad.append("in-process exploration nondeterministic")
 

@@ -21,10 +21,12 @@ from abcalc.lts import (
     DEFAULT_BOUNDS,
     ExploreBounds,
     Walk,
+    abc_walk,
     alphabet_fixpoint,
     auto_universe,
     explore,
     merge_labels,
+    unstepped,
 )
 from abcalc import semantics as sem
 from abcalc.cli import main
@@ -122,11 +124,12 @@ def old_explore(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
     k1 = k2 = None
     try:
         if universe is None:
-            (u1, k1), (u2, k2) = (auto_universe(c, defs, bounds, domains) for c in (c1, c2))
+            (u1, k1), (u2, k2) = (auto_universe(abc_walk(c, defs, domains), bounds, domains)
+                                  for c in (c1, c2))
             universe = merge_labels(u1, u2, domains)
             k1, k2 = (k1 if u1 == universe else None), (k2 if u2 == universe else None)
-        l1 = explore(c1, defs, universe, bounds, domains, k1)
-        l2 = explore(c2, defs, universe, bounds, domains, k2)
+        l1 = explore(k1 or unstepped(abc_walk(c1, defs, domains)), universe, bounds, domains)
+        l2 = explore(k2 or unstepped(abc_walk(c2, defs, domains)), universe, bounds, domains)
     except BoundExceeded as exc:
         return Verdict(False, universe or (),
                        inconclusive=True, reason=f"inconclusive under bounds: {exc}")
@@ -337,7 +340,7 @@ def test_random_pairs_match_old_engine(rng, mode):
     witnesses = 0
     for _ in range(300):
         c1, c2 = random_component(rng), random_component(rng)
-        (u1, _), (u2, _) = auto_universe(c1), auto_universe(c2)
+        (u1, _), (u2, _) = auto_universe(abc_walk(c1, {})), auto_universe(abc_walk(c2, {}))
         for universe in (None, merge_labels(u1, u2)):
             witnesses += agree(mode, c1, c2, universe=universe)["witness"] is not None
     assert witnesses >= 100  # the comparison covers witnesses, not verdicts alone
@@ -644,7 +647,7 @@ def test_an_extension_cut_short_leaves_whole_steps():
     """The held states that had not yet taken the new label read as
     unstepped, like the one whose stepping the bound interrupted; every
     other state holds all its steps under the merged universe."""
-    (u1, _), (u2, closure) = (auto_universe(m.component) for m in LATE_LABEL)
+    (u1, _), (u2, closure) = (auto_universe(abc_walk(m.component, {})) for m in LATE_LABEL)
     universe = merge_labels(u1, u2)
     assert len(closure[0]) == 4 and len(universe) == 2
     with pytest.raises(BoundExceeded):

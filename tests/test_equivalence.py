@@ -221,10 +221,11 @@ class TestNamedExamples:
         # that can also say (f3, w) tells them apart, because a forwarder
         # is initially willing to accept any neighbour-addressed message
         net = network()
-        from abcalc.lts import auto_universe
+        from abcalc.lts import abc_walk, auto_universe
 
         probe = Label(IN, AttrEnv(), TT, ("f3", "w"))
-        u, _ = auto_universe(net["N"], net["defs"], domains=net["domains"])
+        u, _ = auto_universe(abc_walk(net["N"], net["defs"], net["domains"]),
+                             domains=net["domains"])
         u = merge_labels(u, (probe,), net["domains"])
         v = weak_bisim(net["N"], net["T"], net["defs"], universe=u, domains=net["domains"])
         assert not v.equivalent

@@ -16,11 +16,13 @@ from abcalc.lts import (
     DEFAULT_BOUNDS,
     ExploreBounds,
     Lts,
+    abc_walk,
     aut_text,
     auto_universe,
     explore,
     label_equiv,
     merge_labels,
+    unstepped,
 )
 from abcalc.predicates import EMPTY_DOMAINS
 from abcalc.syntax import parse_abc, pretty_component, pretty_label
@@ -136,9 +138,10 @@ def old_explore(comp, defs, mode, bounds, domains):
 
 def new_explore(comp, defs, mode, bounds, domains):
     try:
-        universe, closure = (auto_universe(comp, defs, bounds, domains) if mode == "auto"
-                             else ((), None))
-        return aut_text(explore(comp, defs, universe, bounds, domains, closure)), universe
+        universe, closure = (auto_universe(abc_walk(comp, defs, domains), bounds, domains)
+                             if mode == "auto" else ((), None))
+        return aut_text(explore(closure or unstepped(abc_walk(comp, defs, domains)), universe,
+                                bounds, domains)), universe
     except BoundExceeded as exc:
         return str(exc)
 
@@ -326,8 +329,8 @@ def test_bisim_numbering_a_closure_matches_fresh_exploration(rng):
     # merged universe, given explicitly, steps both sides again
     for _ in range(60):
         c1, c2 = random_component(rng), random_component(rng)
-        u1, _ = auto_universe(c1)
-        u2, _ = auto_universe(c2)
+        u1, _ = auto_universe(abc_walk(c1, {}))
+        u2, _ = auto_universe(abc_walk(c2, {}))
         universe = merge_labels(u1, u2)
         for check in (strong_bisim, weak_bisim):
             assert check(c1, c2).as_dict() == check(c1, c2, universe=universe).as_dict()
@@ -343,25 +346,35 @@ def test_explore_prints_each_leaf_once(monkeypatch):
     model = parse_abc(emitters_abc(5))
     printed = []
     monkeypatch.setattr(L, "pretty_component", lambda c: printed.append(c) or pretty_component(c))
-    universe, closure = auto_universe(model.component, model.defs, domains=model.domains)
-    lts = explore(model.component, model.defs, universe, domains=model.domains, closure=closure)
+    universe, closure = auto_universe(abc_walk(model.component, model.defs, model.domains),
+                                      domains=model.domains)
+    lts = explore(closure, universe, domains=model.domains)
     assert (len(lts.states), len(lts.transitions)) == (243, 2025)
     # five emitters of three local states each
     assert len(printed) == len(set(printed)) == 15
     printed.clear()
-    lts = explore(model.component, model.defs, (), domains=model.domains)
+    lts = explore(unstepped(abc_walk(model.component, model.defs, model.domains)), (),
+                  domains=model.domains)
     assert len(lts.states) == 243
     assert len(printed) == len(set(printed)) == 15
 
 
-def test_auto_explore_steps_each_state_once(monkeypatch):
-    model = parse_abc(emitters_abc(3))
+@pytest.mark.parametrize("mode", ["auto", "declared", "none"])
+def test_auto_explore_steps_each_state_once(monkeypatch, mode):
+    """Under ``auto`` the fixpoint steps each state; under a fixed
+    universe ``explore`` numbers an unstepped closure and steps each state
+    as it numbers it."""
+    declared = 'universe { msg {} @ tt ("e0", 0); }\n' if mode == "declared" else ""
+    model = parse_abc(emitters_abc(3) + declared)
     outs, ins = [], []
     real_outs, real_ins = L.Walk.outs, L.Walk.ins
     monkeypatch.setattr(L.Walk, "outs", lambda walk, c: outs.append(c) or real_outs(walk, c))
     monkeypatch.setattr(L.Walk, "ins",
                         lambda walk, c, msg: ins.append((c, msg)) or real_ins(walk, c, msg))
-    universe, closure = auto_universe(model.component, model.defs, domains=model.domains)
-    lts = explore(model.component, model.defs, universe, domains=model.domains, closure=closure)
+    walk = abc_walk(model.component, model.defs, model.domains)
+    universe, closure = (auto_universe(walk, domains=model.domains) if mode == "auto"
+                         else (model.universe, unstepped(walk)))
+    assert len(universe) == {"auto": 3, "declared": 1, "none": 0}[mode]
+    lts = explore(closure, universe, domains=model.domains)
     assert len(outs) == len(set(outs)) == len(lts.states)
     assert len(ins) == len(set(ins)) == len(lts.states) * len(universe)

@@ -7,7 +7,7 @@ import pytest
 
 from abcalc import predicates as pr
 from abcalc.bpi import bpi_steps, canon_bpi, harvest_bpi_universe, parse_bpi
-from abcalc.lts import auto_universe, merge_labels
+from abcalc.lts import abc_walk, auto_universe, merge_labels
 from abcalc.predicates import EMPTY_DOMAINS
 from abcalc.syntax import parse_abc, pretty_label
 from abcalc.systems import network
@@ -64,13 +64,13 @@ def chain_bpi(depth: int) -> str:
 def test_auto_universe_matches_naive_loop_on_random_components(rng):
     for _ in range(200):
         c = random_component(rng)
-        assert auto_universe(c)[0] == naive_auto_universe(c)
+        assert auto_universe(abc_walk(c, {}))[0] == naive_auto_universe(c)
 
 
 @pytest.mark.parametrize("depths", [(3,), (3, 2), (10,)])
 def test_auto_universe_matches_naive_loop_on_chains(depths):
     model = parse_abc(chains_abc(depths))
-    u, _ = auto_universe(model.component)
+    u, _ = auto_universe(abc_walk(model.component, {}))
     assert u == naive_auto_universe(model.component)
     assert len(u) == sum(d + 1 for d in depths)
 
@@ -78,7 +78,8 @@ def test_auto_universe_matches_naive_loop_on_chains(depths):
 def test_auto_universe_matches_naive_loop_on_network():
     net = network()
     for key in ("N", "T", "N_closed", "N_CP2", "T_CP2"):
-        got, _ = auto_universe(net[key], net["defs"], domains=net["domains"])
+        got, _ = auto_universe(abc_walk(net[key], net["defs"], net["domains"]),
+                               domains=net["domains"])
         want = naive_auto_universe(net[key], net["defs"], net["domains"])
         assert got == want
 

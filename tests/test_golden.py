@@ -24,10 +24,10 @@ FILES = sorted(p.name for p in CORPUS_DIR.iterdir() if p.suffix in (".abc", ".bp
 MODELS = [f for f in FILES if f.endswith(".abc")]
 FAMILIES = GOLDEN / "families"
 # pairs of family models, each checked in both modes: silent prefixes
-# against none (tau-leaves k=1..4, a silent step before an input, silent
+# against none (tau-leaves k=1..5, a silent step before an input, silent
 # and visible outputs whose inert silent step hides visible ones),
 # emitters, guards stated through De Morgan and a changed guard
-FAMILY_PAIRS = ([[f"tau-k{k}.abc", f"plain-k{k}.abc"] for k in range(1, 5)]
+FAMILY_PAIRS = ([[f"tau-k{k}.abc", f"plain-k{k}.abc"] for k in range(1, 6)]
                 + [["tau-input.abc", "input.abc"], ["tau-guards.abc", "nil.abc"],
                    ["emitters-k3.abc", "emitters-k3.abc"], ["emitters-k3.abc", "emitters-k2.abc"],
                    ["guarded-k3.abc", "guarded-k3-demorgan.abc"],
@@ -45,6 +45,8 @@ FAMILY_CALLS = [["--max-states", "50", "tau-k3.abc", "plain-k3.abc"],
 # k=3, 9, which the product of reachable leaves (4^3 - 1 = 63) overstates
 DEPTH_EDGES = [["--max-depth", "9", "tau-k3.abc", "plain-k3.abc"],
                ["--max-depth", "8", "tau-k3.abc", "plain-k3.abc"]]
+# weak barbs under bounds that the silent moves of tau-leaves k=3 hit
+BARB_CALLS = [["--max-depth", "1", "tau-k3.abc"], ["--max-states", "2", "tau-k3.abc"]]
 # a system whose second silent step leaves its declared domain, against
 # ("a")@tt.0: every check stops with the same error, wherever it meets it
 ERROR_CALLS = [["--weak", "--universe", "none"], ["--strong", "--universe", "none"], ["--weak"],
@@ -58,13 +60,16 @@ def calls_of(name: str) -> list:
     if name == "families":
         return ([["check-bisim", mode, "--json", "-", *args] for args in FAMILY_PAIRS + FAMILY_CALLS
                  for mode in ("--weak", "--strong")]
-                + [["check-bisim", "--weak", "--json", "-", *args] for args in DEPTH_EDGES])
+                + [["check-bisim", "--weak", "--json", "-", *args] for args in DEPTH_EDGES]
+                + [["barbs", "--weak", *args] for args in BARB_CALLS])
     if name == "errors":
         return [["check-bisim", *args, "overflow.abc", "once.abc"] for args in ERROR_CALLS]
     if name == "pairs":
         return [["corpus"]] + [["check-bisim", mode, a, b] for a in MODELS for b in MODELS
                                for mode in ("--weak", "--strong")]
     calls = [["parse", name], ["translate", name], ["verify-encoding", name]]
+    if name.endswith(".bpi"):
+        calls.append(["verify-encoding", "--max-depth", "1", name])
     calls += [["steps", "--universe", mode, name] for mode in ("auto", "none", "declared")]
     calls += [["explore", name], ["explore", name, "--json"],
               ["explore", "--max-states", "2", name], ["explore", "--max-depth", "1", name]]

@@ -347,7 +347,7 @@ def test_replaced_composition_stays_gone():
 UNUSED = {"weak_closure", "inverse_closure", "is_tau", "reduction_over", "export_aut",
           "free_vars", "pred_vars", "_vars", "is_value", "restrict_env", "conj", "disj",
           "merged", "domain", "free_names", "bpi_barbs", "closure_under", "_decide",
-          "_extended"}
+          "_extended", "successors"}
 
 
 def test_unused_helpers_stay_gone():

@@ -111,16 +111,17 @@ class TestOncePerLocalState:
         for defs, value in ((one, "one"), (two, "two")):
             walk = L.abc_walk(leaf, defs)
             assert [lab.values for lab, _ in walk.steps(walk.initial, ())] == [(value,)]
-        assert L.aut_text(L.explore(leaf, one)) != L.aut_text(L.explore(leaf, two))
+        assert (L.aut_text(L.explore(L.unstepped(L.abc_walk(leaf, one))))
+                != L.aut_text(L.explore(L.unstepped(L.abc_walk(leaf, two)))))
         # two terms that name different recursions A are checked apart
         assert bp.correspondence_check(bp.parse_bpi("(rec A(x).a!(x).A(x))(v)")).ok
         assert bp.correspondence_check(bp.parse_bpi("(rec A(x).b!(x).A(x))(v)")).ok
 
     def test_aut_prints_each_label_once(self, monkeypatch):
         model = parse_abc(emitters_abc(4))
-        universe, closure = L.auto_universe(model.component, model.defs, domains=model.domains)
-        lts = L.explore(model.component, model.defs, universe, domains=model.domains,
-                        closure=closure)
+        universe, closure = L.auto_universe(L.abc_walk(model.component, model.defs, model.domains),
+                                            domains=model.domains)
+        lts = L.explore(closure, universe, domains=model.domains)
         printed = []
         real = L.pretty_label
         monkeypatch.setattr(L, "pretty_label", lambda lab: printed.append(lab) or real(lab))

@@ -9,11 +9,13 @@ from abcalc import semantics as sem
 from abcalc.lts import (
     BoundExceeded,
     ExploreBounds,
+    abc_walk,
     auto_universe,
     aut_text,
     explore,
     fingerprint,
     merge_labels,
+    unstepped,
 )
 from abcalc.predicates import Atom, TT
 from abcalc.semantics import IN, Label
@@ -31,12 +33,13 @@ def leaf(text, env=None, iface=()):
 
 class TestExplore:
     def test_inactive_single_state(self):
-        lts = explore(Leaf(AttrEnv(), frozenset(), ZERO))
+        lts = explore(unstepped(abc_walk(Leaf(AttrEnv(), frozenset(), ZERO), {})))
         assert len(lts.states) == 1 and lts.transitions == []
 
     def test_three_shot_chain(self):
         net = network()
-        lts = explore(net["T"], net["defs"], domains=net["domains"])
+        lts = explore(unstepped(abc_walk(net["T"], net["defs"], net["domains"])),
+                      domains=net["domains"])
         assert len(lts.states) == 4
         assert len(lts.transitions) == 3
         labels = [lab for _, lab, _ in lts.transitions]
@@ -46,42 +49,45 @@ class TestExplore:
     def test_universe_inputs_added(self):
         c = leaf("(x == 1)(x).(\"done\")@tt.0")
         u = (Label(IN, AttrEnv(), TT, (1,)),)
-        lts = explore(c, universe=u)
+        lts = explore(unstepped(abc_walk(c, {})), universe=u)
         kinds = {lab.kind for _, lab, _ in lts.transitions}
         assert IN in kinds
         assert any(lab.kind == sem.OUT for _, lab, _ in lts.transitions)
 
     def test_deterministic_numbering(self):
         net = network()
-        a = explore(net["N"], net["defs"], domains=net["domains"])
-        b = explore(net["N"], net["defs"], domains=net["domains"])
+        a = explore(unstepped(abc_walk(net["N"], net["defs"], net["domains"])),
+                    domains=net["domains"])
+        b = explore(unstepped(abc_walk(net["N"], net["defs"], net["domains"])),
+                    domains=net["domains"])
         assert aut_text(a) == aut_text(b)
 
     def test_state_bound(self):
         net = network()
         with pytest.raises(BoundExceeded):
-            explore(net["N"], net["defs"], bounds=ExploreBounds(max_states=2))
+            explore(unstepped(abc_walk(net["N"], net["defs"])), bounds=ExploreBounds(max_states=2))
 
     def test_depth_bound(self):
         net = network()
         with pytest.raises(BoundExceeded):
-            explore(net["T"], net["defs"], bounds=ExploreBounds(max_depth=1))
+            explore(unstepped(abc_walk(net["T"], net["defs"])), bounds=ExploreBounds(max_depth=1))
         # terminal states exactly at the depth limit are fine
-        lts = explore(net["T"], net["defs"], bounds=ExploreBounds(max_depth=3))
+        lts = explore(unstepped(abc_walk(net["T"], net["defs"])), bounds=ExploreBounds(max_depth=3))
         assert len(lts.states) == 4
 
 
 class TestUniverse:
     def test_auto_universe_harvests_outputs(self):
         net = network()
-        u, _ = auto_universe(net["T"], net["defs"], domains=net["domains"])
+        u, _ = auto_universe(abc_walk(net["T"], net["defs"], net["domains"]),
+                             domains=net["domains"])
         assert len(u) == 1
         lab = u[0]
         assert lab.kind == IN and lab.values[0] == "p"
 
     def test_auto_universe_skips_silent(self):
         c = leaf("()@ff.()@ff.0")
-        assert auto_universe(c)[0] == ()
+        assert auto_universe(abc_walk(c, {}))[0] == ()
 
     def test_merged_dedupes_by_equivalence(self):
         l1 = Label(IN, AttrEnv(), Atom("!=", Attr("a"), Const(10)), (1,))
@@ -108,20 +114,21 @@ def weak_closure(lts):
 class TestWeakClosure:
     def test_tau_chain(self):
         c = leaf('()@ff.()@ff.("v")@tt.0')
-        lts = explore(c)
+        lts = explore(unstepped(abc_walk(c, {})))
         closure = weak_closure(lts)
         assert closure[0] == frozenset({0, 1, 2})
 
     def test_no_taus_is_identity(self):
         net = network()
-        lts = explore(net["T"], net["defs"], domains=net["domains"])
+        lts = explore(unstepped(abc_walk(net["T"], net["defs"], net["domains"])),
+                      domains=net["domains"])
         closure = weak_closure(lts)
         assert all(closure[i] == frozenset({i}) for i in range(len(lts.states)))
 
     def test_transitive(self, rng):
         for _ in range(20):
             c = random_component(rng)
-            lts = explore(c)
+            lts = explore(unstepped(abc_walk(c, {})))
             closure = weak_closure(lts)
             for s in range(len(lts.states)):
                 for t in closure[s]:
@@ -131,12 +138,12 @@ class TestWeakClosure:
 class TestAutExport:
     def test_header_and_quoting(self):
         c = leaf('("v")@tt.0')
-        lts = explore(c)
+        lts = explore(unstepped(abc_walk(c, {})))
         text = aut_text(lts)
         lines = text.splitlines()
         assert lines[0] == "des (0,1,2)"
         assert '"' + "{}@tt!('v')" + '"' in lines[1]
 
     def test_tau_label_text(self):
-        lts = explore(leaf("()@ff.0"))
+        lts = explore(unstepped(abc_walk(leaf("()@ff.0"), {})))
         assert '(0,"tau",1)' in aut_text(lts)
