@@ -13,19 +13,23 @@ read or the other output file, which is refused before anything is
 written.  Diagnostics go
 to stderr, one line each; results go to stdout, as JSON when --json is
 given.  A reader that closes stdout early does not change the exit code.
+
+Two imports are left out of a call that does not run them, and are the
+package's only imports inside functions: ``argparse`` only when a
+command line is not plain (``_plain_args``), and ``systems`` only in
+``corpus``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import bpi as bp
 from . import equivalence as eq
 from . import lts as L
-from . import systems
 from .predicates import DomainContext, equiv
 from .semantics import OUT, UnboundProcessName
 from .syntax import (
@@ -331,6 +335,8 @@ def cmd_verify_encoding(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import systems
+
     cfg = _config(args)
     results = []
 
@@ -414,7 +420,7 @@ def _specs(arguments):
             for name, flags, kind, default in ARGUMENTS if name == argument]
 
 
-def _add_argument(p: argparse.ArgumentParser, name: str):
+def _add_argument(p, name: str):
     """Add to ``p`` the arguments that ``COMMANDS`` calls ``name``."""
     group = None
     for _, flags, kind, default in _specs((name,)):
@@ -492,13 +498,15 @@ def _plain_args(argv: list):
     if len(positionals) != len(wanted) or either and len(seen.intersection(either)) != 1:
         return None
     values.update(zip(wanted, positionals))
-    return argparse.Namespace(command=command, fn=fn, **values)
+    return SimpleNamespace(command=command, fn=fn, **values)
 
 
-def build_parser(command: str = None) -> argparse.ArgumentParser:
+def build_parser(command: str = None):
     """The parser of every subcommand, or given the name of one, of that
     one alone: it parses that command's arguments as the whole parser
     does, with the same usage and errors."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="abcalc",
         description="Workbench for attribute-based communicating components.",

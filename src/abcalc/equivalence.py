@@ -71,19 +71,21 @@ def barbs(
     """Representatives (one per equivalence class) of the non-silent
     output predicates enabled at the component; the weak variant looks
     at every state reachable by silent moves.  Only those states are
-    stepped, so a model with infinitely many states has barbs too."""
+    stepped, each once, so a model with infinitely many states has barbs
+    too."""
     walk = abc_walk(comp, defs or {}, domains)
+    outs = cache(walk.outs)
     silent = lambda lab: pr.is_ff(lab.pred, domains)
     text = state_text(walk)
     states = [walk.initial]
     if weak:
         closure = unstepped(walk)
-        order, _ = reach(closure, lambda q: [st for st in walk.outs(q) if silent(st[0])],
+        order, _ = reach(closure, lambda q: [st for st in outs(q) if silent(st[0])],
                          pretty_label, text, bounds)
         states = [closure[0][i] for i in order]
     reps = []
     for state in states:
-        for lab, _ in sorted(walk.outs(state), key=lambda st: (pretty_label(st[0]), text(st[1]))):
+        for lab, _ in sorted(outs(state), key=lambda st: (pretty_label(st[0]), text(st[1]))):
             if not silent(lab) and not any(pr.equiv(lab.pred, have, domains) for have in reps):
                 reps.append(lab.pred)
     return reps

@@ -3,7 +3,7 @@ argparse.  Command lines are drawn from a per-command alphabet: options
 exact and abbreviated, ``=`` forms, ``--``, help, the lone dash, the empty
 string, a negative number, ints with spaces or underscores, good and bad
 choices and file names.  Every command line the reader accepts parses to
-the same namespace under the parser of every command, and ``main``
+the same attributes under the parser of every command, and ``main``
 answers the same with and without the reader: the same exit code,
 output, errors and arguments handed to the command."""
 
@@ -60,6 +60,8 @@ def full_parser():
 @pytest.mark.parametrize("name, arguments", [(e[0], e[3]) for e in COMMANDS],
                          ids=[e[0] for e in COMMANDS])
 def test_read_namespace_is_argparse_namespace(full_parser, name, arguments):
+    """The reader's namespace holds argparse's attribute names with
+    argparse's values."""
     read = 0
     for argv in _command_lines(name, arguments):
         args = READER(argv)
@@ -71,7 +73,9 @@ def test_read_namespace_is_argparse_namespace(full_parser, name, arguments):
                 want = full_parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"read {argv!r}, which argparse refuses: {err.getvalue()}")
-        assert args == want, argv
+        # the reader gives a SimpleNamespace, argparse a Namespace: the
+        # same attribute names with the same values
+        assert vars(args) == vars(want), argv
     assert read >= 20
 
 

@@ -5,12 +5,14 @@ engine numbers the closure's states instead, so the two must agree on
 the .aut text, the universe and, when a bound is hit, the message with
 the depth reached and the frontier size."""
 
+from pathlib import Path
+
 import pytest
 
 from abcalc import bpi as bp
 from abcalc import lts as L
 from abcalc import predicates as pr
-from abcalc.equivalence import strong_bisim, weak_bisim
+from abcalc.equivalence import barbs, strong_bisim, weak_bisim
 from abcalc.lts import (
     BoundExceeded,
     DEFAULT_BOUNDS,
@@ -378,3 +380,18 @@ def test_auto_explore_steps_each_state_once(monkeypatch, mode):
     lts = explore(closure, universe, domains=model.domains)
     assert len(outs) == len(set(outs)) == len(lts.states)
     assert len(ins) == len(set(ins)) == len(lts.states) * len(universe)
+
+
+FAMILIES = Path(__file__).resolve().parent / "golden" / "families"
+
+
+@pytest.mark.parametrize("weak, stepped, found", [(False, 1, 0), (True, 27, 1)])
+def test_barbs_step_each_state_once(monkeypatch, weak, stepped, found):
+    """Weak barbs step each state that silent outputs reach once, for the
+    walk to those states and for their barbs alike."""
+    model = parse_abc((FAMILIES / "tau-k3.abc").read_text())
+    outs = []
+    real_outs = L.Walk.outs
+    monkeypatch.setattr(L.Walk, "outs", lambda walk, c: outs.append(c) or real_outs(walk, c))
+    assert len(barbs(model.component, model.defs, model.domains, weak=weak)) == found
+    assert len(outs) == len(set(outs)) == stepped

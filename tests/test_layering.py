@@ -1,6 +1,8 @@
-"""The module graph of the package: every import sits at module top, the
-imports within the package follow one layer order (so they form no
-cycle), and each module can be the first one imported.  Also: each tree
+"""The module graph of the package: every import sits at module top but
+for the two that ``cli`` makes where they are needed, the imports within
+the package follow one layer order (so they form no cycle), each module
+can be the first one imported, and a call loads argparse and ``systems``
+only if it runs them.  Also: each tree
 shape of expressions, predicates, processes and broadcast terms is walked
 only in the places listed here, and no module keeps mutable state, so
 every memo lives as long as the call that made it."""
@@ -46,14 +48,48 @@ def test_every_module_has_a_layer():
     assert sorted(LAYERS) == MODULES
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_no_import_inside_a_function(name):
-    local = []
+# The only function-local imports: ``cli`` imports argparse where argparse
+# reads the command line, and ``systems`` in ``corpus``, the one command
+# that runs it, so that a plain call imports neither.
+LOCAL_IMPORTS = {"cli": {"argparse", "systems"}}
+
+
+def _imported(node) -> set:
+    """The modules an import statement names, those of the package by
+    their short name."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if node.level and node.module is None:  # from . import x
+        return {alias.name for alias in node.names}
+    return {node.module.split(".")[0]}
+
+
+def _local_imports(name: str) -> dict:
+    """Each import inside a function of a module: its place -> the modules
+    it names."""
+    local = {}
     for fn in ast.walk(_tree(name)):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            local += [f"{name}.py:{node.lineno}" for node in ast.walk(fn)
-                      if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert not local, f"function-local imports at {', '.join(sorted(set(local)))}"
+            local.update((f"{name}.py:{node.lineno}", _imported(node)) for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return local
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    allowed = LOCAL_IMPORTS.get(name, set())
+    local = sorted(place for place, names in _local_imports(name).items() if names - allowed)
+    assert not local, f"function-local imports at {', '.join(local)}"
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_IMPORTS))
+def test_local_imports_are_made_only_locally(name):
+    """A module of the allow-list is imported inside a function and never at
+    the top, so the list names exactly what is left out of start-up."""
+    top = set().union(*(_imported(node) for node in _tree(name).body
+                        if isinstance(node, (ast.Import, ast.ImportFrom))))
+    assert not top & LOCAL_IMPORTS[name]
+    assert set().union(*_local_imports(name).values()) == LOCAL_IMPORTS[name]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -117,6 +153,83 @@ def test_startup_leaves_out_openssl():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# Modules that a call loads only if its command runs them.
+ON_DEMAND = {"argparse", "gettext", "abcalc.systems"}
+NETWORK = str(PACKAGE / "corpus" / "network.abc")
+HANDSHAKE = str(PACKAGE / "corpus" / "handshake.bpi")
+
+# Given a comma-separated list of modules and a command line, runs ``main``
+# on the line (on none: only imports the command line) and prints its exit
+# code and the modules of the list that were loaded.
+LOADS = """
+import contextlib, io, json, sys
+from abcalc.cli import main
+
+watched, argv, code = set(sys.argv[1].split(",")), sys.argv[2:], None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+print(json.dumps([code, sorted(watched & set(sys.modules))]))
+"""
+
+
+def _loads(argv: list) -> tuple:
+    """The exit code and the loaded modules of ``ON_DEMAND``, and the
+    standard error, of one call in a fresh process."""
+    result = subprocess.run([sys.executable, "-c", LOADS, ",".join(sorted(ON_DEMAND)), *argv],
+                            cwd=PACKAGE.parent, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1]), result.stderr
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["parse", NETWORK], []),
+    (["explore", NETWORK], []),
+    (["explore", "--json", "-", NETWORK, "--universe", "declared"], []),
+    (["barbs", NETWORK, "--weak"], []),
+    (["check-bisim", "--weak", NETWORK, NETWORK], []),
+    (["parse", HANDSHAKE], []),
+    (["steps", HANDSHAKE], []),
+    (["translate", HANDSHAKE], []),
+    (["verify-encoding", "--json", "-", HANDSHAKE], []),
+    (["corpus"], ["abcalc.systems"]),
+    (["explore", "--js", "-", NETWORK], ["argparse", "gettext"]),
+], ids=["import", "parse", "explore", "explore-json", "barbs", "check-bisim", "parse-bpi",
+        "steps-bpi", "translate", "verify-encoding", "corpus", "argparse-reads"])
+def test_each_command_loads_only_what_it_runs(argv, loaded):
+    """A plain call leaves argparse out, and only ``corpus`` loads
+    ``systems``."""
+    assert _loads(argv)[0] == [0 if argv else None, loaded]
+
+
+@pytest.mark.parametrize("name, text, command, message", [
+    ("bound.abc", None, ["explore", "--max-states", "2"], "state bound 2 hit"),
+    ("unbound.abc", "comp C { iface: []; env: {}; run: A }", ["explore"],
+     "undefined process A"),
+    ("arity.abc", "def A(x) = (x)@tt.0;\ncomp C { iface: []; env: {}; run: A(1, 2) }",
+     ["explore"], "A expects 1 arguments, got 2"),
+    ("unguarded.abc", "def A = A;\ncomp C { iface: []; env: {}; run: A }", ["explore"],
+     "unguarded recursion: A"),
+    ("domain.abc", "domain k in {1};\ncomp C { iface: []; env: {k = 1}; "
+     "run: ()@tt.[k := this.k + 1]0 }", ["explore"], "k := 2 outside its declared domain"),
+    ("encoding.bpi", "(rec A().a!().nil)() || (rec A().b!().nil)()", ["verify-encoding"],
+     "recursion name A reused with a different body"),
+    ("unbound.bpi", "a!().A()", ["verify-encoding"], "unbound recursion variable A"),
+], ids=["BoundExceeded", "UnboundProcessName", "ArityMismatch", "UnguardedRecursion",
+        "DomainViolation", "EncodingError", "UnboundRecursionVariable"])
+def test_errors_end_in_one_line(tmp_path, name, text, command, message):
+    """Each error that ``main`` catches ends in exit 2 and one ``error:``
+    line, with no argparse loaded to report it."""
+    path = NETWORK if text is None else tmp_path / name
+    if text is not None:
+        path.write_text(text + "\n", encoding="utf-8")
+    answer, err = _loads([command[0], str(path), *command[1:]])
+    assert answer == [2, []]
+    line, = err.splitlines()
+    assert line.startswith("error: ") and message in line
 
 
 PLAIN_CALLS = """
