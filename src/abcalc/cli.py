@@ -14,6 +14,9 @@ written.  Diagnostics go
 to stderr, one line each; results go to stdout, as JSON when --json is
 given.  A reader that closes stdout early does not change the exit code.
 
+``main`` checks the options of a command line once, before the command
+runs, and the commands read them from the namespace it hands them.
+
 Two imports are left out of a call that does not run them, and are the
 package's only imports inside functions: ``argparse`` only when a
 command line is not plain (``_plain_args``), and ``systems`` only in
@@ -43,19 +46,9 @@ from .syntax import (
     pretty_model,
     pretty_pred,
 )
-from .terms import ArityMismatch, DomainViolation, Record, values_equal
+from .terms import ArityMismatch, DomainViolation, values_equal
 
 SCHEMA_VERSION = 1
-
-
-class RunConfig(Record):
-    """Validated command configuration."""
-
-    def __init__(self, universe_mode: str = "auto", bounds: L.ExploreBounds = L.DEFAULT_BOUNDS,
-                 json_out: str = None):
-        self.universe_mode = universe_mode  # auto | declared | none
-        self.bounds = bounds
-        self.json_out = json_out  # None, "-" for stdout, or a path
 
 
 class CliError(Exception):
@@ -64,21 +57,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _config(args) -> RunConfig:
-    bounds = L.ExploreBounds(getattr(args, "max_states", L.DEFAULT_BOUNDS.max_states),
-                             getattr(args, "max_depth", L.DEFAULT_BOUNDS.max_depth))
-    if bounds.max_states <= 0 or bounds.max_depth <= 0:
+def _check(args):
+    """Check a command line's options before anything is read or written,
+    and give ``args`` its exploration bounds: positive bounds, no JSON
+    over a model file, and no output file that resolves to a file being
+    read or to the other output file."""
+    args.bounds = L.ExploreBounds(getattr(args, "max_states", L.DEFAULT_BOUNDS.max_states),
+                                  getattr(args, "max_depth", L.DEFAULT_BOUNDS.max_depth))
+    if args.bounds.max_states <= 0 or args.bounds.max_depth <= 0:
         raise CliError("bounds must be positive")
-    json_out = getattr(args, "json", None)
+    json_out = args.json
     if json_out and json_out.endswith((".abc", ".bpi")):
         raise CliError(f"--json {json_out}: refusing to write JSON over a model file")
-    _refuse_overwrites(args, json_out)
-    return RunConfig(getattr(args, "universe", "auto"), bounds, json_out)
-
-
-def _refuse_overwrites(args, json_out):
-    """Refuse, before anything is written, an output file that resolves to
-    a file being read or to the other output file."""
     inputs = [getattr(args, name, None) for name in ("file", "left", "right")]
     read = {os.path.realpath(path): path for path in inputs if path}
     output = getattr(args, "output", None)
@@ -134,13 +124,13 @@ def _require_component(model, path):
     return model.component
 
 
-def _universe(model, comp, cfg: RunConfig):
+def _universe(model, comp, args):
     """The universe, and a closure under it: under ``auto`` the one that
     computed it, else the unstepped one."""
     walk = L.abc_walk(comp, model.defs, model.domains)
-    if cfg.universe_mode == "auto":
-        return L.auto_universe(walk, cfg.bounds, model.domains, model.universe)
-    universe = model.universe if cfg.universe_mode == "declared" else ()
+    if args.universe == "auto":
+        return L.auto_universe(walk, args.bounds, model.domains, model.universe)
+    universe = model.universe if args.universe == "declared" else ()
     return universe, L.unstepped(walk)
 
 
@@ -167,14 +157,14 @@ def _print(text: str):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit(cfg: RunConfig, payload: dict, human: str):
-    if cfg.json_out is not None:
+def _emit(args, payload: dict, human: str):
+    if args.json is not None:
         payload = {"schema_version": SCHEMA_VERSION, **payload}
         text = json.dumps(payload, indent=2, sort_keys=True)
-        if cfg.json_out == "-":
+        if args.json == "-":
             _print(text)
         else:
-            _write(cfg.json_out, text + "\n")
+            _write(args.json, text + "\n")
             if human:
                 _print(human)
     elif human:
@@ -186,35 +176,33 @@ def _emit(cfg: RunConfig, payload: dict, human: str):
 
 
 def cmd_parse(args) -> int:
-    cfg = _config(args)
     model = _load_model(args.file)
     if args.file.endswith(".bpi"):
-        _emit(cfg, {"term": bp.pretty_bpi(model)}, bp.pretty_bpi(model))
+        _emit(args, {"term": bp.pretty_bpi(model)}, bp.pretty_bpi(model))
         return 0
     text = pretty_model(model)
-    _emit(cfg, {"model": text}, text.rstrip("\n"))
+    _emit(args, {"model": text}, text.rstrip("\n"))
     return 0
 
 
 def cmd_steps(args) -> int:
-    cfg = _config(args)
     model = _load_model(args.file)
     if args.file.endswith(".bpi"):
         universe = ()  # a .bpi file declares none
-        if cfg.universe_mode == "auto":
-            universe, _ = bp.harvest_bpi_universe(model, cfg.bounds)
+        if args.universe == "auto":
+            universe, _ = bp.harvest_bpi_universe(model, args.bounds)
         rows = [
             {"label": _bpi_label_text(lab), "target": bp.pretty_bpi(nxt)}
             for lab, nxt in bp.bpi_steps(model, universe)
         ]
     else:
         comp = _require_component(model, args.file)
-        universe, (_, _, walk) = _universe(model, comp, cfg)
+        universe, (_, _, walk) = _universe(model, comp, args)
         rows = [{"label": label, "target": target} for label, target in
                 sorted((pretty_label(lab), pretty_component(walk.tree(q)))
                        for lab, q in walk.steps(walk.initial, universe))]
     human = "\n".join(f"{r['label']}  ->  {r['target']}" for r in rows) or "(no steps)"
-    _emit(cfg, {"steps": rows}, human)
+    _emit(args, {"steps": rows}, human)
     return 0
 
 
@@ -227,12 +215,11 @@ def _bpi_label_text(lab) -> str:
 
 
 def cmd_explore(args) -> int:
-    cfg = _config(args)
     _component_files(args.file)
     model = _load_model(args.file)
     comp = _require_component(model, args.file)
-    universe, closure = _universe(model, comp, cfg)
-    lts = L.explore(closure, universe, cfg.bounds, model.domains)
+    universe, closure = _universe(model, comp, args)
+    lts = L.explore(closure, universe, args.bounds, model.domains)
     text = L.aut_text(lts)
     if args.output:
         _write(args.output, text)
@@ -240,7 +227,7 @@ def cmd_explore(args) -> int:
     else:
         human = text.rstrip("\n")
     _emit(
-        cfg,
+        args,
         {
             "states": len(lts.states),
             "transitions": len(lts.transitions),
@@ -253,18 +240,16 @@ def cmd_explore(args) -> int:
 
 
 def cmd_barbs(args) -> int:
-    cfg = _config(args)
     _component_files(args.file)
     model = _load_model(args.file)
     comp = _require_component(model, args.file)
-    preds = eq.barbs(comp, model.defs, model.domains, weak=args.weak, bounds=cfg.bounds)
+    preds = eq.barbs(comp, model.defs, model.domains, weak=args.weak, bounds=args.bounds)
     texts = sorted(pretty_pred(p) for p in preds)
-    _emit(cfg, {"barbs": texts, "weak": args.weak}, "\n".join(texts) or "(none)")
+    _emit(args, {"barbs": texts, "weak": args.weak}, "\n".join(texts) or "(none)")
     return 0
 
 
 def cmd_check_bisim(args) -> int:
-    cfg = _config(args)
     _component_files(args.left, args.right)
     m1, m2 = _load_model(args.left), _load_model(args.right)
     c1 = _require_component(m1, args.left)
@@ -273,9 +258,9 @@ def cmd_check_bisim(args) -> int:
     check_domains((c1, c2), domains)
     # ``auto`` closes both sides from the labels that the two files declare
     declared = L.merge_labels(m1.universe, m2.universe, domains)
-    universe = {"auto": None, "declared": declared, "none": ()}[cfg.universe_mode]
+    universe = {"auto": None, "declared": declared, "none": ()}[args.universe]
     check = eq.strong_bisim if args.strong else eq.weak_bisim
-    verdict = check(c1, c2, defs, universe, domains, cfg.bounds, base=declared)
+    verdict = check(c1, c2, defs, universe, domains, args.bounds, base=declared)
     lines = [
         ("equivalent" if verdict.equivalent else "not equivalent")
         + (" (inconclusive: bounds hit)" if verdict.inconclusive else ""),
@@ -286,7 +271,7 @@ def cmd_check_bisim(args) -> int:
         lines.extend(f"  [{s['from']}] {s['label']}" for s in verdict.witness)
     if verdict.reason:
         print(verdict.reason, file=sys.stderr)
-    _emit(cfg, {"mode": "strong" if args.strong else "weak", **verdict.as_dict()},
+    _emit(args, {"mode": "strong" if args.strong else "weak", **verdict.as_dict()},
           "\n".join(lines))
     if verdict.inconclusive:
         return 2
@@ -294,7 +279,6 @@ def cmd_check_bisim(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    cfg = _config(args)
     _bpi_file("translate", args.file)
     term = _load_model(args.file)
     comp, defs = bp.encode(term)
@@ -305,15 +289,14 @@ def cmd_translate(args) -> int:
         human = f"wrote {args.output}"
     else:
         human = text.rstrip("\n")
-    _emit(cfg, {"model": text, "output": args.output}, human)
+    _emit(args, {"model": text, "output": args.output}, human)
     return 0
 
 
 def cmd_verify_encoding(args) -> int:
-    cfg = _config(args)
     _bpi_file("verify-encoding", args.file)
     term = _load_model(args.file)
-    report = bp.correspondence_check(term, cfg.bounds)
+    report = bp.correspondence_check(term, args.bounds)
     human = (
         f"{'ok' if report.ok else 'VIOLATION'}: {report.states_checked} states, "
         f"{report.transitions_checked} transitions checked, universe {len(report.universe)}"
@@ -322,7 +305,7 @@ def cmd_verify_encoding(args) -> int:
         for v in report.violations[:10]:
             print(f"violation: {v}", file=sys.stderr)
     _emit(
-        cfg,
+        args,
         {
             "ok": report.ok,
             "states_checked": report.states_checked,
@@ -337,7 +320,6 @@ def cmd_verify_encoding(args) -> int:
 def cmd_corpus(args) -> int:
     from . import systems
 
-    cfg = _config(args)
     results = []
 
     def check(name, ok):
@@ -345,26 +327,26 @@ def cmd_corpus(args) -> int:
 
     net = systems.network()
     walk = L.abc_walk(net["N"], net["defs"], net["domains"])
-    lts = L.explore(L.unstepped(walk), (), cfg.bounds, net["domains"])
+    lts = L.explore(L.unstepped(walk), (), args.bounds, net["domains"])
     pi1 = net["pi1"]
     check("network explores", len(lts.states) == 10)
     check("network first emission is a client barb",
           any(equiv(lab.pred, pi1, net["domains"])
               for _, lab, _ in lts.transitions if lab.kind == OUT))
     v1 = eq.weak_bisim(net["N_closed"], net["T"], net["defs"], domains=net["domains"],
-                       bounds=cfg.bounds)
+                       bounds=args.bounds)
     check("closed network matches the three-shot test", v1.equivalent)
     v2 = eq.weak_bisim(net["N_CP2"], net["T_CP2"], net["defs"], domains=net["domains"],
-                       bounds=cfg.bounds)
+                       bounds=args.bounds)
     check("interference distinguishes the systems", not v2.equivalent)
     check("witness carries the interfering id",
           v2.witness is not None and any("f3" in s["label"] for s in v2.witness))
     for name in ("handshake.bpi", "relay.bpi", "repeater.bpi"):
         term = bp.parse_bpi(systems.corpus_path(name).read_text())
-        rep = bp.correspondence_check(term, cfg.bounds)
+        rep = bp.correspondence_check(term, args.bounds)
         check(f"encoding correspondence: {name}", rep.ok)
     human = "\n".join(f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in results)
-    _emit(cfg, {"results": [{"name": n, "ok": ok} for n, ok in results]}, human)
+    _emit(args, {"results": [{"name": n, "ok": ok} for n, ok in results]}, human)
     return 0 if all(ok for _, ok in results) else 1
 
 
@@ -376,16 +358,17 @@ def cmd_corpus(args) -> int:
 COMMANDS = (
     ("parse", cmd_parse, "parse and pretty-print a source file", ("file", "json")),
     ("steps", cmd_steps, "one-step successors with labels",
-     ("file", "json", "bounds", "universe")),
+     ("file", "json", "max_states", "universe")),
     ("explore", cmd_explore, "explore to a .aut transition system",
-     ("file", "output", "json", "bounds", "universe")),
-    ("barbs", cmd_barbs, "observable output predicates", ("file", "weak", "json", "bounds")),
+     ("file", "output", "json", "max_states", "max_depth", "universe")),
+    ("barbs", cmd_barbs, "observable output predicates",
+     ("file", "weak", "json", "max_states", "max_depth")),
     ("check-bisim", cmd_check_bisim, "decide bisimilarity of two systems",
-     ("mode", "left", "right", "json", "bounds", "universe")),
+     ("mode", "left", "right", "json", "max_states", "max_depth", "universe")),
     ("translate", cmd_translate, "translate a broadcast term", ("file", "output", "json")),
     ("verify-encoding", cmd_verify_encoding, "check the translation step by step",
-     ("file", "json", "bounds")),
-    ("corpus", cmd_corpus, "run the bundled regression suite", ("json", "bounds")),
+     ("file", "json", "max_states", "max_depth")),
+    ("corpus", cmd_corpus, "run the bundled regression suite", ("json", "max_states", "max_depth")),
 )
 
 
@@ -406,8 +389,8 @@ ARGUMENTS = (
     ("mode", ("--strong",), "either", False),
     ("mode", ("--weak",), "either", False),
     ("json", ("--json",), "file or stdout", None),
-    ("bounds", ("--max-states",), int, L.DEFAULT_BOUNDS.max_states),
-    ("bounds", ("--max-depth",), int, L.DEFAULT_BOUNDS.max_depth),
+    ("max_states", ("--max-states",), int, L.DEFAULT_BOUNDS.max_states),
+    ("max_depth", ("--max-depth",), int, L.DEFAULT_BOUNDS.max_depth),
     ("universe", ("--universe",), ("auto", "declared", "none"), "auto"),
 )
 
@@ -501,21 +484,16 @@ def _plain_args(argv: list):
     return SimpleNamespace(command=command, fn=fn, **values)
 
 
-def build_parser(command: str = None):
-    """The parser of every subcommand, or given the name of one, of that
-    one alone: it parses that command's arguments as the whole parser
-    does, with the same usage and errors."""
+def build_parser():
+    """The parser of every subcommand."""
     import argparse
 
     ap = argparse.ArgumentParser(
         prog="abcalc",
         description="Workbench for attribute-based communicating components.",
     )
-    chosen = [entry for entry in COMMANDS if entry[0] == command] or COMMANDS
-    # built alone, a subparser leaves the others to the usage line
-    metavar = "{" + ",".join(entry[0] for entry in COMMANDS) + "}" if len(chosen) == 1 else None
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, fn, help_text, arguments in chosen:
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, fn, help_text, arguments in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for argument in arguments:
             _add_argument(p, argument)
@@ -528,10 +506,11 @@ def main(argv=None) -> int:
     args = _plain_args(argv)
     if args is None:
         try:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
     try:
+        _check(args)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -677,24 +677,9 @@ def pretty_pred(p) -> str:
 
 
 def _guard_text(p) -> str:
+    # a conjunction or disjunction prints in its own parentheses
     text = pretty_pred(p)
-    if text in ("tt", "ff"):
-        return text
-    if text.startswith("(") and _closes_at_end(text):
-        return text
-    return f"({text})"
-
-
-def _closes_at_end(text: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return i == len(text) - 1
-    return False
+    return text if isinstance(p, (Tt, Ff, And, Or)) else f"({text})"
 
 
 def pretty_process(p) -> str:

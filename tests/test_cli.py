@@ -92,6 +92,18 @@ class TestSteps:
         rc, out, _ = run(capsys, "steps", ZERO, "--universe", "none")
         assert rc == 0 and "(no steps)" in out
 
+    def test_max_depth_is_not_an_option(self, capsys, tmp_path):
+        # only the auto closure is bounded, and only by --max-states
+        model = tmp_path / "counter.abc"
+        model.write_text('def A = <(this.k < 5)> ("a")@tt.[k := this.k + 1] A;\n'
+                         "comp C { iface: []; env: {k = 0}; run: A }\n")
+        rc, out, err = run(capsys, "steps", str(model), "--max-depth", "3")
+        assert rc == 2 and out == ""
+        assert err.endswith("\nabcalc: error: unrecognized arguments: --max-depth 3\n")
+        rc, out, err = run(capsys, "steps", "--max-states", "1", str(model))
+        assert (rc, out, err) == (
+            2, "", "error: state bound 1 hit (depth reached 0, frontier size 0)\n")
+
 
 class TestExplore:
     def test_stdout(self, capsys):
@@ -147,6 +159,15 @@ class TestExplore:
         model.write_text(text)
         rc, out, _ = run(capsys, "explore", str(model))
         assert rc == 0 and out == "des (0,0,1)\n"
+
+    def test_unevaluable_receiving_predicate_discards(self, capsys, tmp_path):
+        # R has no k, so its receiving predicate cannot be evaluated on the
+        # message: R discards it
+        model = tmp_path / "r.abc"
+        model.write_text('comp R { iface: []; env: {}; run: (this.k == x)(x).("got")@tt.0 }\n'
+                         "universe { msg {} @ tt (1); }\n")
+        rc, out, err = run(capsys, "explore", "--universe", "declared", str(model))
+        assert (rc, out, err) == (0, 'des (0,1,1)\n(0,"{}@tt?(1)",0)\n', "")
 
     def test_json(self, capsys):
         rc, out, _ = run(capsys, "explore", NETWORK, "--universe", "none", "--json")
@@ -259,6 +280,16 @@ class TestCheckBisim:
             paths.append(str(path))
         rc, out, err = run(capsys, "check-bisim", "--weak", *paths)
         assert (rc, out, err) == (2, "", "error: domain of 'a' differs between the two files\n")
+
+    def test_definitions_differing(self, capsys, tmp_path):
+        paths = []
+        for value in ("a", "b"):
+            path = tmp_path / f"{value}.abc"
+            path.write_text(f'def A = ("{value}")@tt.0;\n'
+                            "comp C { iface: []; env: {}; run: A }\n")
+            paths.append(str(path))
+        rc, out, err = run(capsys, "check-bisim", "--weak", *paths)
+        assert (rc, out, err) == (2, "", "error: definition 'A' differs between the two files\n")
 
 
 class TestTranslate:
@@ -639,8 +670,8 @@ USAGE_CASES.append(["check-bisim", "--weak", NETWORK, NETWORK, "--bogus"])
 @pytest.mark.parametrize("argv", USAGE_CASES,
                          ids=lambda argv: " ".join("F" if a == NETWORK else a for a in argv))
 def test_one_subcommand_parser_answers_as_the_full_one(capsys, argv):
-    """``main`` builds only the parser of the command it is given; help,
-    usage lines and errors stay those of the parser of every command."""
+    """Help, usage lines and errors from ``main`` are those of the parser
+    of every command."""
     want = _full_parse(argv), *capsys.readouterr()
     got = run(capsys, *argv)
     assert got == want and want[0] in (0, 2) and (want[1] or want[2])

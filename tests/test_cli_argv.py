@@ -29,7 +29,8 @@ TOKENS = {
     "weak": ("--weak", "--we"),
     "mode": ("--strong", "--weak", "--str", "--weak=1"),
     "json": ("--json", "--js", "--json=-"),
-    "bounds": ("--max-states", "--max-depth", "--max", "--max-s", "--max-depth=3"),
+    "max_states": ("--max-states", "--max", "--max-s"),
+    "max_depth": ("--max-depth", "--max-depth=3"),
     "universe": ("--universe", "--uni", "--universe=none", "none", "declared", "all"),
 }
 # Tails of up to this many tokens after the command are all tried; longer
@@ -59,7 +60,7 @@ def full_parser():
 
 @pytest.mark.parametrize("name, arguments", [(e[0], e[3]) for e in COMMANDS],
                          ids=[e[0] for e in COMMANDS])
-def test_read_namespace_is_argparse_namespace(full_parser, name, arguments):
+def test_read_namespace_matches_argparse(full_parser, name, arguments):
     """The reader's namespace holds argparse's attribute names with
     argparse's values."""
     read = 0
