@@ -548,12 +548,12 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
     for q, comp, bsteps in zip(states, encoded, steps):
         asteps = target.steps(comp, abc_universe)
         mapped = [(abc_label(lab), encoded[dst]) for lab, dst in bsteps]
-        # equal lists, or else equal multisets, leave nothing to explain,
-        # barbs included: ``_abc_label`` makes an output on c, and nothing
-        # else, a tt output whose first value is c.  Both walks compose over
-        # one skeleton in one order, so the counts (dict equality runs in C)
-        # are built only where the orders differ
-        if mapped == asteps or dict.__eq__(Counter(mapped), Counter(asteps)):
+        # equal lists leave nothing to explain, barbs included: ``_abc_label``
+        # makes an output on c, and nothing else, a tt output whose first
+        # value is c.  Both walks compose over one skeleton in one order, so
+        # steps that match come in the same order; steps that match in
+        # another order would give the matching below nothing to report
+        if mapped == asteps:
             continue
         # this state's violations, each without the state
         wrong = _unmatched(bsteps, mapped, asteps)

@@ -520,7 +520,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainViolation as exc:
-        where = "" if exc.leaf is None else f" in {pretty_component(exc.leaf)}"
+        try:
+            where = "" if exc.leaf is None else f" in {pretty_component(exc.leaf)}"
+        except RecursionError:  # a leaf too deep to print is left unnamed
+            where = ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -14,8 +14,10 @@ bounded set membership).
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 from .terms import (  # the tree and subst_pred are re-exported
     FF,
@@ -56,35 +58,32 @@ _ORDER_OPS = ("<", "<=", ">", ">=")
 # unsatisfied, so a negation over it holds).
 
 
+def _int_order(test):
+    """The order ``test`` on two integers that are not bool; false on any
+    other values."""
+    return lambda a, b: (isinstance(a, int) and isinstance(b, int)
+                         and not isinstance(a, bool) and not isinstance(b, bool) and test(a, b))
+
+
+# the comparisons of atoms: each name -> its test on the two operand values
+RELATIONS = MappingProxyType({
+    "==": values_equal,
+    "!=": lambda a, b: not values_equal(a, b),
+    "<": _int_order(operator.lt),
+    "<=": _int_order(operator.le),
+    ">": _int_order(operator.gt),
+    ">=": _int_order(operator.ge),
+    "in": lambda a, s: isinstance(s, (frozenset, tuple)) and any(values_equal(x, a) for x in s),
+})
+
+
 def _eval_atom(p: Atom, env: AttrEnv) -> bool:
     try:
         lv = eval_expr(p.left, env)
         rv = eval_expr(p.right, env)
     except EvalError:
         return False
-    if p.op == "==":
-        return values_equal(lv, rv)
-    if p.op == "!=":
-        return not values_equal(lv, rv)
-    if p.op == "in":
-        if isinstance(rv, frozenset):
-            return any(values_equal(x, lv) for x in rv)
-        if isinstance(rv, tuple):
-            return any(values_equal(x, lv) for x in rv)
-        return False
-    # ordering applies only to (non-boolean) integers
-    for v in (lv, rv):
-        if isinstance(v, bool) or not isinstance(v, int):
-            return False
-    if p.op == "<":
-        return lv < rv
-    if p.op == "<=":
-        return lv <= rv
-    if p.op == ">":
-        return lv > rv
-    if p.op == ">=":
-        return lv >= rv
-    raise ValueError(f"unknown atom operator {p.op}")
+    return RELATIONS[p.op](lv, rv)
 
 
 def satisfies(env: AttrEnv, pred: Predicate) -> bool:

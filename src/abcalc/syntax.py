@@ -2,10 +2,11 @@
 and the pretty-printers that invert them.  The parser plumbing is shared
 with the broadcast calculus, whose grammar lives in ``bpi``.
 
-The grammar is LL with one token of lookahead except for two spots where
+The grammar is LL with one token of lookahead except for one spot where
 the parser scans ahead to a matching parenthesis: distinguishing output
-prefixes, input prefixes and grouping (all start with `(`), and binding
-the message variables of an input before re-reading its predicate.
+prefixes, input prefixes and grouping, which all start with `(`.  An
+input is read left to right, its guard before the binders that the guard
+may mention.  A comparison is a name of ``predicates.RELATIONS``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import re
 
 from . import semantics as sem
-from .predicates import And, Atom, DomainContext, EMPTY_DOMAINS, FF, Ff, Not, Or, TT, Tt
+from .predicates import (And, Atom, DomainContext, EMPTY_DOMAINS, FF, Ff, Not, Or, RELATIONS,
+                         TT, Tt)
 from .terms import (
     Attr,
     AttrEnv,
@@ -42,7 +44,9 @@ from .terms import (
     SndAttr,
     Upd,
     Var,
+    atom_map,
     flatten,
+    map_atoms,
     pretty_value,
     values_equal,
 )
@@ -110,7 +114,6 @@ def tokenize(text: str):
     return toks
 
 
-_RELOPS = ("==", "!=", "<", "<=", ">", ">=")
 _KEYWORDS = frozenset({
     "comp", "iface", "env", "run", "def", "fn", "domain", "system",
     "universe", "restrictOut", "restrictIn", "this", "msg", "snd",
@@ -368,7 +371,7 @@ class Parser:
                 self.pos = save
             else:
                 nxt = self.peek().value
-                if nxt not in _RELOPS and nxt not in ("in", "+", "-", "*"):
+                if nxt not in RELATIONS and nxt not in ("+", "-", "*"):
                     return inner
                 self.pos = save
         return self.atom(bound)
@@ -376,7 +379,7 @@ class Parser:
     def atom(self, bound: frozenset):
         left = self.expr(bound)
         tok = self.peek()
-        if tok.value in _RELOPS or tok.value == "in":
+        if tok.value in RELATIONS:
             self.advance()
             return Atom(tok.value, left, self.expr(bound))
         self.fail(f"expected a comparison operator, found {tok.value!r}")
@@ -436,20 +439,14 @@ class Parser:
                 self.expect(".")
                 return Out(tuple(exprs), p, self.guarded(mark, self.proc_pre(bound)))
             if after == "(":
-                # input: read the binders first, then the guard with
-                # them in scope (the guard may mention the binders)
-                guard_open = self.pos
-                vstart = close + 1
-                vclose = self.match_paren(vstart)
-                self.pos = vstart
+                # input: the guard, then the binders; a bare name in the
+                # guard that is a binder is a variable
+                p = self.guard(bound)
                 self.expect("(")
                 vars_ = self.binders("variable")
                 inner = bound | frozenset(vars_)
-                self.pos = guard_open
-                p = self.guard(inner)
-                if self.pos != vstart:
-                    self.fail("malformed input guard")
-                self.pos = vclose + 1
+                p = map_atoms(p, atom_map(
+                    lambda e: Var(e.name) if isinstance(e, Attr) and e.name in vars_ else e))
                 self.expect(".")
                 return In(p, vars_, self.guarded(mark, self.proc_pre(inner)))
             self.advance()

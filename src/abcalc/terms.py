@@ -277,22 +277,15 @@ class Op(Node):
 Expr = Const | Var | Attr | SelfAttr | MsgIdx | SndAttr | Op
 
 
-def _op_add(a, b):
-    if isinstance(a, bool) or isinstance(b, bool) or not isinstance(a, int) or not isinstance(b, int):
-        raise OperatorDomainError("+ expects integers")
-    return a + b
+def _on_ints(name, fn):
+    """The operator ``name``: ``fn`` on two integers that are not bool."""
 
+    def op(a, b):
+        if isinstance(a, bool) or isinstance(b, bool) or not isinstance(a, int) or not isinstance(b, int):
+            raise OperatorDomainError(f"{name} expects integers")
+        return fn(a, b)
 
-def _op_sub(a, b):
-    if isinstance(a, bool) or isinstance(b, bool) or not isinstance(a, int) or not isinstance(b, int):
-        raise OperatorDomainError("- expects integers")
-    return a - b
-
-
-def _op_mul(a, b):
-    if isinstance(a, bool) or isinstance(b, bool) or not isinstance(a, int) or not isinstance(b, int):
-        raise OperatorDomainError("* expects integers")
-    return a * b
+    return op
 
 
 def _op_tup(*args):
@@ -336,9 +329,9 @@ def _op_contains(s, v):
 
 # name -> (arity or None for variadic, implementation)
 OPERATORS = MappingProxyType({
-    "+": (2, _op_add),
-    "-": (2, _op_sub),
-    "*": (2, _op_mul),
+    "+": (2, _on_ints("+", operator.add)),
+    "-": (2, _on_ints("-", operator.sub)),
+    "*": (2, _on_ints("*", operator.mul)),
     "tup": (None, _op_tup),
     "proj": (2, _op_proj),
     "insert": (2, _op_insert),
@@ -414,7 +407,7 @@ class Ff(Node):
 
 
 class Atom(Node):
-    op: str  # '==', '!=', '<', '<=', '>', '>=', 'in'
+    op: str  # a name of predicates.RELATIONS
     left: Expr
     right: Expr
 
@@ -478,11 +471,9 @@ def atom_map(leaf):
     return rebuild
 
 
-def subst_pred(pred: Predicate, mapping_or_names, values=None) -> Predicate:
+def subst_pred(pred: Predicate, names, values) -> Predicate:
     """Textual simultaneous substitution of variables by values."""
-    if values is None:
-        mapping_or_names, values = mapping_or_names.keys(), mapping_or_names.values()
-    _, _, rewrite = _scope(_consts(mapping_or_names, values))
+    _, _, rewrite = _scope(_consts(names, values))
     return rewrite(pred)
 
 

@@ -159,6 +159,7 @@ def test_startup_leaves_out_openssl():
 ON_DEMAND = {"argparse", "gettext", "abcalc.systems"}
 NETWORK = str(PACKAGE / "corpus" / "network.abc")
 HANDSHAKE = str(PACKAGE / "corpus" / "handshake.bpi")
+ZERO = str(PACKAGE / "corpus" / "zero.abc")
 
 # Given a comma-separated list of modules and a command line, runs ``main``
 # on the line (on none: only imports the command line) and prints its exit
@@ -205,6 +206,12 @@ def test_each_command_loads_only_what_it_runs(argv, loaded):
     assert _loads(argv)[0] == [0 if argv else None, loaded]
 
 
+# An update that leaves its domain, then 600 prefixes: printing the leaf
+# meets the recursion limit.
+DEEP_DOMAIN = ("domain k in {1};\ncomp C { iface: []; env: {k = 1}; run: ()@tt.[k := 2] "
+               + "()@ff." * 600 + "0 }")
+
+
 @pytest.mark.parametrize("name, text, command, message", [
     ("bound.abc", None, ["explore", "--max-states", "2"], "state bound 2 hit"),
     ("unbound.abc", "comp C { iface: []; env: {}; run: A }", ["explore"],
@@ -218,11 +225,16 @@ def test_each_command_loads_only_what_it_runs(argv, loaded):
     ("encoding.bpi", "(rec A().a!().nil)() || (rec A().b!().nil)()", ["verify-encoding"],
      "recursion name A reused with a different body"),
     ("unbound.bpi", "a!().A()", ["verify-encoding"], "unbound recursion variable A"),
+    *(("deep.abc", DEEP_DOMAIN, command, "k := 2 outside its declared domain")
+      for command in (["explore"], ["steps"], ["check-bisim", ZERO, "--weak"])),
 ], ids=["BoundExceeded", "UnboundProcessName", "ArityMismatch", "UnguardedRecursion",
-        "DomainViolation", "EncodingError", "UnboundRecursionVariable"])
+        "DomainViolation", "EncodingError", "UnboundRecursionVariable",
+        "DeepDomainViolation-explore", "DeepDomainViolation-steps",
+        "DeepDomainViolation-check-bisim"])
 def test_errors_end_in_one_line(tmp_path, name, text, command, message):
     """Each error that ``main`` catches ends in exit 2 and one ``error:``
-    line, with no argparse loaded to report it."""
+    line, with no argparse loaded to report it.  A domain violation in a
+    leaf too deep to print names no leaf."""
     path = NETWORK if text is None else tmp_path / name
     if text is not None:
         path.write_text(text + "\n", encoding="utf-8")

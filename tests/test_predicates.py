@@ -58,6 +58,19 @@ class TestSatisfies:
         assert satisfies(self.ENV, A(">=", "a", 2))
         assert satisfies(self.ENV, A("in", "a", frozenset({1, 2})))
         assert not satisfies(self.ENV, A("in", "a", frozenset({5})))
+        # a bool is not an integer: true and 1, false and 0 differ and have no order
+        for x, y in ((True, 1), (False, 0)):
+            for left, right in ((x, y), (y, x)):
+                held = [op for op in ("==", "!=", "<", "<=", ">", ">=", "in")
+                        if satisfies(self.ENV, Atom(op, Const(left), Const(right)))]
+                assert held == ["!="]
+        assert not satisfies(self.ENV, Atom("in", Const(1), Const(frozenset({True}))))
+        assert satisfies(self.ENV, Atom("in", Const(1), Const((1, 2))))
+        assert not satisfies(self.ENV, Atom("in", Const(1), Const(1)))
+        # an operand that fails to evaluate makes the atom false
+        for atom in (A("==", "missing", 1), Atom("<", Op("+", (Const(True), Const(1))), Const(3))):
+            assert not satisfies(self.ENV, atom)
+            assert satisfies(self.ENV, Not(atom))
 
     def test_membership_in_attr_set(self):
         assert satisfies(self.ENV, Atom("in", Const(1), Attr("s")))
@@ -98,7 +111,7 @@ class TestCloseAndSubst:
     def test_subst_pred(self):
         p = Atom("==", Var("x"), Const(1))
         assert subst_pred(p, ("x",), (1,)) == Atom("==", Const(1), Const(1))
-        assert subst_pred(p, {"y": 2}) == p
+        assert subst_pred(p, ("y",), (2,)) == p
 
 
 class TestSolver:

@@ -117,6 +117,9 @@ class TestProcesses:
         assert isinstance(p, In) and p.vars == ("x", "y")
         assert p.pred == Atom("in", Var("x"), SelfAttr("nbr"))
         assert p.cont == Out((Var("x"), Var("y")), TT, Inact())
+        p = parse_process("(!(x == z) && (x + 1) > y)(x).0", bound={"y"})
+        assert p.pred == And(Not(Atom("==", Var("x"), Attr("z"))),
+                             Atom(">", Op("+", (Var("x"), Const(1))), Var("y")))
 
     def test_update_prefix(self):
         p = parse_process("[a := 1][b := a] 0")
@@ -223,6 +226,16 @@ class TestErrors:
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             parse_process("((1)@tt.0")
+
+    @pytest.mark.parametrize("text, message", [
+        ("(tt)(x.0", "1:7: expected ')', found '.'"),
+        ("(x ==)(x, x).0", "1:6: expected an expression, found ')'"),
+    ], ids=["binders-unclosed", "guard-before-binders"])
+    def test_input_read_in_order(self, text, message):
+        """An input is read left to right: an unclosed binder list is
+        reported where it stops, and a bad guard before bad binders."""
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_process(text)
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):

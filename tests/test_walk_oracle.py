@@ -506,7 +506,7 @@ def test_restriction_atoms_collapse_to_ff():
 @given(preds, st.sampled_from(VALUES), st.sampled_from(VALUES))
 def test_subst_pred_matches_reference(p, v, w):
     assert repr(subst_pred(p, ("x", "y"), (v, w))) == repr(ref_subst_pred(p, {"x": v, "y": w}))
-    assert repr(subst_pred(p, {"y": w})) == repr(ref_subst_pred(p, {"y": w}))
+    assert repr(subst_pred(p, ("y",), (w,))) == repr(ref_subst_pred(p, {"y": w}))
 
 
 @settings(max_examples=300, deadline=None)
