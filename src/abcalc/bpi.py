@@ -128,7 +128,7 @@ class _BpiParser(Parser):
             self.expect(".")
             return BTau(self.guarded(mark, self.bpi_pre()))
         if self.at("("):
-            if self.peek(1).value == "rec":
+            if self.peek(1)[1] == "rec":
                 self.advance()
                 self.advance()
                 name = self.ident("recursion name")

@@ -25,6 +25,7 @@ command line is not plain (``_plain_args``), and ``systems`` only in
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -509,6 +510,11 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
+    # States and labels are immutable trees and the walk tables hold ints, so
+    # only per-walk objects can form cycles: the cyclic collector would walk
+    # every state the command keeps and free little.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _check(args)
         return args.fn(args)
@@ -529,6 +535,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .terms import (
     Inact,
     Leaf,
     MsgIdx,
-    Node,
     Op,
     OPERATORS,
     Out,
@@ -72,46 +71,18 @@ class UnguardedRecursion(Exception):
 # Tokenizer
 
 
-class Token(Node):
-    kind: str  # 'id', 'int', 'str', 'sym', 'eof'
-    value: str
-    line: int
-    col: int
-
-
+# Whitespace and comments are the unnamed alternatives; ``bad`` is any
+# other character, which no token starts with.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>//[^\n]*)
-      | (?P<nl>\n)
+    r"""[ \t\r\n]+ | //[^\n]*
       | (?P<int>\d+)
       | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<str>"(?:[^"\\\n]|\\.)*")
       | (?P<sym>:=|==|!=|<=|>=|&&|\|\||[-+*.,;:@=!<>(){}\[\]|])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
-
-
-def tokenize(text: str):
-    toks = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
-        kind = m.lastgroup
-        raw = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(raw)
-        else:
-            toks.append(Token(kind, raw, line, col))
-            col += len(raw)
-        i = m.end()
-    toks.append(Token("eof", "", line, col))
-    return toks
 
 
 _KEYWORDS = frozenset({
@@ -147,71 +118,87 @@ def check_domains(comps, domains: DomainContext):
 
 class Parser:
     """Token cursor and the grammar of models; ``bpi`` extends it with the
-    grammar of broadcast terms."""
+    grammar of broadcast terms.  A token is a tuple ``(kind, text, offset)``
+    of kind ``id``, ``int``, ``str`` or ``sym``; the last is ``eof``, which
+    the cursor never passes."""
 
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        self.text = text
+        self.toks = toks = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind:
+                tok = (kind, m.group(), m.start())
+                if kind == "bad":
+                    raise self.error(f"unexpected character {tok[1]!r}", tok)
+                toks.append(tok)
+        toks.append(("eof", "", len(text)))
         self.pos = 0
         self.calls = []  # the names called since the last prefix: unguarded calls
 
+    def error(self, message: str, tok: tuple) -> ParseError:
+        """A ParseError at ``tok``, with its line and column counted from 1."""
+        at = tok[2]
+        line = self.text.count("\n", 0, at) + 1
+        return ParseError(message, line, at - self.text.rfind("\n", 0, at))
+
     # -- plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self, ahead: int = 0) -> tuple:
+        return self.toks[self.pos + ahead]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.toks[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.value == value and tok.kind in ("sym", "id")
+        kind, text, _ = self.toks[self.pos]
+        return text == value and (kind == "sym" or kind == "id")
 
     def eat(self, value: str) -> bool:
         if self.at(value):
-            self.advance()
+            self.pos += 1
             return True
         return False
 
-    def expect(self, value: str) -> Token:
+    def expect(self, value: str) -> tuple:
+        tok = self.toks[self.pos]
         if not self.at(value):
-            tok = self.peek()
-            raise ParseError(f"expected {value!r}, found {tok.value!r}", tok.line, tok.col)
-        return self.advance()
+            raise self.error(f"expected {value!r}, found {tok[1]!r}", tok)
+        self.pos += 1
+        return tok
 
     def ident(self, what: str = "identifier") -> str:
-        tok = self.peek()
-        if tok.kind != "id" or tok.value in _KEYWORDS:
-            raise ParseError(f"expected {what}, found {tok.value!r}", tok.line, tok.col)
-        self.advance()
-        return tok.value
+        kind, text, _ = tok = self.toks[self.pos]
+        if kind != "id" or text in _KEYWORDS:
+            raise self.error(f"expected {what}, found {text!r}", tok)
+        self.pos += 1
+        return text
 
     def done(self):
         tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+        if tok[0] != "eof":
+            raise self.error(f"trailing input {tok[1]!r}", tok)
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise self.error(message, self.peek())
 
     def match_paren(self, start: int) -> int:
         """Index of the token closing the parenthesis at index start."""
         depth = 0
         for i in range(start, len(self.toks)):
-            v = self.toks[i].value
-            if self.toks[i].kind != "sym":
+            kind, text, _ = self.toks[i]
+            if kind != "sym":
                 continue
-            if v == "(":
+            if text == "(":
                 depth += 1
-            elif v == ")":
+            elif text == ")":
                 depth -= 1
                 if depth == 0:
                     return i
-        tok = self.toks[start]
-        raise ParseError("unbalanced parenthesis", tok.line, tok.col)
+        raise self.error("unbalanced parenthesis", self.toks[start])
 
     def comma_list(self, close: str, item, *args) -> list:
         """``item(*args)`` repeated with commas between, up to and
@@ -237,12 +224,11 @@ class Parser:
         tok = self.peek()
         return self.distinct(self.comma_list(")", self.ident, what), what, tok)
 
-    @staticmethod
-    def distinct(names, what: str, tok: Token) -> tuple:
+    def distinct(self, names, what: str, tok: tuple) -> tuple:
         """``names`` as a tuple; a ParseError at ``tok`` if one repeats."""
         for i, name in enumerate(names):
             if name in names[:i]:
-                raise ParseError(f"repeated {what} {name!r}", tok.line, tok.col)
+                raise self.error(f"repeated {what} {name!r}", tok)
         return tuple(names)
 
     def env_literal(self) -> AttrEnv:
@@ -258,20 +244,20 @@ class Parser:
     # -- literal values
 
     def value(self):
-        tok = self.peek()
-        if tok.kind == "int":
+        kind, text, _ = tok = self.peek()
+        if kind == "int":
             self.advance()
-            return int(tok.value)
-        if tok.value == "-" and self.peek(1).kind == "int":
+            return int(text)
+        if text == "-" and self.peek(1)[0] == "int":
             self.advance()
-            return -int(self.advance().value)
-        if tok.kind == "str":
+            return -int(self.advance()[1])
+        if kind == "str":
             self.advance()
-            return _unquote(tok.value)
-        if tok.value == "true":
+            return _unquote(text)
+        if text == "true":
             self.advance()
             return True
-        if tok.value == "false":
+        if text == "false":
             self.advance()
             return False
         if self.eat("{"):
@@ -279,20 +265,20 @@ class Parser:
             for i, v in enumerate(members):  # a frozenset would merge 1 and true
                 for w in members[:i]:
                     if v == w and not values_equal(v, w):
-                        raise ParseError(f"a set cannot hold both {pretty_value(w)} and "
-                                         f"{pretty_value(v)}", tok.line, tok.col)
+                        raise self.error(f"a set cannot hold both {pretty_value(w)} and "
+                                         f"{pretty_value(v)}", tok)
             return frozenset(members)
         if self.eat("tup"):
             self.expect("(")
             return tuple(self.comma_list(")", self.value))
-        self.fail(f"expected a literal value, found {tok.value!r}")
+        self.fail(f"expected a literal value, found {text!r}")
 
     # -- expressions
 
     def expr(self, bound: frozenset):
         left = self.term(bound)
         while self.at("+") or self.at("-"):
-            op = self.advance().value
+            op = self.advance()[1]
             left = Op(op, (left, self.term(bound)))
         return left
 
@@ -304,36 +290,36 @@ class Parser:
         return left
 
     def factor(self, bound: frozenset):
-        tok = self.peek()
-        if (tok.kind in ("int", "str") or tok.value in ("true", "false", "{")
-                or (tok.value == "-" and self.peek(1).kind == "int")):
+        kind, text, _ = self.peek()
+        if (kind == "int" or kind == "str" or text in ("true", "false", "{")
+                or (text == "-" and self.peek(1)[0] == "int")):
             return Const(self.value())
         if self.eat("this"):
             self.expect(".")
             return SelfAttr(self.ident("attribute"))
         if self.eat("msg"):
             self.expect("[")
-            idx = self.peek()
-            if idx.kind != "int":
+            idx_kind, idx, _ = self.peek()
+            if idx_kind != "int":
                 self.fail("expected a message index")
             self.advance()
             self.expect("]")
-            return MsgIdx(int(idx.value))
+            return MsgIdx(int(idx))
         if self.eat("snd"):
             self.expect(".")
             return SndAttr(self.ident("attribute"))
-        if tok.kind == "id" and tok.value in OPERATORS and tok.value not in "+-*":
+        if kind == "id" and text in OPERATORS and text not in "+-*":
             self.advance()
             self.expect("(")
-            return Op(tok.value, tuple(self.comma_list(")", self.expr, bound)))
-        if tok.kind == "id" and tok.value not in _KEYWORDS:
+            return Op(text, tuple(self.comma_list(")", self.expr, bound)))
+        if kind == "id" and text not in _KEYWORDS:
             self.advance()
-            return Var(tok.value) if tok.value in bound else Attr(tok.value)
+            return Var(text) if text in bound else Attr(text)
         if self.eat("("):
             e = self.expr(bound)
             self.expect(")")
             return e
-        self.fail(f"expected an expression, found {tok.value!r}")
+        self.fail(f"expected an expression, found {text!r}")
 
     # -- predicates
 
@@ -370,7 +356,7 @@ class Parser:
             except ParseError:
                 self.pos = save
             else:
-                nxt = self.peek().value
+                nxt = self.peek()[1]
                 if nxt not in RELATIONS and nxt not in ("+", "-", "*"):
                     return inner
                 self.pos = save
@@ -378,11 +364,11 @@ class Parser:
 
     def atom(self, bound: frozenset):
         left = self.expr(bound)
-        tok = self.peek()
-        if tok.value in RELATIONS:
+        op = self.peek()[1]
+        if op in RELATIONS:
             self.advance()
-            return Atom(tok.value, left, self.expr(bound))
-        self.fail(f"expected a comparison operator, found {tok.value!r}")
+            return Atom(op, left, self.expr(bound))
+        self.fail(f"expected a comparison operator, found {op!r}")
 
     def guard(self, bound: frozenset):
         """Predicate in guard position: tt, ff, or parenthesized."""
@@ -412,8 +398,8 @@ class Parser:
         return left
 
     def proc_pre(self, bound: frozenset):
-        tok, mark = self.peek(), len(self.calls)
-        if tok.kind == "int" and tok.value == "0":
+        (kind, text, _), mark = self.peek(), len(self.calls)
+        if kind == "int" and text == "0":
             self.advance()
             return Inact()
         if self.at("["):
@@ -430,7 +416,7 @@ class Parser:
             return Aware(p, self.proc_pre(bound))
         if self.at("("):
             close = self.match_paren(self.pos)
-            after = self.toks[close + 1].value if close + 1 < len(self.toks) else ""
+            after = self.toks[close + 1][1]
             if after == "@":
                 self.advance()
                 exprs = self.comma_list(")", self.expr, bound)
@@ -453,12 +439,12 @@ class Parser:
             p = self.process(bound)
             self.expect(")")
             return p
-        if tok.kind == "id" and tok.value not in _KEYWORDS:
+        if kind == "id" and text not in _KEYWORDS:
             self.advance()
             args = self.comma_list(")", self.expr, bound) if self.eat("(") else ()
-            self.calls.append(tok.value)
-            return Call(tok.value, tuple(args))
-        self.fail(f"expected a process, found {tok.value!r}")
+            self.calls.append(text)
+            return Call(text, tuple(args))
+        self.fail(f"expected a process, found {text!r}")
 
     # -- components
 
@@ -499,8 +485,9 @@ class Parser:
     def comp_block(self, model: Model):
         self.expect("comp")
         name = None
-        if self.peek().kind == "id" and self.peek().value not in _KEYWORDS:
-            name = self.advance().value
+        kind, text, _ = self.peek()
+        if kind == "id" and text not in _KEYWORDS:
+            name = self.advance()[1]
         self.expect("{")
         self.expect("iface")
         self.expect(":")
@@ -528,7 +515,7 @@ class Parser:
         system = None
         labels = []
         heads = {}  # definition -> the calls its body makes unguarded
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             if self.at("domain"):
                 self.advance()
                 attr = self.ident("attribute")
@@ -569,7 +556,7 @@ class Parser:
                     labels.append(self.universe_entry())
                 self.expect("}")
             else:
-                self.fail(f"unexpected {self.peek().value!r} at top level")
+                self.fail(f"unexpected {self.peek()[1]!r} at top level")
         _check_guarded(heads)
         model.domains = DomainContext.of(domains) if domains else EMPTY_DOMAINS
         model.universe = tuple(labels)

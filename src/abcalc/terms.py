@@ -10,7 +10,6 @@ directly.
 from __future__ import annotations
 
 import operator
-from functools import cache
 from itertools import count
 from types import FunctionType, MappingProxyType
 
@@ -96,61 +95,125 @@ def _quote(s: str) -> str:
 # Nodes
 
 
-_NODE_METHODS = """\
-def __init__(self{params}):
-{sets}    _set_hash(self, hash(({key})))
-def __eq__(self, other):
+# The methods of every Node class are these functions, compiled with the
+# module: ``_INITS[n]`` and ``_EQS[n]`` serve the classes of ``n`` fields.
+# Field ``i`` is the parameter and attribute ``_f<i>`` and is set by the
+# global ``_s<i>``; ``_NodeType`` renames the fields and binds the globals
+# of each class, so the names below are not this module's.  ``_plain`` is
+# true for a class with no by-value fields; otherwise ``_values`` reads
+# them.
+
+
+def _init0(self):
+    _set_hash(self, hash(()))
+
+
+def _init1(self, _f0):
+    _s0(self, _f0)
+    _set_hash(self, hash((_f0,)))
+
+
+def _init2(self, _f0, _f1):
+    _s0(self, _f0)
+    _s1(self, _f1)
+    _set_hash(self, hash((_f0, _f1)))
+
+
+def _init3(self, _f0, _f1, _f2):
+    _s0(self, _f0)
+    _s1(self, _f1)
+    _s2(self, _f2)
+    _set_hash(self, hash((_f0, _f1, _f2)))
+
+
+def _init4(self, _f0, _f1, _f2, _f3):
+    _s0(self, _f0)
+    _s1(self, _f1)
+    _s2(self, _f2)
+    _s3(self, _f3)
+    _set_hash(self, hash((_f0, _f1, _f2, _f3)))
+
+
+def _eq0(self, other):
     if self is other:
         return True
     if other.__class__ is not self.__class__:
         return NotImplemented
-    return self._hash == other._hash and ({mine}) == ({theirs}){typed}
-"""
+    return self._hash == other._hash
 
 
-@cache
-def _node_code(size: int, typed: tuple) -> tuple:
-    """The code of ``__init__`` and ``__eq__`` for every class of one field
-    shape: ``size`` fields, those at the positions ``typed`` compared by
-    value too.  Field ``i`` is the parameter and attribute ``_f<i>`` and is
-    set by the global ``_s<i>``; ``_NodeType`` renames and binds them."""
-    fields = [f"_f{i}" for i in range(size)]
-    src = _NODE_METHODS.format(
-        params="".join(f", {f}" for f in fields),
-        sets="".join(f"    _s{i}(self, {f})\n" for i, f in enumerate(fields)),
-        key="".join(f"{f}, " for f in fields),
-        mine="".join(f"self.{f}, " for f in fields),
-        theirs="".join(f"other.{f}, " for f in fields),
-        typed="".join(f" and _same(self._f{i}, other._f{i})" for i in typed))
-    env = {}
-    exec(src, env)
-    return env["__init__"].__code__, env["__eq__"].__code__
+def _eq1(self, other):
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return (self._hash == other._hash and self._f0 == other._f0
+            and (_plain or _same(_values(self), _values(other))))
+
+
+def _eq2(self, other):
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return (self._hash == other._hash and (self._f0, self._f1) == (other._f0, other._f1)
+            and (_plain or _same(_values(self), _values(other))))
+
+
+def _eq3(self, other):
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return (self._hash == other._hash
+            and (self._f0, self._f1, self._f2) == (other._f0, other._f1, other._f2)
+            and (_plain or _same(_values(self), _values(other))))
+
+
+def _eq4(self, other):
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return (self._hash == other._hash
+            and (self._f0, self._f1, self._f2, self._f3) == (other._f0, other._f1, other._f2, other._f3)
+            and (_plain or _same(_values(self), _values(other))))
+
+
+_INITS = (_init0, _init1, _init2, _init3, _init4)
+_EQS = (_eq0, _eq1, _eq2, _eq3, _eq4)
 
 
 class _NodeType(type):
     """Turns the annotated names of a ``Node`` class body into its fields:
     slots in that order, with the class-level values as defaults of the
-    trailing ones, and an ``__init__`` and ``__eq__`` made from the code of
-    its field shape (compiled once per shape), with the field names put in.
-    The fields named in a class's ``_by_value`` hold values and also
-    compare by ``values_equal``, so that ``1`` and ``true`` differ."""
+    trailing ones, and the ``__init__`` and ``__eq__`` of its number of
+    fields, with the field names put in and its slot setters bound.  The
+    fields named in a class's ``_by_value`` hold values and also compare
+    by ``values_equal``, so that ``1`` and ``true`` differ."""
 
     def __new__(mcls, name, bases, ns):
         if not bases:
             return super().__new__(mcls, name, bases, ns)
         fields = tuple(ns.get("__annotations__", ()))
+        if len(fields) >= len(_INITS):
+            raise TypeError(f"{name}: a Node has at most {len(_INITS) - 1} fields")
         defaults = tuple(ns.pop(f) for f in fields if f in ns)
         ns["__slots__"] = fields
         cls = super().__new__(mcls, name, bases, ns)
-        init, eq = _node_code(len(fields), tuple(map(fields.index, ns.get("_by_value", ()))))
-        attr = {f"_f{i}": f for i, f in enumerate(fields)}
+        by_value = ns.get("_by_value", ())
         # the slots are set through their descriptors: ``Node.__setattr__`` refuses
         env = {f"_s{i}": cls.__dict__[f].__set__ for i, f in enumerate(fields)}
-        env.update(_set_hash=Node._hash.__set__, _same=values_equal)
-        cls.__init__ = FunctionType(init.replace(co_varnames=("self", *fields)), env,
-                                    "__init__", defaults)
-        cls.__eq__ = FunctionType(eq.replace(co_names=tuple(attr.get(n, n) for n in eq.co_names)),
-                                  env, "__eq__")
+        env.update(_set_hash=Node._hash.__set__, _same=values_equal, _plain=not by_value,
+                   _values=operator.attrgetter(*by_value) if by_value else None)
+        init, eq = _INITS[len(fields)].__code__, _EQS[len(fields)].__code__
+        attr = {f"_f{i}": f for i, f in enumerate(fields)}
+        init = init.replace(co_name="__init__", co_varnames=("self", *fields))
+        eq = eq.replace(co_name="__eq__", co_names=tuple(attr.get(n, n) for n in eq.co_names))
+        cls.__init__ = FunctionType(init, env, "__init__", defaults)
+        cls.__eq__ = FunctionType(eq, env, "__eq__")
+        for method in (cls.__init__, cls.__eq__):  # named in argument errors
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         return cls
 
 

@@ -229,6 +229,15 @@ def emitters_abc(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def tau_leaves_abc(k: int, plain: bool = False) -> str:
+    """k leaves doing two silent steps, then emitting their id; ``plain``
+    drops the silent steps."""
+    run = "(this.id)@tt.0" if plain else "()@ff.()@ff.(this.id)@tt.0"
+    lines = [f'comp L{i} {{ iface: []; env: {{id = "l{i}"}}; run: {run} }}' for i in range(k)]
+    lines.append("system: " + " || ".join(f"L{i}" for i in range(k)) + ";")
+    return "\n".join(lines) + "\n"
+
+
 RESTRICTION_POOL = (
     RestrictionFn("ftt", TT),
     RestrictionFn("fff", FF),

@@ -41,6 +41,7 @@ from conftest import (
     random_guard,
     random_process,
     random_recv_guard,
+    tau_leaves_abc,
 )
 
 _TAU = "tau"
@@ -278,15 +279,6 @@ def assert_weak_bisimulation(ltss, class_of, blocks):
         for cls, w in moves:
             assert (cls, blocks[w]) in answers[blocks[s]], (
                 f"state {s} moves by {cls} into block {blocks[w]}; its block cannot answer")
-
-
-def tau_leaves_abc(k: int, plain: bool = False) -> str:
-    """k leaves doing two silent steps, then emitting their id; ``plain``
-    drops the silent steps."""
-    run = "(this.id)@tt.0" if plain else "()@ff.()@ff.(this.id)@tt.0"
-    lines = [f'comp L{i} {{ iface: []; env: {{id = "l{i}"}}; run: {run} }}' for i in range(k)]
-    lines.append("system: " + " || ".join(f"L{i}" for i in range(k)) + ";")
-    return "\n".join(lines) + "\n"
 
 
 def silent_prefix_abc(k: int, run: str, env: str = "") -> str:

@@ -1,6 +1,7 @@
 """Command line interface: every subcommand, exit codes, JSON verdicts,
 and deterministic exports."""
 
+import gc
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from abcalc.cli import COMMANDS, build_parser, main
 from abcalc.systems import corpus_path
 
-from conftest import chains_abc, emitters_abc
+from conftest import chains_abc, emitters_abc, tau_leaves_abc
 
 NETWORK = str(corpus_path("network.abc"))
 ZERO = str(corpus_path("zero.abc"))
@@ -408,6 +409,36 @@ class TestIllFormedInput:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# A malformed file, as bytes, and the one line that `parse` writes for it.
+# Columns count characters from 1, a tab and a comment included; the file
+# is read with universal newlines, so `\r\n` ends one line.
+@pytest.mark.parametrize("name, raw, message", [
+    ("char.abc", b"comp C { iface: []; env: {}; run: 0 # }\n", "1:37: unexpected character '#'"),
+    ("char.bpi", b"a!(x).nil\n|| b(y).nil $\n", "2:13: unexpected character '$'"),
+    ("string.abc", b'domain a in {"x};\ncomp C { iface: [a]; env: {a = "x"}; run: 0 }\n',
+     "1:14: unexpected character '\"'"),
+    ("string.bpi", b'a!(x).nil || "b\n', "1:14: unexpected character '\"'"),
+    ("trailing.abc", b"comp C { iface: []; env: {}; run: 0 } }\n", "1:39: unexpected '}' at top level"),
+    ("trailing.bpi", b"a!(x).nil b(y).nil\n", "1:11: trailing input 'b'"),
+    ("paren.abc", b"comp C { iface: []; env: {}; run: (1@tt.0 }\n", "1:35: unbalanced parenthesis"),
+    ("paren.bpi", b"(a!(x).nil || b(y).nil\n", "2:1: expected ')', found ''"),
+    ("binder.abc", b"comp C { iface: []; env: {}; run: (tt)(x, y, x).0 }\n",
+     "1:40: repeated variable 'x'"),
+    ("binder.bpi", b"a(x, x).nil\n", "1:2: repeated variable 'x'"),
+    ("line3.abc", b"// a comment\r\ncomp C {\r\n\tiface: [];\tenv: {}; run: () @tt.0 | ?\r\n}\r\n",
+     "3:38: unexpected character '?'"),
+    ("line3-parse.abc", b"// a comment\r\ncomp C {\r\n\tiface: [];\tenv: {}; run: () @tt. | 0\r\n}\r\n",
+     "3:35: expected a process, found '|'"),
+    ("line3.bpi", b"// a comment\r\n\ta!(x).nil\r\n\t||\tb(y).\tnil!\r\n", "3:14: trailing input '!'"),
+    ("eof.abc", b"comp C { iface: []; env: {}; run: 0\n\n  ", "3:3: expected '}', found ''"),
+    ("eof.bpi", b"a!(x).\n", "2:1: expected name, found ''"),
+])
+def test_parse_error_positions(capsys, tmp_path, monkeypatch, name, raw, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(raw)
+    assert run(capsys, "parse", name) == (2, "", f"error: {name}:{message}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("translate", "{abc}"), "translate expects a .bpi file"),
     (("verify-encoding", "{abc}"), "verify-encoding expects a .bpi file"),
@@ -682,3 +713,63 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "explore", NETWORK, "--max-states", "-1")
     assert rc == 2 and "positive" in err
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, code", [
+    (("parse", NETWORK), 0),
+    (("check-bisim", "--strong", NETWORK, ZERO), 1),
+    (("explore", "no_such_file.abc"), 2),
+    (("explore", "--max-states", "1", NETWORK), 2),
+    (("explore", "--max-states", "x", NETWORK), 2),
+], ids=["exit-0", "exit-1", "cli-error", "bound-exceeded", "usage-error"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, collecting, argv, code):
+    """``main`` pauses the cyclic collector while a command runs and turns
+    it back on only if it was on."""
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# Runs one command line in a fresh process and prints how many objects
+# ``gc.collect`` finds unreachable right after ``main``.
+GARBAGE = """
+import contextlib, gc, io, sys
+from abcalc.cli import main
+gc.collect()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, gc.collect())
+"""
+
+
+def relay_bpi(k: int) -> str:
+    return " || ".join(["c0!(m).nil"] + [f"c{i}(x).c{i + 1}!(x).nil" for i in range(k)]) + "\n"
+
+
+@pytest.mark.parametrize("command, models, small, large", [
+    ("explore", lambda k: {"e.abc": emitters_abc(k)}, 2, 5),
+    ("check-bisim --weak", lambda k: {"t.abc": tau_leaves_abc(k),
+                                      "p.abc": tau_leaves_abc(k, plain=True)}, 2, 4),
+    ("verify-encoding", lambda k: {"r.bpi": relay_bpi(k)}, 2, 5),
+])
+def test_cyclic_garbage_does_not_grow_with_the_model(tmp_path, command, models, small, large):
+    """With the collector paused, the cycles a command leaves are made per
+    walk and per leaf, never per state: a model with many times the states
+    leaves at most a fixed margin more."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    left = []
+    for k in (small, large):
+        for name, text in models(k).items():
+            (tmp_path / name).write_text(text)
+        argv = [*command.split(), *models(k)]
+        result = subprocess.run([sys.executable, "-c", GARBAGE, *argv], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        code, garbage = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        left.append(garbage)
+    assert left[1] <= left[0] + 500, left

@@ -150,10 +150,20 @@ def test_node_contract(cls):
     assert back == node and hash(back) == hash(node) and type(back) is cls
     if fields:
         assert node != cls(*values[:-1], "other")
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"__init__\(\) takes"):
         cls(*values, "extra")
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"__init__\(\) got an unexpected keyword"):
         cls(*values, no_such_field=1)
+
+
+def test_a_node_of_more_fields_than_its_methods_cover_is_refused():
+    with pytest.raises(TypeError, match="Wide: a Node has at most 4 fields"):
+        class Wide(Node):
+            a: int
+            b: int
+            c: int
+            d: int
+            e: int
 
 
 def test_same_fields_in_another_class_are_another_node():
