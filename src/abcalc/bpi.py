@@ -476,14 +476,12 @@ class CorrespondenceReport(Record):
 def harvest_bpi_universe(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> tuple:
     """Fixpoint of the broadcast alphabet, with its closure: every emitted
     ``("out", chan, values)`` is fed back as the input ``("in", chan,
-    values)`` until no new one appears.  Returns the universe and the
-    closure: its states, their steps and the walk that found them."""
-    return alphabet_fixpoint(
-        unstepped(_walk(p, canon_bpi)),
-        lambda have, outs: tuple(sorted({*have, *(("in", *o[1:]) for o in outs if o != TAU)})),
-        (),
-        bounds.max_states,
-    )
+    values)`` it delivers until no new one appears.  Returns the universe
+    and the closure: its states, their steps and the walk that found
+    them."""
+    return alphabet_fixpoint(unstepped(_walk(p, canon_bpi)),
+                             lambda have, heard: tuple(sorted({*have, *heard})), (),
+                             bounds.max_states)
 
 
 def _abc_label(lab) -> sem.Label:

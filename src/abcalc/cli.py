@@ -61,8 +61,9 @@ class CliError(Exception):
 def _check(args):
     """Check a command line's options before anything is read or written,
     and give ``args`` its exploration bounds: positive bounds, no JSON
-    over a model file, and no output file that resolves to a file being
-    read or to the other output file."""
+    over a model file, no output file that resolves to a file being read
+    or to the other output file, and then input files of the kind that
+    the command takes."""
     args.bounds = L.ExploreBounds(getattr(args, "max_states", L.DEFAULT_BOUNDS.max_states),
                                   getattr(args, "max_depth", L.DEFAULT_BOUNDS.max_depth))
     if args.bounds.max_states <= 0 or args.bounds.max_depth <= 0:
@@ -79,6 +80,12 @@ def _check(args):
             raise CliError(f"{flag} {path}: refusing to overwrite the input {source}")
     if output and json_out and os.path.realpath(json_out) == os.path.realpath(output):
         raise CliError(f"--json {json_out}: refusing to write JSON over the -o file")
+    takes = next(entry[4] for entry in COMMANDS if entry[0] == args.command)
+    for path in filter(None, inputs):
+        if takes == "model" and path.endswith(".bpi"):
+            raise CliError(f"{path}: a .bpi term is not a component model (translate it first)")
+        if takes == "bpi" and not path.endswith(".bpi"):
+            raise CliError(f"{args.command} expects a .bpi file")
 
 
 def _write(path: str, text: str):
@@ -103,20 +110,6 @@ def _load_model(path: str):
         raise CliError(f"{path}:{exc}")
     except DomainViolation as exc:
         raise CliError(f"{path}: {exc}")
-
-
-def _component_files(*paths):
-    """Refuse a .bpi file where a component model is expected, before any
-    file is read."""
-    for path in paths:
-        if path.endswith(".bpi"):
-            raise CliError(f"{path}: a .bpi term is not a component model (translate it first)")
-
-
-def _bpi_file(command: str, path: str):
-    """Refuse, before it is read, a file that is not a broadcast term."""
-    if not path.endswith(".bpi"):
-        raise CliError(f"{command} expects a .bpi file")
 
 
 def _require_component(model, path):
@@ -216,7 +209,6 @@ def _bpi_label_text(lab) -> str:
 
 
 def cmd_explore(args) -> int:
-    _component_files(args.file)
     model = _load_model(args.file)
     comp = _require_component(model, args.file)
     universe, closure = _universe(model, comp, args)
@@ -241,7 +233,6 @@ def cmd_explore(args) -> int:
 
 
 def cmd_barbs(args) -> int:
-    _component_files(args.file)
     model = _load_model(args.file)
     comp = _require_component(model, args.file)
     preds = eq.barbs(comp, model.defs, model.domains, weak=args.weak, bounds=args.bounds)
@@ -251,7 +242,6 @@ def cmd_barbs(args) -> int:
 
 
 def cmd_check_bisim(args) -> int:
-    _component_files(args.left, args.right)
     m1, m2 = _load_model(args.left), _load_model(args.right)
     c1 = _require_component(m1, args.left)
     c2 = _require_component(m2, args.right)
@@ -280,7 +270,6 @@ def cmd_check_bisim(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    _bpi_file("translate", args.file)
     term = _load_model(args.file)
     comp, defs = bp.encode(term)
     model = Model(component=comp, defs=defs)
@@ -295,7 +284,6 @@ def cmd_translate(args) -> int:
 
 
 def cmd_verify_encoding(args) -> int:
-    _bpi_file("verify-encoding", args.file)
     term = _load_model(args.file)
     report = bp.correspondence_check(term, args.bounds)
     human = (
@@ -355,21 +343,24 @@ def cmd_corpus(args) -> int:
 # Entry point
 
 
-# Each subcommand: its name, handler, help line and arguments in order.
+# Each subcommand: its name, handler, help line, arguments in order, and the
+# kind of file it reads: "model" (a component model), "bpi" (a broadcast
+# term) or None (either, or no file).
 COMMANDS = (
-    ("parse", cmd_parse, "parse and pretty-print a source file", ("file", "json")),
+    ("parse", cmd_parse, "parse and pretty-print a source file", ("file", "json"), None),
     ("steps", cmd_steps, "one-step successors with labels",
-     ("file", "json", "max_states", "universe")),
+     ("file", "json", "max_states", "universe"), None),
     ("explore", cmd_explore, "explore to a .aut transition system",
-     ("file", "output", "json", "max_states", "max_depth", "universe")),
+     ("file", "output", "json", "max_states", "max_depth", "universe"), "model"),
     ("barbs", cmd_barbs, "observable output predicates",
-     ("file", "weak", "json", "max_states", "max_depth")),
+     ("file", "weak", "json", "max_states", "max_depth"), "model"),
     ("check-bisim", cmd_check_bisim, "decide bisimilarity of two systems",
-     ("mode", "left", "right", "json", "max_states", "max_depth", "universe")),
-    ("translate", cmd_translate, "translate a broadcast term", ("file", "output", "json")),
+     ("mode", "left", "right", "json", "max_states", "max_depth", "universe"), "model"),
+    ("translate", cmd_translate, "translate a broadcast term", ("file", "output", "json"), "bpi"),
     ("verify-encoding", cmd_verify_encoding, "check the translation step by step",
-     ("file", "json", "max_states", "max_depth")),
-    ("corpus", cmd_corpus, "run the bundled regression suite", ("json", "max_states", "max_depth")),
+     ("file", "json", "max_states", "max_depth"), "bpi"),
+    ("corpus", cmd_corpus, "run the bundled regression suite",
+     ("json", "max_states", "max_depth"), None),
 )
 
 
@@ -444,7 +435,7 @@ def _plain_args(argv: list):
     entry = next((e for e in COMMANDS if argv and e[0] == argv[0]), None)
     if entry is None:
         return None
-    command, fn, _, arguments = entry
+    command, fn, _, arguments, _ = entry
     specs = _specs(arguments)
     options = {flag: spec for spec in specs if spec[2] != "positional" for flag in spec[1]}
     values = {dest: default for dest, _, _, default in specs}
@@ -494,7 +485,7 @@ def build_parser():
         description="Workbench for attribute-based communicating components.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, help_text, arguments in COMMANDS:
+    for name, fn, help_text, arguments, _ in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for argument in arguments:
             _add_argument(p, argument)

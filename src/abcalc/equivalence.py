@@ -37,7 +37,6 @@ from . import semantics as sem
 from .lts import (
     BoundExceeded,
     DEFAULT_BOUNDS,
-    DISCARDS,
     ExploreBounds,
     Lts,
     abc_walk,
@@ -49,6 +48,7 @@ from .lts import (
     leaf_closure,
     merge_labels,
     reach,
+    silent,
     state_text,
     unstepped,
 )
@@ -75,18 +75,18 @@ def barbs(
     too."""
     walk = abc_walk(comp, defs or {}, domains)
     outs = cache(walk.outs)
-    silent = lambda lab: pr.is_ff(lab.pred, domains)
     text = state_text(walk)
     states = [walk.initial]
     if weak:
         closure = unstepped(walk)
-        order, _ = reach(closure, lambda q: [st for st in outs(q) if silent(st[0])],
+        order, _ = reach(closure, lambda q: [st for st in outs(q) if silent(st[0], domains)],
                          pretty_label, text, bounds)
         states = [closure[0][i] for i in order]
     reps = []
     for state in states:
         for lab, _ in sorted(outs(state), key=lambda st: (pretty_label(st[0]), text(st[1]))):
-            if not silent(lab) and not any(pr.equiv(lab.pred, have, domains) for have in reps):
+            if not silent(lab, domains) and not any(pr.equiv(lab.pred, have, domains)
+                                                    for have in reps):
                 reps.append(lab.pred)
     return reps
 
@@ -131,20 +131,24 @@ _MODEL_ERRORS = (DomainViolation, sem.UnboundProcessName, ArityMismatch, Recursi
 _ANSWERS_PER_POSITION = 32
 
 
-def _label_classes(labels, domains):
-    """Map each label to a class index; all silent outputs share one."""
-    reps = []
-    class_of = {}
+def _label_classes(labels, domains) -> dict:
+    """The class of each of ``labels`` by the ``id`` of its object, numbered
+    by first occurrence; all silent outputs share one.  An exploration
+    keeps one object per label, so classes are looked up comparing no
+    fields."""
+    reps, class_of = [], {}
     for lab in labels:
-        if lab.kind == sem.OUT and pr.is_ff(lab.pred, domains):
-            class_of[lab] = _TAU
+        if id(lab) in class_of:
+            continue
+        if silent(lab, domains):
+            class_of[id(lab)] = _TAU
             continue
         for i, rep in enumerate(reps):
             if label_equiv(lab, rep, domains):
-                class_of[lab] = i
+                class_of[id(lab)] = i
                 break
         else:
-            class_of[lab] = len(reps)
+            class_of[id(lab)] = len(reps)
             reps.append(lab)
     return class_of
 
@@ -157,13 +161,13 @@ def _moves(lts: Lts, offset: int, class_of, weak: bool):
     (label ``None``) reaches any state of the tau-closure."""
     n = len(lts.states)
     if weak:
-        silent = [set() for _ in range(n)]
+        taus = [set() for _ in range(n)]
         for src, lab, dst in lts.transitions:
             if class_of[id(lab)] == _TAU:
-                silent[src].add(dst)
+                taus[src].add(dst)
         # the tau-closure, and its inverse; the moves, and so the witnesses,
         # follow the order of these frozensets
-        after, before = [frozenset(_reachable(s, silent)) for s in range(n)], [[] for _ in range(n)]
+        after, before = [frozenset(_reachable(s, taus)) for s in range(n)], [[] for _ in range(n)]
         for s, seen in enumerate(after):
             for t in seen:
                 before[t].append(s)
@@ -216,8 +220,7 @@ def _bisim(c1, c2, defs, universe, domains, bounds, base, weak) -> Verdict:
         return Verdict(False, universe or (),
                        inconclusive=True, reason=f"inconclusive under bounds: {exc}")
 
-    class_of = _classes_by_object((lab for lts in (l1, l2) for _, lab, _ in lts.transitions),
-                                  domains)
+    class_of = _label_classes((lab for lts in (l1, l2) for _, lab, _ in lts.transitions), domains)
     n1 = len(l1.states)
     moves = _moves(l1, 0, class_of, weak) + _moves(l2, n1, class_of, weak)
     history = list(_refine(len(moves), lambda blocks: (
@@ -268,8 +271,8 @@ def _related(closures, domains, max_depth) -> bool:
     deeper than ``max_depth``, since numbering it raises."""
     if max(_depth(steps) for _, steps, _ in closures) > max_depth:
         return False
-    class_of = _classes_by_object((lab for _, steps, _ in closures for out in steps
-                                   for lab, _ in out), domains)
+    class_of = _label_classes((lab for _, steps, _ in closures for out in steps
+                               for lab, _ in out), domains)
     size, edges = _union([(len(states), ((s, lab, t) for s, out in enumerate(steps)
                                          for lab, t in out)) for states, steps, _ in closures],
                          class_of)
@@ -286,39 +289,37 @@ def _stand_ins(walks, universe, base, bounds, domains) -> dict | None:
     (``_moves_silently``).  The leaf-level systems (``leaf_closure``, with
     the messages of ``universe``, or of ``base`` when the universe is to be
     closed) are then minimised together under branching
-    bisimilarity, labels compared exactly and silent outputs in one class.
-    A leaf maps to a bottom member of its block, the first one with no
-    inert silent step, so that no step behind an inert one is lost.
+    bisimilarity, labels compared exactly and silent outputs in one class:
+    no leaf hears a silent output, so it changes its sender alone.  A leaf
+    maps to a bottom member of its block, the first one with no inert
+    silent step, so that no step behind an inert one is lost.
 
     The map is used only when it is not the identity and every bound and
     error of the systems is known not to arise: no restriction node, no
-    model error in the leaf closure, every silent output changing its leaf
-    alone, a bottom member in every block, and at each position so few
-    leaves reachable from the initial one that their product bounds the
-    states of the system within ``max_states`` and its depth within
-    ``max_depth``.  A quotient product has at most as many leaves at a
-    position as there are blocks reachable from its initial leaf, so no
-    bound can be hit on it either.  Each leaf of a walk is reachable from
-    some initial one, and counts of at least 1 whose product is at most L
-    sum to at most L + positions - 1, where L is min(``max_states``,
-    ``max_depth`` + 1): the closure ends as soon as a walk holds more
-    leaves than that, or when it has worked out ``_ANSWERS_PER_POSITION``
-    answers per position, so that leaves which grow without end cost
-    little and stay far from the recursion limit."""
+    model error in the leaf closure, a bottom member in every block, and at
+    each position so few leaves reachable from the initial one that their
+    product bounds the states of the system within ``max_states`` and its
+    depth within ``max_depth``.  A quotient product has at most as many
+    leaves at a position as there are blocks reachable from its initial
+    leaf, so no bound can be hit on it either.  Each leaf of a walk is
+    reachable from some initial one, and counts of at least 1 whose product
+    is at most L sum to at most L + positions - 1, where L is
+    min(``max_states``, ``max_depth`` + 1): the closure ends as soon as a
+    walk holds more leaves than that, or when it has worked out
+    ``_ANSWERS_PER_POSITION`` answers per position, so that leaves which
+    grow without end cost little and stay far from the recursion limit."""
     if any(node is not None and node[1] is not None for walk in walks for node in walk.shape):
         return None  # a restriction changes what a leaf sends and hears
     most = min(bounds.max_states, bounds.max_depth + 1)
     caps = [most + len(walk.initial) - 1 for walk in walks]
-    silent = cache(lambda lab: pr.is_ff(lab.pred, domains))
-    if not _moves_silently(walks, caps, silent):
+    if not _moves_silently(walks, caps, domains):
         return None
     budget = _ANSWERS_PER_POSITION * sum(len(walk.initial) for walk in walks)
-    closed = None
+    edges = None
     with suppress(*_MODEL_ERRORS):
-        closed = leaf_closure(walks, base if universe is None else universe, caps, budget)
-    if closed is None:
+        edges = leaf_closure(walks, base if universe is None else universe, caps, budget)
+    if edges is None:
         return None
-    msgs, edges = closed
     for walk, steps in zip(walks, edges):
         succ = [[] for _ in walk.leaves]
         for s, _, t in steps:
@@ -326,13 +327,9 @@ def _stand_ins(walks, universe, base, bounds, domains) -> dict | None:
         size = prod(len(_reachable(leaf, succ)) for leaf in walk.initial)
         if size > bounds.max_states or size - 1 > bounds.max_depth:
             return None
-    mute = [msg for msg in msgs if msg.kind == sem.IN and silent(msg)]
-    if any(walk.answer(leaf, msg) is not DISCARDS
-           for walk in walks for msg in mute for leaf in range(len(walk.leaves))):
-        return None  # a silent output that some leaf hears
     exact = {}
-    class_of = {id(lab): _TAU if lab.kind == sem.OUT and silent(lab) else exact.setdefault(
-        lab, len(exact)) for steps in edges for _, lab, _ in steps}
+    class_of = {id(lab): _TAU if silent(lab, domains) else exact.setdefault(lab, len(exact))
+                for steps in edges for _, lab, _ in steps}
     size, union = _union([(len(walk.leaves), steps) for walk, steps in zip(walks, edges)],
                          class_of)
     blocks = _branching_blocks(size, union)
@@ -350,7 +347,7 @@ def _stand_ins(walks, universe, base, bounds, domains) -> dict | None:
     return None if all(k is v for k, v in stand_ins.items()) else stand_ins
 
 
-def _moves_silently(walks, caps, silent) -> bool:
+def _moves_silently(walks, caps, domains) -> bool:
     """Whether a leaf that the initial leaves reach by their own outputs
     moves silently, looking at no more leaves of a walk than its entry of
     ``caps``.  These steps are worked out once and shared with the walk's
@@ -360,7 +357,7 @@ def _moves_silently(walks, caps, silent) -> bool:
         seen = set(todo)
         while todo and len(seen) <= cap:
             for lab, nxt in walk.moves(todo.pop()):
-                if silent(lab):
+                if silent(lab, domains):
                     return True
                 if nxt not in seen:
                     seen.add(nxt)
@@ -393,15 +390,6 @@ def _reachable(start, succ) -> set:
                 seen.add(nxt)
                 todo.append(nxt)
     return seen
-
-
-def _classes_by_object(labels, domains) -> dict:
-    """The class of each of ``labels`` by the ``id`` of its object: an
-    exploration keeps one object per label, so classes are looked up
-    comparing no fields."""
-    objects = {id(lab): lab for lab in labels}
-    classes = _label_classes(dict.fromkeys(objects.values()), domains)
-    return {key: classes[lab] for key, lab in objects.items()}
 
 
 def _union(systems, class_of) -> tuple:
@@ -437,11 +425,11 @@ def _branching_blocks(size: int, edges) -> list:
     and needs no saturation (Groote & Vaandrager 1990).  Silent cycles are
     collapsed, then signatures are refined over inert silent moves, those
     into the mover's own block (Blom & Orzan 2003)."""
-    silent = [[] for _ in range(size)]
+    taus = [[] for _ in range(size)]
     for s, cls, t in edges:
         if cls == _TAU:
-            silent[s].append(t)
-    comp = _components(silent)
+            taus[s].append(t)
+    comp = _components(taus)
     moves = [set() for _ in range(max(comp) + 1)]
     for s, cls, t in edges:
         if cls != _TAU or comp[s] != comp[t]:

@@ -4,7 +4,9 @@ Aldebaran text.
 
 An input universe makes the environment finite: besides the autonomous
 output moves, every state also reacts to each input label of the
-universe, by default the closure of the emitted non-silent outputs.
+universe, by default the closure of the messages that the emitted
+outputs deliver.  A silent output delivers none (``silent``), in either
+calculus: no leaf hears it.
 ``reach`` and ``alphabet_fixpoint`` do all exploration, of components
 and of broadcast terms alike, and a ``Walk`` gives the states as leaf-id
 vectors and composes their steps.  A closure ``(states, steps, walk)`` is
@@ -55,14 +57,20 @@ class ExploreBounds(Node):
 DEFAULT_BOUNDS = ExploreBounds()
 
 
+def silent(lab: sem.Label, domains: DomainContext = EMPTY_DOMAINS) -> bool:
+    """An output whose predicate no total valuation within ``domains``
+    satisfies: it delivers nothing (``Walk.hear``), prints as ``tau`` and
+    is matched by any other silent output."""
+    return lab.kind == sem.OUT and pr.is_ff(lab.pred, domains)
+
+
 def label_equiv(l1: sem.Label, l2: sem.Label, domains: DomainContext = EMPTY_DOMAINS) -> bool:
     """Two labels are interchangeable: same kind with equal environment,
     equal values and equivalent predicates, or both silent outputs."""
     if l1.kind != l2.kind:
         return False
-    if l1.kind == sem.OUT:
-        if pr.is_ff(l1.pred, domains) and pr.is_ff(l2.pred, domains):
-            return True
+    if silent(l1, domains) and silent(l2, domains):
+        return True
     if l1.env != l2.env or not values_equal(l1.values, l2.values):
         return False
     return pr.equiv(l1.pred, l2.pred, domains)
@@ -148,17 +156,17 @@ def unstepped(walk) -> tuple:
 def alphabet_fixpoint(closure, grow, base, max_states: int, had=(),
                       max_depth: float = float("inf")) -> tuple:
     """Grow the universe from ``base`` until it holds every label that
-    ``grow(universe, outputs)`` takes from the outputs of the states that
-    ``closure`` reaches under it, extending the closure in place; its
-    stepped states have taken the labels of ``had``.  Semi-naive: each
-    state's outputs are taken once, ``grow`` sees only the output labels
-    new in a round, a new label's inputs are taken only on the states
-    already stepped, and an unstepped state gets the whole universe.  Each
-    state is stepped once, so the loop ends; past ``max_states`` states it
-    raises BoundExceeded.  A state's steps are entered whole: a state whose
-    stepping an error interrupts is left unstepped, and so is each state
-    held that had not yet taken the new labels.  Returns the universe and
-    the closure.
+    ``grow(universe, heard)`` takes from the messages that the outputs of
+    the states ``closure`` reaches under it deliver (``Walk.hear``),
+    extending the closure in place; its stepped states have taken the
+    labels of ``had``.  Semi-naive: each state's outputs are taken once,
+    ``grow`` sees only the messages of the output labels new in a round, a
+    new label's inputs are taken only on the states already stepped, and an
+    unstepped state gets the whole universe.  Each state is stepped once,
+    so the loop ends; past ``max_states`` states it raises BoundExceeded.
+    A state's steps are entered whole: a state whose stepping an error
+    interrupts is left unstepped, and so is each state held that had not
+    yet taken the new labels.  Returns the universe and the closure.
 
     For a ``grow`` that keeps ``base`` as it is, a state found more than
     ``max_depth`` steps from the initial one, or from the stepped states
@@ -202,7 +210,9 @@ def alphabet_fixpoint(closure, grow, base, max_states: int, had=(),
             for lab, succ in walk.outs(states[src]):
                 if lab not in met:
                     met.add(lab)
-                    fresh.append(lab)
+                    heard = walk.hear(lab)
+                    if heard is not None:
+                        fresh.append(heard)
                 out.append((lab, visit(src, succ)))
             for msg in universe:
                 for succ in walk.ins(states[src], msg):
@@ -249,7 +259,8 @@ class Walk:
     ``leaf_ins(leaf, msg)`` its answer to a message, ``(accepts,
     can_discard)``: when it can discard, the leaf itself is its last
     successor.  A message is the label of the input step it causes, and
-    ``hear(label)`` the one an output delivers to the other leaves, or None.
+    ``hear(label)`` the one an output delivers to the other leaves, or None
+    when the output delivers nothing: then no leaf is asked.
     Leaves pass ``canon`` before they get an id, and labels ``label``, so
     that lookups compare objects, not fields.  ``moves`` and ``answer`` give
     one leaf's steps, as ids, for ``leaf_closure``."""
@@ -458,16 +469,16 @@ def _fill(state, i, leaf, factors) -> list:
     return out
 
 
-def leaf_closure(walks, base, caps, budget: int) -> tuple | None:
+def leaf_closure(walks, base, caps, budget: int) -> list | None:
     """The leaf-level transition systems of ``walks``, closed together by a
     loop over distinct leaves: each leaf's steps, and its answer to every
     message, which is a label of ``base`` or what a leaf's step delivers
-    (``Walk.hear``), silent ones included.  An answer is a step labelled by
-    the message, a discard is a self-loop, and a leaf that can do neither
-    has no step on it.  Returns the messages and, for each walk, the
-    ``(leaf, label, leaf)`` steps of its leaves, as its ids; or None as
-    soon as a walk holds more leaves than its entry of ``caps``, or before
-    more than ``budget`` answers would be worked out in all."""
+    (``Walk.hear``).  An answer is a step labelled by the message, a
+    discard is a self-loop, and a leaf that can do neither has no step on
+    it.  Returns, for each walk, the ``(leaf, label, leaf)`` steps of its
+    leaves, as its ids; or None as soon as a walk holds more leaves than
+    its entry of ``caps``, or before more than ``budget`` answers would be
+    worked out in all."""
     msgs = list(dict.fromkeys(base))
     known, edges = set(msgs), [[] for _ in walks]
     answered = [[] for _ in walks]  # for each leaf of each walk: the messages it answered
@@ -497,7 +508,7 @@ def leaf_closure(walks, base, caps, budget: int) -> tuple | None:
                 if len(walk.leaves) > cap:
                     return None
                 leaf += 1
-    return msgs, edges
+    return edges
 
 
 def abc_walk(comp: Component, defs, domains: DomainContext = EMPTY_DOMAINS,
@@ -513,7 +524,7 @@ def abc_walk(comp: Component, defs, domains: DomainContext = EMPTY_DOMAINS,
             return stand_ins.get(leaf, leaf)
     return Walk(comp, canon, lambda leaf: sem.component_out_steps(leaf, defs, domains),
                 lambda leaf, msg: sem.component_in_step(leaf, msg, defs, domains),
-                sem.Label.as_input)
+                lambda lab: None if silent(lab, domains) else lab.as_input())
 
 
 def state_text(walk: Walk):
@@ -538,16 +549,14 @@ def explore(closure, universe=(), bounds: ExploreBounds = DEFAULT_BOUNDS,
 
 def auto_universe(walk: Walk, bounds: ExploreBounds = DEFAULT_BOUNDS,
                   domains: DomainContext = EMPTY_DOMAINS, base=()) -> tuple:
-    """Shared-alphabet closure: harvest emitted output labels as inputs
-    until nothing new appears.  Silent outputs are never harvested.
-    Returns the universe and the closure of ``walk`` that ``explore``
-    numbers: its states, their steps and the walk."""
-
-    def grow(have, outputs):
-        heard = [walk.label(lab.as_input()) for lab in outputs if not pr.is_ff(lab.pred, domains)]
-        return merge_labels(have, sorted(heard, key=pretty_label), domains)
-
-    return alphabet_fixpoint(unstepped(walk), grow, base, bounds.max_states)
+    """Shared-alphabet closure: harvest the messages that emitted outputs
+    deliver as inputs until nothing new appears; a silent output delivers
+    none.  Returns the universe and the closure of ``walk`` that
+    ``explore`` numbers: its states, their steps and the walk."""
+    return alphabet_fixpoint(
+        unstepped(walk),
+        lambda have, heard: merge_labels(have, sorted(heard, key=pretty_label), domains),
+        base, bounds.max_states)
 
 
 def aut_text(lts: Lts) -> str:
@@ -555,8 +564,7 @@ def aut_text(lts: Lts) -> str:
 
     @cache
     def text(lab):
-        silent = lab.kind == sem.OUT and pr.is_ff(lab.pred, lts.domains)
-        return ("tau" if silent else pretty_label(lab)).replace('"', "'")
+        return ("tau" if silent(lab, lts.domains) else pretty_label(lab)).replace('"', "'")
 
     lines = [f"des (0,{len(lts.transitions)},{len(lts.states)})"]
     lines += [f'({src},"{text(lab)}",{dst})' for src, lab, dst in lts.transitions]

@@ -9,7 +9,8 @@ operators honest.  System steps are composed from these leaf steps by
 ``lts.Walk``: a broadcast from one leaf is delivered eagerly to every
 other leaf, which accepts (possibly in several ways) or, when it can
 discard, stays unchanged, and a restriction on the way strengthens the
-label (``Label.restrict``).
+label (``Label.restrict``).  A silent output, one whose predicate no
+valuation satisfies (``lts.silent``), is delivered to no leaf.
 
 A step whose expressions fail to evaluate does not exist: for an output
 that is the output itself, for an input the accepting successor (the

@@ -4,7 +4,9 @@ kept as the reference it is checked against: ``system_out_steps`` and
 broadcast terms.  Each rebuilds the tree per message and composes the
 local steps ``local`` of its leaves, with its own discard rule: a leaf's
 successors on a message are the accepting ones, then the leaf itself when
-it can discard."""
+it can discard.  A silent output reaches no one: a component's output
+whose predicate the solver finds unsatisfiable, or a broadcast term's
+tau."""
 
 from abcalc import bpi as bp
 from abcalc import predicates as pr
@@ -39,10 +41,10 @@ def system_out_steps(c, defs, domains=EMPTY_DOMAINS, local=None):
     out = []
     if isinstance(c, ParC):
         for label, l2 in system_out_steps(c.left, defs, domains, local):
-            for r2 in system_in_step(c.right, label.as_input(), defs, domains, local):
+            for r2 in delivered(c.right, label, defs, domains, local):
                 out.append((label, ParC(l2, r2)))
         for label, r2 in system_out_steps(c.right, defs, domains, local):
-            for l2 in system_in_step(c.left, label.as_input(), defs, domains, local):
+            for l2 in delivered(c.left, label, defs, domains, local):
                 out.append((label, ParC(l2, r2)))
     elif isinstance(c, ResOut):
         for label, c2 in system_out_steps(c.comp, defs, domains, local):
@@ -55,6 +57,14 @@ def system_out_steps(c, defs, domains=EMPTY_DOMAINS, local=None):
     else:
         raise TypeError(f"not a component: {c!r}")
     return out
+
+
+def delivered(c, label, defs, domains, local) -> list:
+    """The successors of ``c`` when the output ``label`` is sent beside it:
+    ``c`` itself when the output is silent."""
+    if pr.is_ff(label.pred, domains):
+        return [c]
+    return system_in_step(c, label.as_input(), defs, domains, local)
 
 
 def system_in_step(c, msg, defs, domains=EMPTY_DOMAINS, local=None):

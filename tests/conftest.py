@@ -120,12 +120,19 @@ PROBE_MESSAGES = (
 
 
 def random_guard(rng: random.Random):
-    """A shallow predicate over the component attributes d and e."""
+    """A shallow predicate over the component attributes d and e.  Some are
+    ``!(d == 2) && !(d != 2)``, or the same over e: false under every total
+    valuation, so an output so guarded is silent, yet true for a hearer
+    whose interface lacks the attribute.  They take no draw of their own,
+    so the draws after them are those of plain ``ff``."""
     r = rng.random()
     if r < 0.15:
         return TT
-    if r < 0.25:
+    if r < 0.2:
         return FF
+    if r < 0.25:
+        attr = Attr("d" if r < 0.225 else "e")
+        return And(Not(Atom("==", attr, Const(2))), Not(Atom("!=", attr, Const(2))))
     attr = rng.choice(["d", "e"])
     return Atom(rng.choice(("==", "!=")), Attr(attr), Const(rng.randint(1, 3)))
 

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from abcalc import equivalence as eq
-from abcalc import predicates as pr
 from abcalc.equivalence import Verdict, strong_bisim, weak_bisim
 from abcalc.lts import (
     BoundExceeded,
@@ -138,12 +137,9 @@ def old_explore(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
 
 
 def old_label_classes(ltss, domains):
-    labels = []
-    for lts in ltss:
-        for _, lab, _ in lts.transitions:
-            if lab not in labels:
-                labels.append(lab)
-    return eq._label_classes(labels, domains)
+    labels = [lab for lts in ltss for _, lab, _ in lts.transitions]
+    classes = eq._label_classes(labels, domains)
+    return {lab: classes[id(lab)] for lab in labels}
 
 
 def old_bisim(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
@@ -551,9 +547,10 @@ def test_a_model_error_on_an_undelivered_message_keeps_the_leaves(leaf_closures)
 
 @pytest.fixture
 def answers(monkeypatch):
-    """A list that gets one entry per answer that a leaf works out."""
+    """A list that gets the message of each answer that a leaf works out."""
     calls, step = [], sem.component_in_step
-    monkeypatch.setattr(sem, "component_in_step", lambda *a: calls.append(1) or step(*a))
+    monkeypatch.setattr(sem, "component_in_step",
+                        lambda leaf, msg, *a: calls.append(msg) or step(leaf, msg, *a))
     return calls
 
 
@@ -741,22 +738,47 @@ def test_restricted_skeletons_decide_unreduced(leaf_closures, pair):
     assert not leaf_closures
 
 
-def test_a_silent_output_that_a_leaf_hears_keeps_the_leaves(monkeypatch, leaf_closures):
-    """A solver that took the guard k == 1 for false would make H's output
-    silent, but R still hears it and goes on to "got".  At leaf level H is
-    a silent step to 0, so H would give way to 0 and "got" would be lost:
-    the check goes on unreduced instead and tells the systems apart."""
-    is_ff = pr.is_ff
-    monkeypatch.setattr(pr, "is_ff", lambda p, d=EMPTY_DOMAINS: pretty_pred(p) == "k == 1"
-                        or is_ff(p, d))
-    hearer = 'comp R { iface: [k]; env: {k = 1}; run: (x == "hi")(x).("got")@tt.0 }\n'
-    m1 = parse_abc('comp H { iface: []; env: {}; run: ("hi")@(k == 1).0 }\n' + hearer
-                   + "system: H || R;\n")
-    m2 = parse_abc(hearer + "system: R;\n")
-    for universe in (None, ()):
-        got = weak_bisim(m1.component, m2.component, universe=universe)
-        assert not got.equivalent and got.witness[-1]["label"] == '{k = 1}@tt!("got")'
-    assert len(leaf_closures) == 2 and all(leaf_closures)
+# S's guard holds for no total valuation, so its output is silent.  R's
+# environment lacks ``a``, where an atom is false and its negation true, so
+# R would take the output if it were delivered.
+QUIET = 'comp S { iface: []; env: {}; run: ()@(!(a == 1) && !(a != 1)).0 }\n'
+HEARER = 'comp R { iface: []; env: {}; run: (tt)().("got")@tt.0 }\n'
+
+
+def test_a_silent_output_reaches_no_leaf(tmp_path, capsys, answers):
+    """No leaf is asked for a silent output: ``S || R`` takes one silent
+    step and R never gets to "got".  So the weak check relates ``S || R``
+    to R, as it relates S to 0, and the strong one tells both pairs apart
+    by the silent step."""
+    models = [parse_abc(text) for text in (QUIET + HEARER + "system: S || R;\n",
+                                           HEARER + "system: R;\n", QUIET + "system: S;\n",
+                                           "comp Z { iface: []; env: {}; run: 0 }\nsystem: Z;\n")]
+    for left, right in (models[:2], models[2:]):
+        assert agree("weak", left.component, right.component)["equivalent"]
+        got = agree("strong", left.component, right.component)
+        assert not got["equivalent"]
+        assert got["witness"] == [{"label": "{}@(!(a == 1) && !(a != 1))!()", "from": "A"}]
+    path = tmp_path / "sr.abc"
+    path.write_text(QUIET + HEARER + "system: S || R;\n")
+    assert main(["explore", str(path)]) == 0
+    assert capsys.readouterr().out == 'des (0,1,2)\n(0,"tau",1)\n'
+    assert not any(pretty_pred(msg.pred) == "!(a == 1) && !(a != 1)" for msg in answers)
+
+
+@pytest.mark.xfail(strict=True, reason="the solver takes total valuations, while a hearer "
+                   "sees its environment restricted to its interface (CHANGES.md FOUND)")
+def test_equivalent_outputs_stay_equivalent_beside_a_hearer():
+    """A's guard ``a != 1`` and B's ``!(a == 1)`` are equivalent over total
+    valuations, so A and B are equivalent in both modes.  R lacks ``a``:
+    there the atom is false and its negation true, so R hears B's output
+    and not A's, and ``A || R`` is told apart from ``B || R``."""
+    hearer = 'comp R { iface: []; env: {}; run: (tt)(y).("got")@tt.0 }\n'
+    sides = ['comp A { iface: []; env: {}; run: ("x")@(a != 1).0 }\n',
+             'comp A { iface: []; env: {}; run: ("x")@(!(a == 1)).0 }\n']
+    for check, _ in CHECKS.values():
+        assert check(*(parse_abc(side + "system: A;\n").component for side in sides)).equivalent
+        assert check(*(parse_abc(side + hearer + "system: A || R;\n").component
+                       for side in sides)).equivalent
 
 
 def test_components_against_reachability(rng):

@@ -97,7 +97,7 @@ def _answers(monkeypatch, argv, reader):
         return 0
 
     monkeypatch.setattr(cli, "COMMANDS",
-                        tuple((n, record, h, a) for n, _, h, a in COMMANDS))
+                        tuple((n, record, *rest) for n, _, *rest in COMMANDS))
     monkeypatch.setattr(cli, "_plain_args", reader)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -110,7 +110,7 @@ def test_main_answers_as_with_argparse_alone(monkeypatch):
     leaves to argparse."""
     rng = random.Random("argv-main")
     lines = [[], ["--help"], ["expl", "a.abc"], ["check-bisim", "--weak", "--weak"]]
-    for name, _, _, arguments in COMMANDS:
+    for name, _, _, arguments, _ in COMMANDS:
         drawn = list(_command_lines(name, arguments))
         for read in (True, False):
             some = [argv for argv in drawn if (READER(argv) is not None) == read]

@@ -18,7 +18,8 @@ from abcalc.terms import (AttrEnv, Const, DomainViolation, In, Inact, Leaf, Out,
                           ResOut, RestrictionFn, Var, canonical)
 
 import composition_reference as ref
-from conftest import PROBE_MESSAGES, random_bpi, random_component, random_definitions
+from conftest import (PROBE_MESSAGES, random_bpi, random_component, random_definitions,
+                      random_leaf)
 
 
 def reachable(walk, steps, limit=25):
@@ -141,6 +142,27 @@ def test_hearers_that_hear_different_messages():
         assert_component_steps_match(comp)
         walk = abc_walk(comp, {})
         assert len(set(walk.initial)) == 2 and len(walk.outs(walk.initial)) == 1
+
+
+# Receivers of no, one and two values that take every message: their
+# interfaces lack d and e, so a silent guard such as !(d == 2) && !(d != 2)
+# holds for them.
+RECEIVERS = [Leaf(AttrEnv(), frozenset(), In(pr.TT, names, Out((Const("got"),), pr.TT, Inact())))
+             for names in ((), ("x",), ("x", "y"))]
+
+
+def test_silent_outputs_reach_no_one(rng):
+    """A random leaf beside receivers that would take each of its outputs:
+    a silent one reaches none of them, in the walk as in the reference."""
+    heard = 0
+    for _ in range(500):
+        sender = random_leaf(rng)
+        assert_component_steps_match(ParC(sender, ParC(RECEIVERS[0],
+                                                       ParC(RECEIVERS[1], RECEIVERS[2]))))
+        for lab, _ in sem.component_out_steps(sender, {}):
+            if lab.pred != pr.FF and pr.is_ff(lab.pred):
+                heard += any(sem.component_in_step(r, lab.as_input(), {})[0] for r in RECEIVERS)
+    assert heard >= 5
 
 
 REFUSAL = """domain d in {2};

@@ -513,6 +513,29 @@ def test_unused_helpers_stay_gone():
     assert not defined, f"no command calls these: {', '.join(sorted(defined))}"
 
 
+def _places(name: str, tree: ast.Module):
+    """Each top-level statement of a module and each statement of its
+    classes, with the name of the function or method it defines, else of
+    its module or class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for inner in node.body:
+                yield (f"{name}.{node.name}.{inner.name}" if isinstance(inner, ast.FunctionDef)
+                       else f"{name}.{node.name}"), inner
+        else:
+            yield f"{name}.{node.name}" if isinstance(node, ast.FunctionDef) else name, node
+
+
+def test_silence_is_one_rule():
+    """An output is silent when the solver finds its predicate unsatisfiable
+    (``is_ff``): outside ``predicates``, only ``lts.silent`` asks it."""
+    found = {qual for name in MODULES if name != "predicates"
+             for qual, node in _places(name, _tree(name))
+             if any("is_ff" in (getattr(n, "id", None), getattr(n, "attr", None),
+                                getattr(n, "name", None)) for n in ast.walk(node))}
+    assert found == {"lts.silent"}, f"ask lts.silent instead: {', '.join(sorted(found))}"
+
+
 def test_a_second_bpi_rewrite_is_found():
     """A nested helper counts for the function that holds it."""
     source = ("def rename(p, ren):\n"

@@ -105,9 +105,8 @@ class TestUniverse:
 def weak_closure(lts):
     """For each state, the targets of its silent weak moves in
     ``check-bisim --weak``: the states that zero or more silent steps reach."""
-    labels = {id(lab): lab for _, lab, _ in lts.transitions}
-    classes = eq._label_classes(labels.values(), lts.domains)
-    moves = eq._moves(lts, 0, {key: classes[lab] for key, lab in labels.items()}, weak=True)
+    classes = eq._label_classes((lab for _, lab, _ in lts.transitions), lts.domains)
+    moves = eq._moves(lts, 0, classes, weak=True)
     return [frozenset(t for cls, t in m if cls == eq._TAU) for m in moves]
 
 
