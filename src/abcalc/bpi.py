@@ -517,15 +517,11 @@ def correspondence_check(p: BpiProcess, bounds=DEFAULT_BOUNDS) -> Correspondence
     require a label-preserving bijection between its transitions and the
     transitions of its translation, with matching barbs."""
     universe, closure = harvest_bpi_universe(p, bounds)
-    found, _, walk = closure
+    states, steps, walk = closure
     # numbered in ``bpi_steps`` order: tau and outputs as found, then inputs
-    ids, transitions = reach(closure, lambda q: walk.steps(q, universe),
-                             lambda lab: lab[1:] if lab[0] == "in" else (), lambda q: 0, bounds)
-    states = [found[i] for i in ids]
-    report = CorrespondenceReport(len(states), len(transitions), universe)
-    steps = [[] for _ in states]
-    for src, lab, dst in transitions:
-        steps[src].append((lab, dst))
+    reach(closure, lambda q: walk.steps(q, universe),
+          lambda lab: lab[1:] if lab[0] == "in" else (), lambda q: 0, bounds)
+    report = CorrespondenceReport(len(states), sum(map(len, steps)), universe)
 
     # one translation for the whole walk: the definitions of every state in
     # one dict (a recursion name with two bodies raises EncodingError), and

@@ -212,18 +212,19 @@ def cmd_explore(args) -> int:
     model = _load_model(args.file)
     comp = _require_component(model, args.file)
     universe, closure = _universe(model, comp, args)
-    lts = L.explore(closure, universe, args.bounds, model.domains)
+    lts = L.explore(closure, universe, args.bounds)
     text = L.aut_text(lts)
+    count = sum(map(len, lts.steps))
     if args.output:
         _write(args.output, text)
-        human = f"wrote {args.output}: {len(lts.states)} states, {len(lts.transitions)} transitions"
+        human = f"wrote {args.output}: {len(lts.states)} states, {count} transitions"
     else:
         human = text.rstrip("\n")
     _emit(
         args,
         {
             "states": len(lts.states),
-            "transitions": len(lts.transitions),
+            "transitions": count,
             "universe_fingerprint": L.fingerprint(universe),
             "output": args.output,
         },
@@ -316,12 +317,12 @@ def cmd_corpus(args) -> int:
 
     net = systems.network()
     walk = L.abc_walk(net["N"], net["defs"], net["domains"])
-    lts = L.explore(L.unstepped(walk), (), args.bounds, net["domains"])
+    lts = L.explore(L.unstepped(walk), (), args.bounds)
     pi1 = net["pi1"]
     check("network explores", len(lts.states) == 10)
     check("network first emission is a client barb",
           any(equiv(lab.pred, pi1, net["domains"])
-              for _, lab, _ in lts.transitions if lab.kind == OUT))
+              for out in lts.steps for lab, _ in out if lab.kind == OUT))
     v1 = eq.weak_bisim(net["N_closed"], net["T"], net["defs"], domains=net["domains"],
                        bounds=args.bounds)
     check("closed network matches the three-shot test", v1.equivalent)

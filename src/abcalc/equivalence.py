@@ -17,12 +17,13 @@ way to a branching-bisimilar one first: the closures are those of the
 quotient products (``_stand_ins``) when some leaf moves silently and the
 leaves close small enough, else those of the systems themselves.  Only
 a check that the branching pass leaves negative or undecided numbers the
-systems, ``explore(closure, universe, bounds, domains)`` on each side,
-and saturates.  A closure that a bound or a model error stops is kept
+systems, ``explore(closure, universe, bounds)`` on each side, and
+saturates.  A closure that a bound or a model error stops is kept
 where it stops and decides nothing: numbering it steps only the states
 it left, and meets the bound or the error where a breadth-first walk
 would.  Weak barbs are read from the states that ``reach`` numbers on a
-walk's unstepped closure, stepping silent outputs only.
+walk's unstepped closure, stepping silent outputs only.  A silent output
+is one that its walk's ``hear`` says delivers nothing.
 """
 
 from __future__ import annotations
@@ -74,19 +75,17 @@ def barbs(
     stepped, each once, so a model with infinitely many states has barbs
     too."""
     walk = abc_walk(comp, defs or {}, domains)
-    outs = cache(walk.outs)
+    outs, hear = cache(walk.outs), walk.hear
     text = state_text(walk)
-    states = [walk.initial]
+    states, _, _ = closure = unstepped(walk)
     if weak:
-        closure = unstepped(walk)
-        order, _ = reach(closure, lambda q: [st for st in outs(q) if silent(st[0], domains)],
-                         pretty_label, text, bounds)
-        states = [closure[0][i] for i in order]
+        reach(closure, lambda q: [st for st in outs(q) if hear(st[0]) is None], pretty_label,
+              text, bounds)
     reps = []
     for state in states:
         for lab, _ in sorted(outs(state), key=lambda st: (pretty_label(st[0]), text(st[1]))):
-            if not silent(lab, domains) and not any(pr.equiv(lab.pred, have, domains)
-                                                    for have in reps):
+            if hear(lab) is not None and not any(pr.equiv(lab.pred, have, domains)
+                                                 for have in reps):
                 reps.append(lab.pred)
     return reps
 
@@ -159,12 +158,10 @@ def _moves(lts: Lts, offset: int, class_of, weak: bool):
     the ``id`` of each label object to its class.  A weak move pads
     a visible step with silent moves on both sides, and a silent move
     (label ``None``) reaches any state of the tau-closure."""
-    n = len(lts.states)
+    steps = lts.steps
+    n = len(steps)
     if weak:
-        taus = [set() for _ in range(n)]
-        for src, lab, dst in lts.transitions:
-            if class_of[id(lab)] == _TAU:
-                taus[src].add(dst)
+        taus = [{dst for lab, dst in out if class_of[id(lab)] == _TAU} for out in steps]
         # the tau-closure, and its inverse; the moves, and so the witnesses,
         # follow the order of these frozensets
         after, before = [frozenset(_reachable(s, taus)) for s in range(n)], [[] for _ in range(n)]
@@ -175,13 +172,14 @@ def _moves(lts: Lts, offset: int, class_of, weak: bool):
     else:
         after = before = [(s,) for s in range(n)]
         moves = [{} for _ in range(n)]
-    for src, lab, dst in lts.transitions:
-        cls = class_of[id(lab)]
-        if weak and cls == _TAU:
-            continue
-        for s in before[src]:
-            for t in after[dst]:
-                moves[s].setdefault((cls, offset + t), lab)
+    for src, out in enumerate(steps):
+        for lab, dst in out:
+            cls = class_of[id(lab)]
+            if weak and cls == _TAU:
+                continue
+            for s in before[src]:
+                for t in after[dst]:
+                    moves[s].setdefault((cls, offset + t), lab)
     return moves
 
 
@@ -208,19 +206,20 @@ def _bisim(c1, c2, defs, universe, domains, bounds, base, weak) -> Verdict:
     walks = [abc_walk(c, defs, domains) for c in comps]
     closures = [unstepped(walk) for walk in walks]
     try:
-        stand_ins = weak and _stand_ins(walks, universe, base, bounds, domains)
+        stand_ins = weak and _stand_ins(walks, universe, base, bounds)
         quotients = stand_ins and [abc_walk(c, defs, domains, stand_ins) for c in comps]
         if weak or universe is None:
             universe, decided = _closed(quotients or walks, universe, domains, bounds, base)
             if weak and _related(decided, domains, bounds.max_depth):
                 return Verdict(True, universe)
             closures = closures if quotients else decided
-        l1, l2 = (explore(k, universe, bounds, domains) for k in closures)
+        l1, l2 = (explore(k, universe, bounds) for k in closures)
     except BoundExceeded as exc:
         return Verdict(False, universe or (),
                        inconclusive=True, reason=f"inconclusive under bounds: {exc}")
 
-    class_of = _label_classes((lab for lts in (l1, l2) for _, lab, _ in lts.transitions), domains)
+    class_of = _label_classes((lab for lts in (l1, l2) for out in lts.steps for lab, _ in out),
+                              domains)
     n1 = len(l1.states)
     moves = _moves(l1, 0, class_of, weak) + _moves(l2, n1, class_of, weak)
     history = list(_refine(len(moves), lambda blocks: (
@@ -273,14 +272,11 @@ def _related(closures, domains, max_depth) -> bool:
         return False
     class_of = _label_classes((lab for _, steps, _ in closures for out in steps
                                for lab, _ in out), domains)
-    size, edges = _union([(len(states), ((s, lab, t) for s, out in enumerate(steps)
-                                         for lab, t in out)) for states, steps, _ in closures],
-                         class_of)
-    blocks = _branching_blocks(size, edges)
+    blocks = _branching_blocks(_union([steps for _, steps, _ in closures], class_of))
     return blocks[0] == blocks[len(closures[0][0])]
 
 
-def _stand_ins(walks, universe, base, bounds, domains) -> dict | None:
+def _stand_ins(walks, universe, base, bounds) -> dict | None:
     """The map from each leaf of ``walks`` to the leaf that stands for it in
     the quotient products, or None to decide on the systems themselves.
 
@@ -288,11 +284,12 @@ def _stand_ins(walks, universe, base, bounds, domains) -> dict | None:
     leaf that the initial leaves reach by their own outputs moves silently
     (``_moves_silently``).  The leaf-level systems (``leaf_closure``, with
     the messages of ``universe``, or of ``base`` when the universe is to be
-    closed) are then minimised together under branching
-    bisimilarity, labels compared exactly and silent outputs in one class:
-    no leaf hears a silent output, so it changes its sender alone.  A leaf
-    maps to a bottom member of its block, the first one with no inert
-    silent step, so that no step behind an inert one is lost.
+    closed) are then minimised together under branching bisimilarity,
+    labels compared exactly and the silent outputs, those that the walk's
+    ``hear`` delivers to no one, in one class: no leaf hears a silent
+    output, so it changes its sender alone.  A leaf maps to a bottom
+    member of its block, the first one with no inert silent step, so that
+    no step behind an inert one is lost.
 
     The map is used only when it is not the identity and every bound and
     error of the systems is known not to arise: no restriction node, no
@@ -312,7 +309,7 @@ def _stand_ins(walks, universe, base, bounds, domains) -> dict | None:
         return None  # a restriction changes what a leaf sends and hears
     most = min(bounds.max_states, bounds.max_depth + 1)
     caps = [most + len(walk.initial) - 1 for walk in walks]
-    if not _moves_silently(walks, caps, domains):
+    if not _moves_silently(walks, caps):
         return None
     budget = _ANSWERS_PER_POSITION * sum(len(walk.initial) for walk in walks)
     edges = None
@@ -321,24 +318,18 @@ def _stand_ins(walks, universe, base, bounds, domains) -> dict | None:
     if edges is None:
         return None
     for walk, steps in zip(walks, edges):
-        succ = [[] for _ in walk.leaves]
-        for s, _, t in steps:
-            succ[s].append(t)
+        succ = [[t for _, t in out] for out in steps]
         size = prod(len(_reachable(leaf, succ)) for leaf in walk.initial)
         if size > bounds.max_states or size - 1 > bounds.max_depth:
             return None
     exact = {}
-    class_of = {id(lab): _TAU if silent(lab, domains) else exact.setdefault(lab, len(exact))
-                for steps in edges for _, lab, _ in steps}
-    size, union = _union([(len(walk.leaves), steps) for walk, steps in zip(walks, edges)],
-                         class_of)
-    blocks = _branching_blocks(size, union)
-    inert = [False] * size
-    for s, cls, t in union:
-        inert[s] = inert[s] or (cls == _TAU and blocks[s] == blocks[t])
+    class_of = {id(lab): _TAU if walk.hear(lab) is None else exact.setdefault(lab, len(exact))
+                for walk, steps in zip(walks, edges) for out in steps for lab, _ in out}
+    union = _union(edges, class_of)
+    blocks = _branching_blocks(union)
     bottom = {}
-    for v in range(size):
-        if not inert[v]:
+    for v, out in enumerate(union):
+        if not any(cls == _TAU and blocks[v] == blocks[t] for cls, t in out):  # not inert
             bottom.setdefault(blocks[v], v)
     if len(bottom) < len(set(blocks)):
         return None  # a block of silent cycles, whose leaves would all stay
@@ -347,7 +338,7 @@ def _stand_ins(walks, universe, base, bounds, domains) -> dict | None:
     return None if all(k is v for k, v in stand_ins.items()) else stand_ins
 
 
-def _moves_silently(walks, caps, domains) -> bool:
+def _moves_silently(walks, caps) -> bool:
     """Whether a leaf that the initial leaves reach by their own outputs
     moves silently, looking at no more leaves of a walk than its entry of
     ``caps``.  These steps are worked out once and shared with the walk's
@@ -357,7 +348,7 @@ def _moves_silently(walks, caps, domains) -> bool:
         seen = set(todo)
         while todo and len(seen) <= cap:
             for lab, nxt in walk.moves(todo.pop()):
-                if silent(lab, domains):
+                if walk.hear(lab) is None:
                     return True
                 if nxt not in seen:
                     seen.add(nxt)
@@ -392,16 +383,16 @@ def _reachable(start, succ) -> set:
     return seen
 
 
-def _union(systems, class_of) -> tuple:
-    """The number of states of ``systems``, each a number of states and its
-    ``(state, label, state)`` steps, numbered one after another, and their
-    ``(state, class, state)`` edges; ``class_of`` maps the ``id`` of each
-    label object to its class."""
-    edges, offset = [], 0
-    for count, steps in systems:
-        edges += [(offset + s, class_of[id(lab)], offset + t) for s, lab, t in steps]
-        offset += count
-    return offset, edges
+def _union(systems, class_of) -> list:
+    """The steps of ``systems``, each one's states' ``(label, state)``
+    pairs, with the states numbered one system after another and each
+    label given as its class: ``class_of`` maps the ``id`` of each label
+    object to its class."""
+    moves, offset = [], 0
+    for steps in systems:
+        moves += [[(class_of[id(lab)], offset + t) for lab, t in out] for out in steps]
+        offset += len(steps)
+    return moves
 
 
 def _refine(size: int, signatures):
@@ -419,21 +410,18 @@ def _refine(size: int, signatures):
         blocks, count = new, len(renum)
 
 
-def _branching_blocks(size: int, edges) -> list:
-    """The block of each of ``size`` states under branching bisimilarity,
-    given their ``(state, class, state)`` edges, which is finer than weak
-    and needs no saturation (Groote & Vaandrager 1990).  Silent cycles are
-    collapsed, then signatures are refined over inert silent moves, those
-    into the mover's own block (Blom & Orzan 2003)."""
-    taus = [[] for _ in range(size)]
-    for s, cls, t in edges:
-        if cls == _TAU:
-            taus[s].append(t)
-    comp = _components(taus)
+def _branching_blocks(steps) -> list:
+    """The block of each state under branching bisimilarity, given each
+    state's ``(class, state)`` steps, which is finer than weak and needs no
+    saturation (Groote & Vaandrager 1990).  Silent cycles are collapsed,
+    then signatures are refined over inert silent moves, those into the
+    mover's own block (Blom & Orzan 2003)."""
+    comp = _components([[t for cls, t in out if cls == _TAU] for out in steps])
     moves = [set() for _ in range(max(comp) + 1)]
-    for s, cls, t in edges:
-        if cls != _TAU or comp[s] != comp[t]:
-            moves[comp[s]].add((cls, comp[t]))
+    for s, out in enumerate(steps):
+        for cls, t in out:
+            if cls != _TAU or comp[s] != comp[t]:
+                moves[comp[s]].add((cls, comp[t]))
 
     def signatures(blocks):
         # a silent move never leads to a higher component, so the signature
@@ -497,7 +485,7 @@ def _extract_witness(s, t, moves, history, n1):
         nxt, lab = next((tgt, lab) for (c, tgt), lab in moves[s].items()
                         if c == cls and prev[tgt] == blk)
         witness.append({
-            "label": "tau" if lab is None else pretty_label(lab),
+            "label": "tau" if cls == _TAU else pretty_label(lab),
             "from": "A" if s < n1 else "B",
         })
         answers = [tgt for c, tgt in moves[t] if c == cls]

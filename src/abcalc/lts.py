@@ -12,9 +12,9 @@ and of broadcast terms alike, and a ``Walk`` gives the states as leaf-id
 vectors and composes their steps.  A closure ``(states, steps, walk)`` is
 all they pass between them (``unstepped``), and the only way into
 exploration: ``alphabet_fixpoint`` extends one in place, ``auto_universe``
-closes one of a walk, and ``reach`` numbers one on its own indices,
-stepping only the states that it left unstepped.  ``explore`` is one
-``reach`` over a closure.
+closes one of a walk, and ``reach`` numbers one in place, stepping only
+the states that it left unstepped.  ``explore`` is one ``reach`` over a
+closure, and its ``Lts`` is that closure, numbered.
 ``leaf_closure`` closes walks at leaf level, each distinct leaf once, for
 the quotient products that weak bisimilarity is decided on.
 """
@@ -93,31 +93,40 @@ def fingerprint(labels) -> str:
 
 
 class Lts(Record):
-    """A numbered transition system from state 0.  ``states`` holds the id
-    vectors of the ``Walk`` that found them, not trees; ``transitions``
-    holds ``(source, label, target)`` triples of state numbers."""
+    """A numbered transition system from state 0: a closure that ``reach``
+    has numbered.  ``states`` holds the id vectors of ``walk``, which found
+    them, not trees, and ``steps`` each state's ``(label, target)`` pairs
+    in printed order."""
 
-    def __init__(self, states: list, transitions: list, domains: DomainContext = EMPTY_DOMAINS):
+    def __init__(self, states: list, steps: list, walk: Walk):
         self.states = states
-        self.transitions = transitions
-        self.domains = domains
+        self.steps = steps
+        self.walk = walk
+
+    @property
+    def transitions(self) -> list:
+        """The ``(source, label, target)`` triples of ``steps``."""
+        return [(src, lab, dst) for src, out in enumerate(self.steps) for lab, dst in out]
 
 
-def reach(closure, step, label_key, state_key, bounds: ExploreBounds = DEFAULT_BOUNDS):
-    """Number the states of ``closure`` breadth first from its initial
-    state, each state's steps taken in order of ``(label_key(label),
-    state_key(successor))``, each key computed once per label or state.  A
-    state that the closure left unstepped is stepped into it by
-    ``step(state)``, its ``(label, successor)`` pairs, so a bound or an
-    error is met where a breadth-first walk meets it.  Returns the closure
-    indices in numbered order and the ``(source, label, target)``
-    transitions between numbers."""
+def reach(closure, step, label_key, state_key, bounds: ExploreBounds = DEFAULT_BOUNDS) -> None:
+    """Number the states of ``closure`` in place, breadth first from its
+    initial state, each state's steps taken in order of
+    ``(label_key(label), state_key(successor))``, each key computed once
+    per label or state.  A state that the closure left unstepped is
+    stepped into it by ``step(state)``, its ``(label, successor)`` pairs,
+    so a bound or an error is met where a breadth-first walk meets it.
+    The closure then holds its states in numbered order, and each state's
+    ``(label, number)`` pairs in that order.  Numbering consumes the
+    closure: its steps no longer give indices, and one that a bound or an
+    error stopped is left half numbered."""
     states, steps, _ = closure
     label_key, key = cache(label_key), cache(lambda i: state_key(states[i]))
-    order, number, depth, transitions = [0], [0] + [None] * (len(states) - 1), [0], []
+    order, number, depth = [0], [0] + [None] * (len(states) - 1), [0]
     index = None  # a state's closure index, built when a state is first stepped here
     for src, i in enumerate(order):  # the numbered states not yet expanded are the queue
-        if steps[i] is None:
+        out = steps[i]
+        if out is None:
             if index is None:
                 index = {state: j for j, state in enumerate(states)}
             out = []
@@ -128,8 +137,8 @@ def reach(closure, step, label_key, state_key, bounds: ExploreBounds = DEFAULT_B
                     steps.append(None)
                     number.append(None)
                 out.append((lab, j))
-            steps[i] = out
-        for lab, j in sorted(steps[i], key=lambda st: (label_key(st[0]), key(st[1]))):
+        numbered = steps[i] = []
+        for lab, j in sorted(out, key=lambda st: (label_key(st[0]), key(st[1]))):
             dst = number[j]
             if dst is None:
                 if len(order) >= bounds.max_states:
@@ -141,8 +150,9 @@ def reach(closure, step, label_key, state_key, bounds: ExploreBounds = DEFAULT_B
                 dst = number[j] = len(order)
                 order.append(j)
                 depth.append(depth[src] + 1)
-            transitions.append((src, lab, dst))
-    return order, transitions
+            numbered.append((lab, dst))
+    states[:] = [states[i] for i in order]
+    steps[:] = [steps[i] for i in order]
 
 
 def unstepped(walk) -> tuple:
@@ -475,10 +485,10 @@ def leaf_closure(walks, base, caps, budget: int) -> list | None:
     message, which is a label of ``base`` or what a leaf's step delivers
     (``Walk.hear``).  An answer is a step labelled by the message, a
     discard is a self-loop, and a leaf that can do neither has no step on
-    it.  Returns, for each walk, the ``(leaf, label, leaf)`` steps of its
-    leaves, as its ids; or None as soon as a walk holds more leaves than
-    its entry of ``caps``, or before more than ``budget`` answers would be
-    worked out in all."""
+    it.  Returns, for each walk, each of its leaves' ``(label, leaf)``
+    steps, leaves as its ids; or None as soon as a walk holds more leaves
+    than its entry of ``caps``, or before more than ``budget`` answers
+    would be worked out in all."""
     msgs = list(dict.fromkeys(base))
     known, edges = set(msgs), [[] for _ in walks]
     answered = [[] for _ in walks]  # for each leaf of each walk: the messages it answered
@@ -490,8 +500,8 @@ def leaf_closure(walks, base, caps, budget: int) -> list | None:
             while leaf < len(walk.leaves):
                 if leaf == len(done):
                     done.append(0)
-                    for lab, nxt in walk.moves(leaf):
-                        steps.append((leaf, lab, nxt))
+                    steps.append(list(walk.moves(leaf)))
+                    for lab, _ in walk.moves(leaf):
                         heard = walk.hear(lab)
                         if heard is not None and heard not in known:
                             known.add(heard)
@@ -501,8 +511,7 @@ def leaf_closure(walks, base, caps, budget: int) -> list | None:
                     return None
                 for msg in msgs[done[leaf]:]:
                     got = walk.answer(leaf, msg)
-                    steps += ([(leaf, msg, leaf)] if got is DISCARDS else
-                              [(leaf, msg, nxt) for nxt in got])
+                    steps[leaf] += [(msg, leaf)] if got is DISCARDS else [(msg, nxt) for nxt in got]
                     busy = True
                 done[leaf] = len(msgs)
                 if len(walk.leaves) > cap:
@@ -535,16 +544,15 @@ def state_text(walk: Walk):
     return lambda state: "".join([p if p.__class__ is str else text(state[p]) for p in pieces])
 
 
-def explore(closure, universe=(), bounds: ExploreBounds = DEFAULT_BOUNDS,
-            domains: DomainContext = EMPTY_DOMAINS) -> Lts:
+def explore(closure, universe=(), bounds: ExploreBounds = DEFAULT_BOUNDS) -> Lts:
     """Breadth-first exploration with deterministic state numbering: each
-    state's steps sorted by printed label and successor.  It numbers the
-    states of ``closure``, a closure under ``universe``, and ``reach``
+    state's steps sorted by printed label and successor.  It numbers
+    ``closure``, a closure under ``universe``, in place, and ``reach``
     steps through the closure's walk the states that it left unstepped."""
-    states, _, walk = closure
-    order, transitions = reach(closure, lambda state: walk.steps(state, universe), pretty_label,
-                               state_text(walk), bounds)
-    return Lts([states[i] for i in order], transitions, domains)
+    walk = closure[2]
+    reach(closure, lambda state: walk.steps(state, universe), pretty_label, state_text(walk),
+          bounds)
+    return Lts(*closure)
 
 
 def auto_universe(walk: Walk, bounds: ExploreBounds = DEFAULT_BOUNDS,
@@ -564,9 +572,10 @@ def aut_text(lts: Lts) -> str:
 
     @cache
     def text(lab):
-        return ("tau" if silent(lab, lts.domains) else pretty_label(lab)).replace('"', "'")
+        return ("tau" if lts.walk.hear(lab) is None else pretty_label(lab)).replace('"', "'")
 
-    lines = [f"des (0,{len(lts.transitions)},{len(lts.states)})"]
-    lines += [f'({src},"{text(lab)}",{dst})' for src, lab, dst in lts.transitions]
+    lines = [f"des (0,{sum(map(len, lts.steps))},{len(lts.states)})"]
+    lines += [f'({src},"{text(lab)}",{dst})' for src, out in enumerate(lts.steps)
+              for lab, dst in out]
     return "\n".join(lines) + "\n"
 

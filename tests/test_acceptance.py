@@ -97,12 +97,12 @@ def test_criterion_2_narrated_sequence():
     net = network()
     domains = net["domains"]
     pi1 = net["pi1"]
-    lts = explore(unstepped(abc_walk(net["N"], net["defs"], domains)), (), domains=domains)
+    lts = explore(unstepped(abc_walk(net["N"], net["defs"], domains)))
 
     def kind(lab):
         if lab.kind != OUT:
             return "in"
-        if pr.is_ff(lab.pred, lts.domains):
+        if pr.is_ff(lab.pred, domains):
             return "tau"
         if pr.equiv(lab.pred, pi1, domains) and lab.values == ("p", "v"):
             return "pi1"
@@ -121,7 +121,7 @@ def test_criterion_2_narrated_sequence():
 
     has_path = search(0, 0)
     tau_shape = any(
-        pr.is_ff(lab.pred, lts.domains)
+        pr.is_ff(lab.pred, domains)
         and 'role == "fwd"' in pretty_pred(lab.pred)
         and 'role != "fwd"' in pretty_pred(lab.pred)
         for _, lab, _ in lts.transitions
@@ -461,10 +461,8 @@ def test_criterion_7_infrastructure(tmp_path):
         bad.append("aut export not byte-identical across runs")
 
     net = network()
-    a1 = aut_text(explore(unstepped(abc_walk(net["N"], net["defs"], net["domains"])),
-                          domains=net["domains"]))
-    a2 = aut_text(explore(unstepped(abc_walk(net["N"], net["defs"], net["domains"])),
-                          domains=net["domains"]))
+    a1 = aut_text(explore(unstepped(abc_walk(net["N"], net["defs"], net["domains"]))))
+    a2 = aut_text(explore(unstepped(abc_walk(net["N"], net["defs"], net["domains"]))))
     if a1 != a2:
         bad.append("in-process exploration nondeterministic")
 

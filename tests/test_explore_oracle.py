@@ -17,7 +17,6 @@ from abcalc.lts import (
     BoundExceeded,
     DEFAULT_BOUNDS,
     ExploreBounds,
-    Lts,
     abc_walk,
     aut_text,
     auto_universe,
@@ -27,6 +26,7 @@ from abcalc.lts import (
     unstepped,
 )
 from abcalc.predicates import EMPTY_DOMAINS
+from abcalc.semantics import OUT
 from abcalc.syntax import parse_abc, pretty_component, pretty_label
 from abcalc.cli import main
 from abcalc.systems import corpus_path, network
@@ -129,11 +129,23 @@ def old_successors(defs, universe):
     return successors
 
 
+def old_aut_text(states, transitions, domains) -> str:
+    """The Aldebaran text, an output printed ``tau`` when no total
+    valuation within ``domains`` satisfies its predicate."""
+    def text(lab):
+        silent = lab.kind == OUT and pr.is_ff(lab.pred, domains)
+        return ("tau" if silent else pretty_label(lab)).replace('"', "'")
+
+    lines = [f"des (0,{len(transitions)},{len(states)})"]
+    lines += [f'({src},"{text(lab)}",{dst})' for src, lab, dst in transitions]
+    return "\n".join(lines) + "\n"
+
+
 def old_explore(comp, defs, mode, bounds, domains):
     try:
         universe = old_auto_universe(comp, defs, bounds, domains) if mode == "auto" else ()
         states, transitions = old_reach(canonical(comp), old_successors(defs, universe), bounds)
-        return aut_text(Lts(states, transitions, domains)), universe
+        return old_aut_text(states, transitions, domains), universe
     except BoundExceeded as exc:
         return str(exc)
 
@@ -143,7 +155,7 @@ def new_explore(comp, defs, mode, bounds, domains):
         universe, closure = (auto_universe(abc_walk(comp, defs, domains), bounds, domains)
                              if mode == "auto" else ((), None))
         return aut_text(explore(closure or unstepped(abc_walk(comp, defs, domains)), universe,
-                                bounds, domains)), universe
+                                bounds)), universe
     except BoundExceeded as exc:
         return str(exc)
 
@@ -350,13 +362,12 @@ def test_explore_prints_each_leaf_once(monkeypatch):
     monkeypatch.setattr(L, "pretty_component", lambda c: printed.append(c) or pretty_component(c))
     universe, closure = auto_universe(abc_walk(model.component, model.defs, model.domains),
                                       domains=model.domains)
-    lts = explore(closure, universe, domains=model.domains)
+    lts = explore(closure, universe)
     assert (len(lts.states), len(lts.transitions)) == (243, 2025)
     # five emitters of three local states each
     assert len(printed) == len(set(printed)) == 15
     printed.clear()
-    lts = explore(unstepped(abc_walk(model.component, model.defs, model.domains)), (),
-                  domains=model.domains)
+    lts = explore(unstepped(abc_walk(model.component, model.defs, model.domains)))
     assert len(lts.states) == 243
     assert len(printed) == len(set(printed)) == 15
 
@@ -377,7 +388,7 @@ def test_auto_explore_steps_each_state_once(monkeypatch, mode):
     universe, closure = (auto_universe(walk, domains=model.domains) if mode == "auto"
                          else (model.universe, unstepped(walk)))
     assert len(universe) == {"auto": 3, "declared": 1, "none": 0}[mode]
-    lts = explore(closure, universe, domains=model.domains)
+    lts = explore(closure, universe)
     assert len(outs) == len(set(outs)) == len(lts.states)
     assert len(ins) == len(set(ins)) == len(lts.states) * len(universe)
 

@@ -5,7 +5,8 @@ can be the first one imported, and a call loads argparse and ``systems``
 only if it runs them.  Also: each tree
 shape of expressions, predicates, processes and broadcast terms is walked
 only in the places listed here, and no module keeps mutable state, so
-every memo lives as long as the call that made it."""
+every memo lives as long as the call that made it.  Silence is asked of
+the walk, and a transition system is held in one layout."""
 
 import ast
 import json
@@ -14,6 +15,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from abcalc.lts import abc_walk, auto_universe, explore, unstepped
+from abcalc.semantics import Label
+from abcalc.systems import network
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "abcalc"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -534,6 +539,38 @@ def test_silence_is_one_rule():
              if any("is_ff" in (getattr(n, "id", None), getattr(n, "attr", None),
                                 getattr(n, "name", None)) for n in ast.walk(node))}
     assert found == {"lts.silent"}, f"ask lts.silent instead: {', '.join(sorted(found))}"
+
+
+# ``abc_walk``'s ``hear`` asks ``lts.silent``, and so do the two places
+# that compare labels of more than one walk; a reader that holds a walk
+# takes silence from it: an output is silent when ``walk.hear`` gives None.
+SILENT_CALLERS = {"lts.abc_walk", "lts.label_equiv", "equivalence._label_classes"}
+
+
+def test_silence_is_asked_of_the_walk():
+    found = {qual for name in MODULES for qual, node in _places(name, _tree(name))
+             if any(isinstance(n, ast.Call)
+                    and getattr(n.func, "id", getattr(n.func, "attr", None)) == "silent"
+                    for n in ast.walk(node))}
+    assert found == SILENT_CALLERS, (
+        f"ask walk.hear instead: {', '.join(sorted(found - SILENT_CALLERS))}")
+
+
+def test_explore_numbers_its_closure_in_place():
+    """``explore`` returns the closure's own lists, each state's steps as
+    ``(label, number)`` pairs, and keeps no second copy of them, whether
+    the closure was stepped by the universe fixpoint or not."""
+    net = network()
+    walks = [abc_walk(net["N"], net["defs"], net["domains"]) for _ in range(2)]
+    for universe, closure in (auto_universe(walks[0], domains=net["domains"]),
+                              ((), unstepped(walks[1]))):
+        states, steps, walk = closure
+        lts = explore(closure, universe)
+        assert lts.states is states and lts.steps is steps and lts.walk is walk
+        assert set(vars(lts)) == {"states", "steps", "walk"}
+        assert len(steps) == len(states) == 10
+        assert all(step.__class__ is tuple and len(step) == 2 and isinstance(step[0], Label)
+                   and step[1] in range(len(states)) for out in steps for step in out)
 
 
 def test_a_second_bpi_rewrite_is_found():

@@ -121,13 +121,13 @@ class TestOncePerLocalState:
         model = parse_abc(emitters_abc(4))
         universe, closure = L.auto_universe(L.abc_walk(model.component, model.defs, model.domains),
                                             domains=model.domains)
-        lts = L.explore(closure, universe, domains=model.domains)
+        lts = L.explore(closure, universe)
         printed = []
         real = L.pretty_label
         monkeypatch.setattr(L, "pretty_label", lambda lab: printed.append(lab) or real(lab))
         text = L.aut_text(lts)
         assert text.startswith("des (0,")
-        shown = {lab for _, lab, _ in lts.transitions if not pr.is_ff(lab.pred, lts.domains)}
+        shown = {lab for _, lab, _ in lts.transitions if not pr.is_ff(lab.pred, model.domains)}
         assert len(printed) == len(shown) == 8
 
 
