@@ -21,10 +21,15 @@ Two imports are left out of a call that does not run them, and are the
 package's only imports inside functions: ``argparse`` only when a
 command line is not plain (``_plain_args``), and ``systems`` only in
 ``corpus``.
+
+Importing this module changes how the process exits: it registers
+``gc.freeze`` with ``atexit``, so the collections of the interpreter's
+exit walk nothing and run no finaliser of an object left in a cycle.
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
 import json
 import os
@@ -50,6 +55,13 @@ from .syntax import (
 from .terms import ArityMismatch, DomainViolation, values_equal
 
 SCHEMA_VERSION = 1
+
+# The interpreter's exit runs full cyclic collections, each walking every
+# object that start-up and the package keep; frozen objects are skipped.
+# Freezing at exit gives up only the finalisers of objects still in a
+# cycle then, which Python does not promise to run; every file written is
+# closed before ``main`` returns.
+atexit.register(gc.freeze)
 
 
 class CliError(Exception):

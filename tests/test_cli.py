@@ -542,16 +542,16 @@ def test_update_outside_declared_domain(capsys, tmp_path):
 
 def test_closed_stdout_ends_quietly(tmp_path):
     # the .aut text is larger than a pipe buffer, so the writer meets the
-    # closed pipe
+    # closed pipe; under -X dev, a file or stream left open would be reported
     model = tmp_path / "emitters.abc"
     model.write_text(emitters_abc(5))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.Popen([sys.executable, "-m", "abcalc.cli", "explore", str(model)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([sys.executable, "-X", "dev", "-m", "abcalc.cli", "explore",
+                             str(model)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline().startswith(b"des (0,2025,243)")
     proc.stdout.close()
     err = proc.stderr.read().decode()
-    assert proc.wait() == 0 and "Traceback" not in err
+    assert proc.wait() == 0 and err == ""
 
 
 @pytest.mark.parametrize("command", ["explore", "check-bisim --weak", "verify-encoding"])
@@ -725,14 +725,73 @@ def test_usage_errors(capsys):
 ], ids=["exit-0", "exit-1", "cli-error", "bound-exceeded", "usage-error"])
 def test_main_leaves_the_collector_as_it_found_it(capsys, collecting, argv, code):
     """``main`` pauses the cyclic collector while a command runs and turns
-    it back on only if it was on."""
-    was = gc.isenabled()
+    it back on only if it was on; it freezes nothing, since the freeze is
+    left to the interpreter's exit."""
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
     try:
         (gc.enable if collecting else gc.disable)()
         assert run(capsys, *argv)[0] == code
         assert gc.isenabled() is collecting
+        assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# Registers an exit handler before the CLI registers its own, so that it
+# runs after it (last in, first out), reports the freeze count on stderr,
+# then exits with what ``main`` returns, as the ``abcalc`` script does.
+AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+from abcalc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("parse", NETWORK), 0),
+    (("check-bisim", "--strong", NETWORK, ZERO), 1),
+    (("explore", "no_such_file.abc"), 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_the_exit_freezes_and_keeps_the_exit_code(tmp_path, argv, code):
+    """The CLI's exit hook has frozen the heap by the time the handlers
+    registered before it run, and the process ends with ``main``'s code."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", AT_EXIT, *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == code, result.stderr
+    label, count = result.stderr.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 0
+
+
+# Command lines that write files, each run in a fresh process and in this
+# one: ``-o`` and ``--json`` files, relative to the working directory.
+WRITERS = [
+    ["explore", "-o", "net.aut", "--json", "net.json", NETWORK],
+    ["translate", "-o", "hs.abc", "--json", "hs.json", HANDSHAKE],
+    ["verify-encoding", "--json", "verify.json", HANDSHAKE],
+]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=["explore", "translate", "verify-encoding"])
+def test_outputs_survive_the_exit(capsys, tmp_path, monkeypatch, argv):
+    """Frozen at exit, a fresh process still leaves every file and all of
+    stdout as an in-process call does, and under ``-X dev`` it reports no
+    file left open."""
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-X", "dev", "-m", "abcalc.cli", *argv],
+                            cwd=fresh, env=env, capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert b"ResourceWarning" not in result.stderr and b"Traceback" not in result.stderr
+    monkeypatch.chdir(here)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and result.stdout == out.encode()
+    written = sorted(p.name for p in here.iterdir())
+    assert written == sorted(p.name for p in fresh.iterdir()) and written
+    assert all((fresh / name).read_bytes() == (here / name).read_bytes() for name in written)
 
 
 # Runs one command line in a fresh process and prints how many objects

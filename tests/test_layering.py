@@ -163,7 +163,8 @@ def test_startup_leaves_out_openssl():
 # The standard-library modules the package imports at the top that a
 # bare interpreter may load already, through ``site``; the baseline
 # imports them, so the check reads the same whatever ``site`` loads.
-STDLIB_AT_START = "collections, contextlib, functools, itertools, math, operator, os, re, types"
+STDLIB_AT_START = ("atexit, collections, contextlib, functools, itertools, math, operator, os, "
+                   "re, types")
 # What ``import abcalc.cli`` loads beyond them: a new module here is a
 # new fixed cost of every call.
 STARTUP = {"abcalc", *(f"abcalc.{name}" for name in MODULES if name != "systems"),
