@@ -26,12 +26,14 @@ FAMILIES = GOLDEN / "families"
 # pairs of family models, each checked in both modes: silent prefixes
 # against none (tau-leaves k=1..5, a silent step before an input, silent
 # and visible outputs whose inert silent step hides visible ones),
-# emitters, guards stated through De Morgan and a changed guard
+# emitters, guards stated through De Morgan, a changed guard, and
+# tau-leaves against emitters, a weak negative decided on quotient products
 FAMILY_PAIRS = ([[f"tau-k{k}.abc", f"plain-k{k}.abc"] for k in range(1, 6)]
                 + [["tau-input.abc", "input.abc"], ["tau-guards.abc", "nil.abc"],
                    ["emitters-k3.abc", "emitters-k3.abc"], ["emitters-k3.abc", "emitters-k2.abc"],
                    ["guarded-k3.abc", "guarded-k3-demorgan.abc"],
-                   ["guarded-k3.abc", "guarded-k3-changed.abc"]])
+                   ["guarded-k3.abc", "guarded-k3-changed.abc"],
+                   ["tau-k3.abc", "emitters-k3.abc"]])
 # pairs under other options: bounds that the product hits, a message that
 # the product never delivers, and leaves with infinitely many successors,
 # one of them nested deeper with each
