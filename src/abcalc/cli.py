@@ -3,11 +3,12 @@
 Exit codes: 0 for success (or an equivalence verdict of yes), 1 for a
 negative verdict or a correspondence violation, 2 for usage, parse, or
 bound errors and for ill-formed input (a name bound twice by one input,
-definition or recursion, a call to an undefined process or with the
-wrong number of arguments, an unbound recursion variable, a term the
-encoding rejects, an environment or an update outside a declared
-domain, a .bpi term where a component model is expected, an unguarded
-recursion, or nesting too deep for the recursion limit), and for an
+definition or recursion, a call to an undefined process, a call or an
+operator with the wrong number of arguments, an unbound recursion
+variable, a term the encoding rejects, an environment or an update
+outside a declared domain, a .bpi term where a component model is
+expected, an unguarded recursion, or nesting too deep for the recursion
+limit), and for an
 output file that cannot be written or that would overwrite a file being
 read or the other output file, which is refused before anything is
 written.  Diagnostics go

@@ -11,13 +11,13 @@ with silent moves on both sides and a silent step is matched by zero or
 more silent moves.
 
 A weak check is decided first by branching bisimilarity, which is finer
-and needs no saturation, on closures that are never numbered.
+and needs no saturation, on closures that are not yet numbered.
 Bisimilarity is preserved by parallel composition, so each leaf may give
-way to a branching-bisimilar one first: the closures are those of the
+way to a branching-bisimilar one first: the check is then made on the
 quotient products (``_stand_ins``) when some leaf moves silently and the
-leaves close small enough, else those of the systems themselves.  Only
-a check that the branching pass leaves negative or undecided numbers the
-systems, ``explore(closure, universe, bounds)`` on each side, and
+leaves close small enough, else on the systems themselves.  Only a check
+that the branching pass leaves negative or undecided numbers the same
+closures, ``explore(closure, universe, bounds)`` on each side, and
 saturates.  A closure that a bound or a model error stops is kept
 where it stops and decides nothing: numbering it steps only the states
 it left, and meets the bound or the error where a breadth-first walk
@@ -196,23 +196,22 @@ def weak_bisim(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
 def _bisim(c1, c2, defs, universe, domains, bounds, base, weak) -> Verdict:
     """Without a ``universe``, both sides close one from the labels of
     ``base``, as ``auto_universe`` does, and the two are merged; a strong
-    check under a fixed universe closes neither.  A weak check is decided
-    first by branching bisimilarity on closures that are never numbered:
-    those of the quotient products when ``_stand_ins`` gives a map, else
-    the sides' own.  Only when that does not relate them does ``explore``
-    number each side: its closure, or after a quotient the side's unstepped
-    one, stepping what the closure left."""
+    check under a fixed universe closes neither.  A weak check is made on
+    the quotient products when ``_stand_ins`` gives a map, else on the
+    sides, and is decided first by branching bisimilarity on their
+    closures.  Only when that does not relate them does ``explore`` number
+    each closure, stepping what it left."""
     comps, defs = (c1, c2), defs or {}
     walks = [abc_walk(c, defs, domains) for c in comps]
-    closures = [unstepped(walk) for walk in walks]
     try:
         stand_ins = weak and _stand_ins(walks, universe, base, bounds)
-        quotients = stand_ins and [abc_walk(c, defs, domains, stand_ins) for c in comps]
+        if stand_ins:
+            walks = [abc_walk(c, defs, domains, stand_ins) for c in comps]
+        closures = [unstepped(walk) for walk in walks]
         if weak or universe is None:
-            universe, decided = _closed(quotients or walks, universe, domains, bounds, base)
-            if weak and _related(decided, domains, bounds.max_depth):
+            universe, closures = _closed(walks, universe, domains, bounds, base)
+            if weak and _related(closures, domains, bounds.max_depth):
                 return Verdict(True, universe)
-            closures = closures if quotients else decided
         l1, l2 = (explore(k, universe, bounds) for k in closures)
     except BoundExceeded as exc:
         return Verdict(False, universe or (),

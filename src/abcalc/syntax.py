@@ -309,9 +309,13 @@ class Parser:
             self.expect(".")
             return SndAttr(self.ident("attribute"))
         if kind == "id" and text in OPERATORS and text not in "+-*":
-            self.advance()
+            tok = self.advance()
             self.expect("(")
-            return Op(text, tuple(self.comma_list(")", self.expr, bound)))
+            args = tuple(self.comma_list(")", self.expr, bound))
+            arity = OPERATORS[text][0]
+            if arity is not None and len(args) != arity:
+                raise self.error(f"{text} expects {arity} arguments, found {len(args)}", tok)
+            return Op(text, args)
         if kind == "id" and text not in _KEYWORDS:
             self.advance()
             return Var(text) if text in bound else Attr(text)

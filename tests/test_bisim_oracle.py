@@ -33,7 +33,21 @@ from abcalc.cli import main
 from abcalc.predicates import EMPTY_DOMAINS, FF, DomainContext, Not, is_ff
 from abcalc.syntax import parse_abc, pretty_label, pretty_pred
 from abcalc.systems import network
-from abcalc.terms import AttrEnv, Aware, Choice, Const, DomainViolation, In, Leaf, Out, ParP, Upd
+from abcalc.terms import (
+    AttrEnv,
+    Aware,
+    Choice,
+    Const,
+    DomainViolation,
+    In,
+    Leaf,
+    Out,
+    ParP,
+    Upd,
+    canonical,
+    flatten,
+    rebuild,
+)
 
 from conftest import (
     emitters_abc,
@@ -145,7 +159,10 @@ def old_label_classes(ltss, domains):
 
 
 def old_bisim(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
-              bounds=DEFAULT_BOUNDS, weak=False) -> Verdict:
+              bounds=DEFAULT_BOUNDS, weak=False, certify=False) -> Verdict:
+    """The old engine's verdict; with ``certify``, a positive one is
+    checked to rest on a bisimulation: the final partition, by
+    ``assert_weak_bisimulation`` or ``assert_strong_bisimulation``."""
     explored = old_explore(c1, c2, defs, universe, domains, bounds)
     if isinstance(explored, Verdict):
         return explored
@@ -177,6 +194,9 @@ def old_bisim(c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS,
         history.append(dict(blocks))
 
     if blocks[0] == blocks[n1]:
+        if certify:
+            check = assert_weak_bisimulation if weak else assert_strong_bisimulation
+            check((l1, l2), class_of, [blocks[s] for s in states])
         return Verdict(True, universe)
     return Verdict(False, universe, witness=old_extract_witness(0, n1, edges, history, n1))
 
@@ -220,14 +240,37 @@ CHECKS = {"strong": (strong_bisim, False), "weak": (weak_bisim, True)}
 
 
 def agree(mode, c1, c2, defs=None, universe=None, domains=EMPTY_DOMAINS) -> dict:
-    """The engine's verdict, checked against the old engine's.  A weak
-    positive verdict that the branching pass reaches is also certified;
-    the key ``branching`` says whether it was."""
+    """The engine's verdict, checked against the old engine's, whose
+    positive verdicts are certified on its final partition.  A weak check
+    that ``_stand_ins`` reduces is decided on the quotient products, so
+    its whole verdict is the old engine's on those, witness included, and
+    each is weakly bisimilar to its side; the key ``reduced`` says whether
+    it was.  A weak positive verdict that the branching pass reaches is
+    also certified; the key ``branching`` says whether it was."""
     check, weak = CHECKS[mode]
-    got = check(c1, c2, defs, universe, domains).as_dict()
-    assert got == old_bisim(c1, c2, defs, universe, domains, weak=weak).as_dict()
+    maps, spied = [], eq._stand_ins
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eq, "_stand_ins", lambda *a: maps.append(spied(*a)) or maps[-1])
+        got = check(c1, c2, defs, universe, domains).as_dict()
+    old = old_bisim(c1, c2, defs, universe, domains, weak=weak, certify=True).as_dict()
+    reduced = bool(maps and maps[0])
+    if reduced:
+        assert {**got, "witness": None} == {**old, "witness": None}
+        quotients = [quotient(c, maps[0]) for c in (c1, c2)]
+        assert got == old_bisim(*quotients, defs, universe, domains, weak=True,
+                                certify=True).as_dict()
+        for c, q in zip((c1, c2), quotients):
+            assert old_bisim(c, q, defs, universe, domains, weak=True).equivalent
+    else:
+        assert got == old
     branching = weak and got["equivalent"] and certified(c1, c2, defs, universe, domains)
-    return {**got, "branching": branching}
+    return {**got, "branching": branching, "reduced": reduced}
+
+
+def quotient(comp, stand_ins):
+    """``comp`` with each leaf replaced by the leaf that stands for it."""
+    shape, leaves = flatten(comp)
+    return rebuild(shape, [stand_ins.get(leaf, leaf) for leaf in map(canonical, leaves)])
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +322,23 @@ def assert_weak_bisimulation(ltss, class_of, blocks):
                 f"state {s} moves by {cls} into block {blocks[w]}; its block cannot answer")
 
 
+def assert_strong_bisimulation(ltss, class_of, blocks):
+    """Every step ``s -c-> s'`` of every state is answered by each state
+    ``t`` of its block with a step ``t -c-> t'`` into the block of
+    ``s'``."""
+    succ = []
+    for lts in ltss:
+        offset = len(succ)
+        succ += [set() for _ in lts.states]
+        for src, lab, dst in lts.transitions:
+            succ[offset + src].add((class_of[lab], blocks[offset + dst]))
+    answers = {}
+    for t, moves in enumerate(succ):
+        answers[blocks[t]] = answers.get(blocks[t], moves) & moves
+    for s, moves in enumerate(succ):
+        assert moves <= answers[blocks[s]], f"state {s} moves where its block cannot"
+
+
 def silent_prefix_abc(k: int, run: str, env: str = "") -> str:
     """One component that takes k silent steps, then runs ``run``."""
     return f"comp C {{ iface: []; env: {{{env}}}; run: {'()@ff.' * k}{run} }}\n"
@@ -327,13 +387,16 @@ def test_prefixed_pairs_match_old_engine(rng, mode):
 
 @pytest.mark.parametrize("mode", sorted(CHECKS))
 def test_random_pairs_match_old_engine(rng, mode):
-    witnesses = 0
+    witnesses = reduced = 0
     for _ in range(300):
         c1, c2 = random_component(rng), random_component(rng)
         (u1, _), (u2, _) = auto_universe(abc_walk(c1, {})), auto_universe(abc_walk(c2, {}))
         for universe in (None, merge_labels(u1, u2)):
-            witnesses += agree(mode, c1, c2, universe=universe)["witness"] is not None
+            got = agree(mode, c1, c2, universe=universe)
+            witnesses += got["witness"] is not None
+            reduced += got["witness"] is not None and got["reduced"]
     assert witnesses >= 100  # the comparison covers witnesses, not verdicts alone
+    assert reduced >= 30 or mode == "strong"  # and witnesses read from quotient products
 
 
 @pytest.mark.parametrize("mode", sorted(CHECKS))
@@ -472,6 +535,24 @@ def test_tau_leaves_are_decided_on_quotient_products(outs_calls, saturations, k)
     m1, m2 = parse_abc(tau_leaves_abc(k)), parse_abc(tau_leaves_abc(k, plain=True))
     assert weak_bisim(m1.component, m2.component, {**m1.defs, **m2.defs}).equivalent
     assert len(outs_calls) == 2 * 2 ** k and not saturations
+
+
+def test_a_negative_on_quotient_products_numbers_only_them(monkeypatch):
+    """Tau-leaves against the same leaves with one id changed: the weak
+    check decides on the quotient products, and when the branching pass
+    does not relate them, ``explore`` numbers those two closures, each
+    the 2^3 states of the plain product, and no unreduced side."""
+    numbered, spied = [], eq.explore
+    monkeypatch.setattr(eq, "explore", lambda closure, *a: numbered.append(closure)
+                        or spied(closure, *a))
+    m1 = parse_abc(tau_leaves_abc(3))
+    m2 = parse_abc(tau_leaves_abc(3).replace('"l2"', '"l2x"'))
+    walks = [abc_walk(m.component, {}) for m in (m1, m2)]
+    stand_ins = eq._stand_ins(walks, None, (), DEFAULT_BOUNDS)
+    got = weak_bisim(m1.component, m2.component)
+    assert stand_ins and not got.equivalent and got.witness
+    assert [len(states) for states, _, _ in numbered] == [8, 8]
+    assert all(stand_ins[leaf] == leaf for _, _, walk in numbered for leaf in walk.leaves)
 
 
 @pytest.fixture

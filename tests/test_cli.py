@@ -361,6 +361,10 @@ class TestIllFormedInput:
         ("undefined.abc", "comp C { iface: []; env: {}; run: B }\n", "explore"),
         ("arity.abc", "def A(n) = (n)@tt.0;\ncomp C { iface: []; env: {}; run: A(1, 2) }\n",
          "explore"),
+        # an operator with the wrong number of arguments, refused when read
+        ("arity.abc", "comp C { iface: []; env: {}; run: (proj(tup(1, 2)))@tt.0 }\n", "explore"),
+        ("arity.abc", 'comp C { iface: []; env: {}; run: ("a")@(contains({1}) == true).0 }\n',
+         "explore"),
         ("reused.bpi", "(rec A(x).a!(x).A(x))(v) || (rec A(x).b!(x).A(x))(v)\n",
          "verify-encoding"),
         # the body of B uses A's parameter, so it would change as A unfolds
@@ -393,7 +397,8 @@ class TestIllFormedInput:
         ("dom.abc", "domain a in {1, true};\n"
                     "comp C { iface: [a]; env: {a = true}; run: (a)@tt.0 }\nsystem: C;\n",
          "explore"),
-    ], ids=["undefined-process", "call-arity", "encoding-error", "encoding-error-successor",
+    ], ids=["undefined-process", "call-arity", "operator-arity", "guard-operator-arity",
+            "encoding-error", "encoding-error-successor",
             "deep-bpi", "deep-abc",
             "bpi-explore", "bpi-barbs", "bpi-bisim-left", "bpi-bisim-right",
             "repeated-input-binder", "repeated-def-parameter", "repeated-bpi-binder",
@@ -425,6 +430,8 @@ class TestIllFormedInput:
     ("binder.abc", b"comp C { iface: []; env: {}; run: (tt)(x, y, x).0 }\n",
      "1:40: repeated variable 'x'"),
     ("binder.bpi", b"a(x, x).nil\n", "1:2: repeated variable 'x'"),
+    ("arity.abc", b"comp C { iface: []; env: {}; run: (proj(tup(1, 2)))@tt.0 }\n",
+     "1:36: proj expects 2 arguments, found 1"),
     ("line3.abc", b"// a comment\r\ncomp C {\r\n\tiface: [];\tenv: {}; run: () @tt.0 | ?\r\n}\r\n",
      "3:38: unexpected character '?'"),
     ("line3-parse.abc", b"// a comment\r\ncomp C {\r\n\tiface: [];\tenv: {}; run: () @tt. | 0\r\n}\r\n",

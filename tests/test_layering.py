@@ -9,6 +9,7 @@ every memo lives as long as the call that made it.  Silence is asked of
 the walk, and a transition system is held in one layout."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -583,3 +584,31 @@ def test_a_second_bpi_rewrite_is_found():
               "        return q\n"
               "    return go(p)\n")
     assert _walks("bpi", ast.parse(source), BPI_NODES) == {"bpi.rename"}
+
+
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+# traced names whose functions are gone: their per-layer metrics read 0
+# until the tracer follows the code (ROADMAP item 1)
+GONE_FROM_TRACER = {"syntax.parse_bpi", "semantics.system_out_steps", "semantics.system_in_step"}
+
+
+def _assigned(tree: ast.Module, name: str):
+    """The value of the module-level constant ``name``, read without
+    running the module."""
+    return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == name for target in node.targets))
+
+
+def test_the_benchmark_traces_functions_that_exist():
+    """Every ``module.function`` that the benchmark's tracer wraps is in
+    the package, but for the listed ones that are gone, so a rename fails
+    here instead of leaving a per-layer metric at 0; and ``explore``
+    returns the ``.states`` that the tracer counts."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    traced = {f"{module}.{func}" for module, funcs in _assigned(tree, "TRACED").items()
+              for func in funcs} | {_assigned(tree, "ROOT")}
+    missing = {f"{module}.{func}" for module, func in (qual.split(".") for qual in traced)
+               if not callable(getattr(importlib.import_module(f"abcalc.{module}"), func, None))}
+    assert missing == GONE_FROM_TRACER
+    net = network()
+    assert len(explore(unstepped(abc_walk(net["N"], net["defs"], net["domains"]))).states) == 10

@@ -237,6 +237,22 @@ class TestErrors:
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_process(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("(proj(tup(1, 2)))@tt.0", "1:2: proj expects 2 arguments, found 1"),
+        ('("a")@(contains({1}) == true).0', "1:8: contains expects 2 arguments, found 1"),
+        ("(insert({1}, 2, 3))@tt.0", "1:2: insert expects 2 arguments, found 3"),
+        ("(tt)(x).(remove())@tt.0", "1:10: remove expects 2 arguments, found 0"),
+    ])
+    def test_operator_arity_checked_when_read(self, text, message):
+        """An operator called with the wrong number of arguments is refused
+        at its name, not left to an output that silently does not exist."""
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_process(text)
+
+    def test_tup_takes_any_number_of_arguments(self):
+        for n, args in enumerate(("", "1", "1, 1")):
+            assert parse_process(f"(tup({args}))@tt.0").exprs == (Op("tup", (Const(1),) * n),)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_process("0 0")
