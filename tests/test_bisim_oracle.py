@@ -5,7 +5,9 @@ silent closure, lists the saturated moves and then drops repeated
 that keeps a copy of the whole block map per round and stops when a
 round leaves the map as it was, and a recursive witness extractor.  The
 universe handling and the label classes are the engine's own, so the
-two must agree on the whole verdict: equivalence, universe and witness."""
+two must agree on the whole verdict: equivalence, universe and witness.
+A weak check that a leaf quotient reduces reads its witness from the
+quotient products, so there the old engine runs on those too."""
 
 import sys
 from collections import Counter
